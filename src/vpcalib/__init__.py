@@ -37,12 +37,13 @@ from .heatmap import (
     bbox_denormalize,
     bbox_normalize,
     decode_heatmap,
+    decode_stack,
     diamond_to_pixel,
     encode_vp,
     pixel_to_diamond,
     select_vp,
 )
-from .heatmap_io import read_heatmap_file, write_heatmap_file
+from .heatmap_io import read_heatmap_arrays, read_heatmap_file, write_heatmap_file
 from .pipeline import PipelineConfig, filter_detections, run_calibration, run_evaluation
 from .projective import (
     from_diamond,
@@ -85,6 +86,7 @@ __all__ = [
     "bbox_normalize",
     "calibrate",
     "decode_heatmap",
+    "decode_stack",
     "diamond_to_pixel",
     "encode_vp",
     "estimate_focal",
@@ -101,6 +103,7 @@ __all__ = [
     "project_to_plane",
     "projectively_equal",
     "ratio_error",
+    "read_heatmap_arrays",
     "read_heatmap_file",
     "run_calibration",
     "run_evaluation",

@@ -153,7 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale-reference",
         help="ax,ay,bx,by,meters: set the plane scale from one known distance",
     )
-    p.add_argument("--parallel", action="store_true", help="decode records concurrently")
+    p.add_argument(
+        "--parallel", action="store_true", help="accepted for compatibility; has no effect"
+    )
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("evaluate", help="score a calibration against tape measurements")
@@ -166,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic scene")
     p.add_argument("--spec", required=True, help="scene spec JSON")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--parallel", action="store_true", help="generate vehicles concurrently")
+    p.add_argument(
+        "--parallel", action="store_true", help="accepted for compatibility; has no effect"
+    )
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("augment", help="sample one training augmentation transform")

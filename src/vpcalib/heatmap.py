@@ -7,6 +7,9 @@ fills the full square grid, and rasterized as a Gaussian peak. Decoding runs
 the chain backwards from the grid argmax, picks the scale with the smallest
 spread of near-maximum cells, and places the point where that scale's peak
 cell overlaps the near-maximum cells of all the other scales.
+:func:`decode_stack` does this for a stack of many records' grids with
+array operations, taking what it needs to know about a grid cell from
+per-grid tables that are filled the first time a decode touches the cell.
 
 Grid convention: ``values[row, col]`` with the rotated coordinates
 ``u = X + Y`` (column axis) and ``v = Y - X`` (row axis), each spanning
@@ -25,6 +28,7 @@ from .errors import (
     AllScalesDegenerate,
     DegeneratePeak,
     EmptyHeatmap,
+    InvalidScale,
     OutOfDiamond,
 )
 
@@ -46,6 +50,7 @@ __all__ = [
     "accuracy_measure",
     "quantization_radius",
     "select_vp",
+    "decode_stack",
     "check_scales",
 ]
 
@@ -306,10 +311,14 @@ def vp_of_pixel(
     The returned triple may have ``w ~ 0`` for cells on the diamond boundary:
     those decode to directions rather than finite points.
     """
+    return pj.scale_point(_unscaled_vp_of_pixel(row, col, resolution), 1.0 / scale)
+
+
+def _unscaled_vp_of_pixel(row, col, resolution: int) -> np.ndarray:
+    """:func:`vp_of_pixel` before the division by the scale."""
     rc = np.stack([np.asarray(row, dtype=float), np.asarray(col, dtype=float)], axis=-1)
     xy = _clamp_to_diamond(pixel_to_diamond(rc, resolution))
-    o = pj.from_diamond(np.concatenate([xy, np.ones(xy.shape[:-1] + (1,))], axis=-1))
-    return pj.scale_point(o, 1.0 / scale)
+    return pj.from_diamond(np.concatenate([xy, np.ones(xy.shape[:-1] + (1,))], axis=-1))
 
 
 def _directions(vph: np.ndarray) -> np.ndarray:
@@ -385,10 +394,117 @@ def quantization_radius(
     return float(np.max(np.arccos(cosines)))
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _cell_radius(row: int, col: int, scale: float, resolution: int) -> float:
-    """:func:`quantization_radius` at its defaults; it depends on the cell alone."""
-    return quantization_radius(row, col, scale, resolution)
+def _dot_norms(xy: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every row of ``xy``, bit for bit.
+
+    For one vector numpy takes the square root of its dot product with
+    itself; a stacked matmul takes the same dot product row by row, which a
+    sum of squares does not reproduce exactly.
+    """
+    xy = np.ascontiguousarray(xy)
+    return np.sqrt(np.matmul(xy[:, None, :], xy[:, :, None])[:, 0, 0])
+
+
+def _vp_by_scale(scales, index, rows, cols, resolution: int) -> np.ndarray:
+    """:func:`vp_of_pixel` at ``(rows, cols)`` on the grid ``scales[index]``.
+
+    ``index`` runs along the first axis of ``rows`` and ``cols``; the
+    product with the same ``1.0 / scale`` gives the same bits.
+    """
+    vph = _unscaled_vp_of_pixel(rows, cols, resolution)
+    inverse = (1.0 / np.asarray(scales, dtype=float))[index]
+    vph[..., :2] *= inverse.reshape(inverse.shape + (1,) * (vph.ndim - inverse.ndim))
+    return vph
+
+
+class _CellTables:
+    """What a decode needs to know about the cells of one grid.
+
+    A grid is a scale set and a resolution; the entries depend on the cell
+    alone, are indexed ``[scale index, row, col]`` and are computed the
+    first time a decode touches the cell, with the numpy operations of the
+    scalar functions, so every entry equals what they return:
+
+    - ``vp``: :func:`vp_of_pixel` at the cell;
+    - ``ideal``: ``projective.is_ideal`` of it (a point at infinity);
+    - ``direction``: its unit direction from the box centre;
+    - ``norm``: the length of its dehomogenized point (NaN where ideal);
+    - ``radius``: :func:`quantization_radius` at its defaults.
+    """
+
+    def __init__(self, scales: tuple[float, ...], resolution: int):
+        if not all(np.isfinite(s) and s > 0 for s in scales):
+            raise InvalidScale(f"scales must be positive and finite, got {scales}")
+        self.scales = scales
+        self.resolution = resolution
+        shape = (len(scales), resolution, resolution)
+        self.vp = np.zeros(shape + (3,))
+        self.ideal = np.zeros(shape, dtype=bool)
+        self.direction = np.zeros(shape + (2,))
+        self.norm = np.zeros(shape)
+        self.radius = np.zeros(shape)
+        self._has_point = np.zeros(shape, dtype=bool)
+        self._has_radius = np.zeros(shape, dtype=bool)
+
+    @staticmethod
+    def _missing(filled: np.ndarray, s, r, c):
+        """The distinct cells among ``(s, r, c)`` that are not filled yet, or None."""
+        todo = ~filled[s, r, c]
+        if not todo.any():
+            return None
+        flat = np.unique(np.ravel_multi_index((s[todo], r[todo], c[todo]), filled.shape))
+        return np.unravel_index(flat, filled.shape)
+
+    def fill_points(self, s, r, c) -> None:
+        """Compute ``vp``, ``ideal``, ``direction`` and ``norm`` where missing."""
+        todo = self._missing(self._has_point, s, r, c)
+        if todo is None:
+            return
+        s, r, c = todo
+        vph = _vp_by_scale(self.scales, s, r, c, self.resolution)
+        ideal = pj.is_ideal(vph, IDEAL_EPS)
+        norm = np.full(len(s), np.nan)
+        norm[~ideal] = _dot_norms(pj.dehomogenize(vph[~ideal]))
+        self.vp[s, r, c] = vph
+        self.ideal[s, r, c] = ideal
+        self.direction[s, r, c] = _directions(vph)
+        self.norm[s, r, c] = norm
+        self._has_point[s, r, c] = True
+
+    def radii(self, s, r, c) -> np.ndarray:
+        """``radius`` at cells ``(s, r, c)``, computed where missing."""
+        todo = self._missing(self._has_radius, s, r, c)
+        if todo is not None:
+            self._fill_radius(*todo)
+        return self.radius[s, r, c]
+
+    def _fill_radius(self, s, r, c) -> None:
+        # quantization_radius for many cells at once; a stacked matmul takes
+        # the same per-cell matrix-vector product as its ``@``
+        self.fill_points(s, r, c)
+        ts = np.linspace(-0.5, 0.5, 9)
+        half = np.full_like(ts, 0.5)
+        row, col = r[:, None], c[:, None]
+        rows = np.concatenate([row - half, row + half, row + ts, row + ts], axis=1)
+        cols = np.concatenate([col + ts, col + ts, col - half, col + half], axis=1)
+        boundary = _vp_by_scale(self.scales, s, rows, cols, self.resolution)
+        xy = boundary[..., :2].copy()
+        finite = ~pj.is_ideal(boundary, IDEAL_EPS)
+        xy[finite] /= boundary[finite][:, 2:3]
+        norms = np.linalg.norm(xy, axis=-1)
+        c_dir = self.direction[s, r, c]
+        ok = np.isfinite(c_dir).all(axis=1) & ~np.any(norms < 1e-300, axis=1)
+        radius = np.full(len(s), np.inf)
+        unit = xy[ok] / norms[ok][..., None]
+        cosines = np.clip(np.matmul(unit, c_dir[ok][:, :, None])[..., 0], -1.0, 1.0)
+        radius[ok] = np.max(np.arccos(cosines), axis=1)
+        self.radius[s, r, c] = radius
+        self._has_radius[s, r, c] = True
+
+
+@functools.lru_cache(maxsize=8)
+def _cell_tables(scales: tuple[float, ...], resolution: int) -> _CellTables:
+    return _CellTables(scales, resolution)
 
 
 # Sub-pixel (row, col) offsets of the samples that stand for one cell when
@@ -398,50 +514,180 @@ _SUBPIXEL = np.stack(
 ).reshape(-1, 2)
 
 
-def _worst_angle(dirs: np.ndarray, direction: np.ndarray, ideal: bool) -> float:
-    """Largest angle between ``direction`` and the unit rows of ``dirs``.
+def _run_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``np.mean`` of every run ``values[starts[k]:starts[k + 1]]``, bit for bit.
 
-    For a point at infinity both signs of a direction are the same point.
+    numpy's summation order depends on the run length, so longer runs are
+    left to ``np.mean``; a single value is its own mean.
     """
-    cosines = dirs @ direction
-    if ideal:
-        cosines = np.abs(cosines)
-    return float(np.max(np.arccos(np.clip(cosines, -1.0, 1.0))))
+    ends = np.append(starts[1:], len(values))
+    means = values[starts]
+    for k in np.flatnonzero(ends - starts > 1):
+        means[k] = np.mean(values[starts[k] : ends[k]])
+    return means
 
 
-def _intersect_scales(heatmap: Heatmap, peak, center: np.ndarray, ideal: bool, others):
-    """Homogeneous box-coordinate VP where the other scales' cells meet the chosen one.
+def _spreads(tables: _CellTables, near, usable, row, col, ideal, norm) -> np.ndarray:
+    """:func:`accuracy_measure` of every usable grid; inf elsewhere."""
+    n_scales = usable.shape[1]
+    cn, cs, cr, cc = np.unravel_index(np.flatnonzero(near & usable[:, :, None, None]), near.shape)
+    tables.fill_points(cs, cr, cc)
+    # a finite peak's spread skips candidates at infinity
+    use = ideal[cn, cs] | ~tables.ideal[cs, cr, cc]
+    cn, cs, cr, cc = cn[use], cs[use], cr[use], cc[use]
+    pr, pc = row[cn, cs], col[cn, cs]
+    dist = np.empty(len(cn))
+    on = ideal[cn, cs]
+    dist[on] = np.linalg.norm(
+        tables.direction[cs[on], cr[on], cc[on]] - tables.direction[cs[on], pr[on], pc[on]],
+        axis=1,
+    )
+    on = ~on
+    dist[on] = np.linalg.norm(
+        pj.dehomogenize(tables.vp[cs[on], cr[on], cc[on]])
+        - pj.dehomogenize(tables.vp[cs[on], pr[on], pc[on]]),
+        axis=1,
+    )
+    grid = cn * n_scales + cs
+    starts = np.flatnonzero(np.diff(grid, prepend=-1))
+    spread = np.full(usable.shape, np.inf)
+    spread.flat[grid[starts]] = _run_means(dist, starts)
+    finite = usable & ~ideal
+    spread[finite] /= norm[finite]
+    return spread
 
-    ``center`` is the point of the chosen ``heatmap``'s ``peak`` cell and
-    ``others`` holds ``(heatmap, near-max mask)`` for every other non-empty
-    scale. The cell is sampled on a sub-pixel grid; a sample is kept when,
-    at every other scale, it falls into a near-maximum cell (by the rounding
-    of :func:`encode_vp`). The result is the point at the mean position of
-    the kept samples, or ``center`` when no sample is kept or when that
-    point is farther from some kept sample than ``center`` is. The mean
-    never reaches the grid diagonal, where points lie at infinity, unless
-    the chosen cell is on it.
+
+def _fuse(tables: _CellTables, near, records, chosen, row, col, centre, ideal, others):
+    """Homogeneous box-coordinate VPs where the other scales' cells meet the chosen ones.
+
+    One row per decoded record: ``records`` indexes ``near``, ``chosen`` is
+    the chosen scale, ``(row, col)`` its peak cell, ``centre`` the point of
+    that cell and ``others`` marks the other non-empty scales. Each chosen
+    cell is sampled on a sub-pixel grid; a sample is kept when, at every
+    other scale, it falls into a near-maximum cell (by the rounding of
+    :func:`encode_vp`). The result is the point at the mean position of the
+    kept samples, or ``centre`` when no sample is kept or when that point is
+    farther from some kept sample than ``centre`` is. The mean never reaches
+    the grid diagonal, where points lie at infinity, unless the chosen cell
+    is on it.
     """
-    if not others:
-        return center
-    resolution = heatmap.resolution
-    rc = np.asarray(peak) + _SUBPIXEL
-    samples = vp_of_pixel(rc[:, 0], rc[:, 1], heatmap.scale, resolution)
-    cells = _nearest_cells(samples, [h.scale for h, _ in others], resolution)
-    keep = np.ones(len(rc), dtype=bool)
-    for (_, near_max), cell in zip(others, cells):
-        keep &= near_max[cell[:, 0], cell[:, 1]]
-    if not keep.any():
-        return center
-    row, col = rc[keep].mean(axis=0)
-    fused = vp_of_pixel(row, col, heatmap.scale, resolution)
-    if ideal:
-        xy = fused[:2] if fused[:2] @ center[:2] >= 0.0 else -fused[:2]
-        fused = np.append(xy, 0.0)
-    dirs = _directions(np.vstack([fused, center, samples[keep]]))
-    if _worst_angle(dirs[2:], dirs[0], ideal) > _worst_angle(dirs[2:], dirs[1], ideal):
-        return center
-    return fused
+    resolution = tables.resolution
+    rc = np.stack([row, col], axis=-1)[:, None, :] + _SUBPIXEL
+    samples = _vp_by_scale(tables.scales, chosen, rc[..., 0], rc[..., 1], resolution)
+    cells = _nearest_cells(samples, tables.scales, resolution)
+    scale_index = np.arange(len(tables.scales))[:, None, None]
+    hit = near[records[:, None], scale_index, cells[..., 0], cells[..., 1]]
+    keep = np.all(hit | ~others.T[:, :, None], axis=0)
+    count = keep.sum(axis=1)
+    fused = centre.copy()
+    some = count > 0
+    # rc[keep].mean(axis=0) adds the kept rows in order; skipped rows add zero
+    mean = np.where(keep[..., None], rc, 0.0).sum(axis=1)[some] / count[some, None]
+    fused[some] = _vp_by_scale(tables.scales, chosen[some], mean[:, 0], mean[:, 1], resolution)
+    # a direction at infinity stays one, oriented like the centre's
+    flip = ideal & (np.sum(fused[:, :2] * centre[:, :2], axis=1) < 0.0)
+    fused[flip, :2] *= -1.0
+    fused[ideal, 2] = 0.0
+
+    sample_dirs = _directions(samples.reshape(-1, 3)).reshape(samples.shape[:2] + (2,))
+
+    def worst_angle(direction):
+        # the stacked matmul gives each sample what ``dirs @ direction`` gives
+        # it; for a point at infinity both signs of a direction are one point
+        cosines = np.matmul(sample_dirs, direction[:, :, None])[..., 0]
+        cosines = np.where(ideal[:, None], np.abs(cosines), cosines)
+        angles = np.arccos(np.clip(cosines, -1.0, 1.0))
+        return np.max(np.where(keep, angles, -np.inf), axis=1)
+
+    closer = ~(worst_angle(_directions(fused)) > worst_angle(_directions(centre)))
+    return np.where((some & closer)[:, None], fused, centre)
+
+
+def decode_stack(
+    values,
+    scales,
+    boxes,
+    peak_ratio: float = DEFAULT_PEAK_RATIO,
+) -> list[VPDetection | None]:
+    """:func:`select_vp` for many records at once, as array operations.
+
+    ``values`` is an ``(N, S, R, R)`` float stack of finite responses: one
+    channel of N records, one grid per scale of ``scales``; ``boxes`` holds
+    the N records' boxes. Entry ``n`` of the result equals what
+    ``select_vp`` returns for ``values[n]``, field by field, or is ``None``
+    where it raises :class:`AllScalesDegenerate`. Per-cell quantities come
+    from tables of the grid (cached per scale set and resolution) that are
+    filled for the cells the decode touches.
+    """
+    if not (0.0 < peak_ratio <= 1.0):
+        raise ValueError(f"peak_ratio must be in (0, 1], got {peak_ratio}")
+    values = np.asarray(values)
+    if not np.issubdtype(values.dtype, np.floating):
+        values = values.astype(float)
+    if values.ndim != 4 or values.shape[2] != values.shape[3]:
+        raise ValueError(f"expected an (N, S, R, R) stack, got shape {values.shape}")
+    n, n_scales, resolution = values.shape[:3]
+    if len(scales) != n_scales or len(boxes) != n:
+        raise ValueError("need one scale per grid and one box per record")
+    if n_scales == 0:
+        return [None] * n
+    tables = _cell_tables(tuple(float(s) for s in scales), resolution)
+    scale_index = np.broadcast_to(np.arange(n_scales), (n, n_scales))
+
+    # argmax and near-maximum cells of every grid (decode_heatmap), compared
+    # in float64 whatever the stack's precision; negative responses count as
+    # zero, so all of them reach a zero threshold
+    flat = values.reshape(n, n_scales, -1)
+    top = np.maximum(flat.max(axis=2), 0.0).astype(float)
+    row, col = np.divmod(flat.argmax(axis=2), resolution)
+    threshold = peak_ratio * top
+    near = values >= threshold[:, :, None, None]
+    near[threshold == 0.0] = True
+    nonempty = top > 0.0
+
+    # skip empty grids and peaks on the box centre; rank the rest by spread,
+    # then by quantization radius, then by scale order
+    tables.fill_points(scale_index[nonempty], row[nonempty], col[nonempty])
+    ideal = tables.ideal[scale_index, row, col]
+    norm = tables.norm[scale_index, row, col]
+    usable = nonempty & (ideal | (norm >= CENTER_EPS))
+    spread = _spreads(tables, near, usable, row, col, ideal, norm)
+    radius = np.full((n, n_scales), np.inf)
+    radius[usable] = tables.radii(scale_index[usable], row[usable], col[usable])
+    best = usable & (spread == spread.min(axis=1, keepdims=True))
+    best &= radius == np.where(best, radius, np.inf).min(axis=1, keepdims=True)
+
+    records = np.flatnonzero(usable.any(axis=1))
+    chosen = best[records].argmax(axis=1)
+    pr, pc = row[records, chosen], col[records, chosen]
+    is_ideal = ideal[records, chosen]
+    vph = tables.vp[chosen, pr, pc]
+    others = nonempty[records] & (np.arange(n_scales) != chosen[:, None])
+    fuse = others.any(axis=1)
+    if fuse.any():
+        vph[fuse] = _fuse(
+            tables, near, records[fuse], chosen[fuse], pr[fuse], pc[fuse],
+            vph[fuse], is_ideal[fuse], others[fuse],
+        )
+
+    corners = np.array([boxes[k].as_tuple() for k in records], dtype=float).reshape(-1, 4)
+    box_centre = (corners[:, :2] + corners[:, 2:]) / 2.0
+    half = (corners[:, 2:] - corners[:, :2]) / 2.0
+    points = np.empty((len(records), 2))
+    direction = vph[is_ideal, :2] * half[is_ideal]
+    points[is_ideal] = direction / _dot_norms(direction)[:, None]
+    finite = ~is_ideal
+    points[finite] = pj.dehomogenize(vph[finite]) * half[finite] + box_centre[finite]
+
+    out: list[VPDetection | None] = [None] * n
+    for j, k in enumerate(records):
+        out[k] = VPDetection(
+            points[j],
+            float(spread[k, chosen[j]]),
+            tables.scales[chosen[j]],
+            direction_only=bool(is_ideal[j]),
+        )
+    return out
 
 
 def select_vp(
@@ -469,42 +715,19 @@ def select_vp(
     centre's: the fused point is never farther from the kept part of the
     cell than the centre is. A direction at infinity stays a direction,
     oriented like the centre's. All heatmaps must share one resolution.
+
+    This is the one-record call of :func:`decode_stack`.
     """
-    candidates = []
-    near_max_sets = []
-    for index, heatmap in enumerate(heatmaps):
-        try:
-            peak, near_max = decode_heatmap(heatmap, peak_ratio)
-        except EmptyHeatmap:
-            continue
-        mask = np.zeros(heatmap.values.shape, dtype=bool)
-        mask[near_max[:, 0], near_max[:, 1]] = True
-        near_max_sets.append((index, heatmap, mask))
-        vph = vp_of_pixel(float(peak[0]), float(peak[1]), heatmap.scale, heatmap.resolution)
-        ideal = bool(pj.is_ideal(vph, IDEAL_EPS))
-        if not ideal and np.linalg.norm(pj.dehomogenize(vph)) < CENTER_EPS:
-            continue
-        try:
-            spread = accuracy_measure(heatmap, peak, near_max)
-        except DegeneratePeak:
-            continue
-        radius = _cell_radius(peak[0], peak[1], heatmap.scale, heatmap.resolution)
-        candidates.append((spread, radius, index, heatmap, peak, vph, ideal))
-
-    if not candidates:
-        raise AllScalesDegenerate("no heatmap scale produced a usable vanishing point")
-
-    spread, _, index, heatmap, peak, vph, ideal = min(candidates, key=lambda c: c[:3])
-    others = [(h, mask) for i, h, mask in near_max_sets if i != index]
-    if any(h.resolution != heatmap.resolution for h, _ in others):
+    heatmaps = list(heatmaps)
+    if any(h.resolution != heatmaps[0].resolution for h in heatmaps):
         raise ValueError("all heatmaps must share one resolution")
-    vph = _intersect_scales(heatmap, peak, vph, ideal, others)
-    if ideal:
-        direction = bbox_denormalize_direction(vph[:2], box)
-        direction = direction / np.linalg.norm(direction)
-        return VPDetection(direction, spread, heatmap.scale, direction_only=True)
-    point = bbox_denormalize(pj.dehomogenize(vph), box)
-    return VPDetection(point, spread, heatmap.scale, direction_only=False)
+    detection = None
+    if heatmaps:
+        values = np.stack([h.values for h in heatmaps])[None]
+        (detection,) = decode_stack(values, [h.scale for h in heatmaps], [box], peak_ratio)
+    if detection is None:
+        raise AllScalesDegenerate("no heatmap scale produced a usable vanishing point")
+    return detection
 
 
 class HeatmapCodec:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InputFormatError
 from .heatmap import Heatmap, check_scales
 
-__all__ = ["write_heatmap_file", "read_heatmap_file"]
+__all__ = ["write_heatmap_file", "read_heatmap_file", "read_heatmap_arrays"]
 
 MAGIC = b"DVP1"
 
@@ -72,43 +72,57 @@ def write_heatmap_file(path, channel_maps) -> None:
 
 def read_heatmap_file(path) -> list[list[Heatmap]]:
     """Read a heatmap observation; returns ``[channel][scale]`` heatmaps."""
+    scales, values = read_heatmap_arrays(path)
+    return [[Heatmap(grid, scale) for grid, scale in zip(channel, scales)] for channel in values]
+
+
+def read_heatmap_arrays(path) -> tuple[tuple[float, ...], np.ndarray]:
+    """Read a heatmap observation as ``(scales, values)``.
+
+    ``values`` has shape ``(channels, len(scales), R, R)`` and the precision
+    of the file: float32 from DVP files, float64 from JSON. Every defect of
+    the file (unreadable, malformed, truncated, scales that are not
+    positive, values that are not finite) raises :class:`InputFormatError`.
+    """
     path = Path(path)
-    if path.suffix == ".json":
-        return _read_json(path)
-    return _read_binary(path)
-
-
-def _read_json(path: Path) -> list[list[Heatmap]]:
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise InputFormatError(f"cannot read heatmap file {path}: {exc}") from exc
+    parse = _parse_json if path.suffix == ".json" else _parse_binary
+    scales, values = parse(path, blob)
+    if not all(np.isfinite(s) and s > 0 for s in scales):
+        raise InputFormatError(f"{path}: heatmap scales must be positive, got {scales}")
+    if not np.isfinite(values).all():
+        raise InputFormatError(f"{path}: heatmap values must be finite")
+    return scales, values
+
+
+def _parse_json(path: Path, blob: bytes) -> tuple[tuple[float, ...], np.ndarray]:
+    try:
+        payload = json.loads(blob)
+    except ValueError as exc:
         raise InputFormatError(f"cannot parse heatmap file {path}: {exc}") from exc
-    if payload.get("magic") != MAGIC.decode():
-        raise InputFormatError(f"{path}: bad magic {payload.get('magic')!r}")
+    magic = payload.get("magic") if isinstance(payload, dict) else None
+    if magic != MAGIC.decode():
+        raise InputFormatError(f"{path}: bad magic {magic!r}")
     try:
         resolution = int(payload["resolution"])
-        scales = [float(s) for s in payload["scales"]]
+        scales = tuple(float(s) for s in payload["scales"])
         data = payload["data"]
-        out = []
-        for channel in data:
-            maps = []
-            for scale, grid in zip(scales, channel, strict=True):
-                arr = np.asarray(grid, dtype=float)
-                if arr.shape != (resolution, resolution):
-                    raise InputFormatError(
-                        f"{path}: grid shape {arr.shape} != ({resolution}, {resolution})"
-                    )
-                maps.append(Heatmap(arr, scale))
-            out.append(maps)
+        shape = (len(data), len(scales), resolution, resolution)
+        values = np.array(data, dtype=float) if data else np.zeros(shape)
+        channels = int(payload.get("channels", len(data)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: malformed heatmap JSON: {exc}") from exc
-    if len(out) != int(payload.get("channels", len(out))):
+    if values.shape != shape:
+        raise InputFormatError(f"{path}: heatmap data shape {values.shape} != {shape}")
+    if channels != len(data):
         raise InputFormatError(f"{path}: channel count mismatch")
-    return out
+    return scales, values
 
 
-def _read_binary(path: Path) -> list[list[Heatmap]]:
-    blob = path.read_bytes()
+def _parse_binary(path: Path, blob: bytes) -> tuple[tuple[float, ...], np.ndarray]:
     if blob[:4] != MAGIC:
         raise InputFormatError(f"{path}: bad magic {blob[:4]!r}")
     try:
@@ -119,20 +133,12 @@ def _read_binary(path: Path) -> list[list[Heatmap]]:
         offset += 8 * n_scales
         (n_channels,) = struct.unpack_from("<I", blob, offset)
         offset += 4
-        grid_bytes = resolution * resolution * 4
-        expected = offset + n_channels * n_scales * grid_bytes
-        if len(blob) != expected:
-            raise InputFormatError(
-                f"{path}: expected {expected} bytes, found {len(blob)}"
-            )
-        out = []
-        for _ in range(n_channels):
-            maps = []
-            for scale in scales:
-                grid = np.frombuffer(blob, dtype="<f4", count=resolution * resolution, offset=offset)
-                offset += grid_bytes
-                maps.append(Heatmap(grid.reshape(resolution, resolution).astype(float), scale))
-            out.append(maps)
     except struct.error as exc:
         raise InputFormatError(f"{path}: truncated heatmap file: {exc}") from exc
-    return out
+    shape = (n_channels, n_scales, resolution, resolution)
+    count = n_channels * n_scales * resolution * resolution
+    expected = offset + 4 * count
+    if len(blob) != expected:
+        raise InputFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
+    grids = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+    return scales, grids.reshape(shape)

@@ -19,14 +19,13 @@ a structured JSON error object goes to stderr and the exit code is nonzero.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import CameraCalibration, VPPair, calibrate
-from .errors import AllScalesDegenerate, InputFormatError
+from .errors import InputFormatError
 from .evaluation import PAIR_MODES, DistanceMeasurement, evaluate
 from .heatmap import (
     DEFAULT_PEAK_RATIO,
@@ -36,9 +35,10 @@ from .heatmap import (
     bbox_denormalize,
     bbox_denormalize_direction,
     check_scales,
-    select_vp,
+    decode_stack,
+    select_vp,  # noqa: F401  (kept importable from here: perfbench/tracing.py wraps it)
 )
-from .heatmap_io import read_heatmap_file
+from .heatmap_io import read_heatmap_arrays, read_heatmap_file  # noqa: F401  (likewise)
 
 __all__ = [
     "PipelineConfig",
@@ -58,7 +58,9 @@ class PipelineConfig:
     """Frame/box policies and decoding knobs.
 
     ``max_frames`` defaults to the video policy (1500); frame-folder datasets
-    conventionally raise it to 5000 via a config file, not code.
+    conventionally raise it to 5000 via a config file, not code. ``parallel``
+    is accepted for compatibility and has no effect: decoding is batched, and
+    threads made it slower.
     """
 
     frame_stride: int = 10
@@ -216,36 +218,69 @@ def filter_detections(records, config: PipelineConfig) -> list[DetectionRecord]:
     return kept
 
 
-def _decode_record(args) -> VPPair | None:
-    rec, config, base_dir = args
-    if rec.heatmap_ref is not None:
-        channels = read_heatmap_file(Path(base_dir) / rec.heatmap_ref)
-        if len(channels) != 2:
+# Records read and decoded together: enough to spread the fixed cost of a
+# batched decode, few enough that the stack stays small however long the
+# input is (8 MB of float32 grids at two channels of 4 x 64 x 64).
+_CHUNK = 64
+
+
+def _read_stack(records, config: PipelineConfig, base_dir) -> np.ndarray:
+    """Channel-major ``(2, N, S, R, R)`` grids of the records' heatmap files.
+
+    float32 as DVP files store them, float64 once a JSON file needs it.
+    """
+    stack = None
+    for k, rec in enumerate(records):
+        scales, values = read_heatmap_arrays(Path(base_dir) / rec.heatmap_ref)
+        if len(values) != 2:
             raise InputFormatError(
-                f"heatmap file {rec.heatmap_ref} has {len(channels)} channels, expected 2"
+                f"heatmap file {rec.heatmap_ref} has {len(values)} channels, expected 2"
             )
-        file_scales = tuple(h.scale for h in channels[0])
-        if file_scales != config.scales:
+        if scales != config.scales:
             raise InputFormatError(
-                f"heatmap file {rec.heatmap_ref} uses scales {file_scales}, "
+                f"heatmap file {rec.heatmap_ref} uses scales {scales}, "
                 f"config expects {config.scales}"
             )
-        if channels[0][0].resolution != config.resolution:
+        if values.shape[-1] != config.resolution:
             raise InputFormatError(
                 f"heatmap file {rec.heatmap_ref} has resolution "
-                f"{channels[0][0].resolution}, config expects {config.resolution}"
+                f"{values.shape[-1]}, config expects {config.resolution}"
             )
-        try:
-            first = select_vp(channels[0], rec.box, config.peak_ratio)
-            second = select_vp(channels[1], rec.box, config.peak_ratio)
-        except AllScalesDegenerate:
-            return None
+        if stack is None:
+            stack = np.empty((2, len(records)) + values.shape[1:], dtype=values.dtype)
+        elif not np.can_cast(values.dtype, stack.dtype):
+            stack = stack.astype(values.dtype)
+        stack[:, k] = values
+    return stack
+
+
+def _heatmap_pairs(records, config: PipelineConfig, base_dir) -> list[VPPair | None]:
+    if not records:
+        return []
+    stack = _read_stack(records, config, base_dir)
+    boxes = [rec.box for rec in records]
+    first, second = (decode_stack(maps, config.scales, boxes, config.peak_ratio) for maps in stack)
+    return [
+        None  # every scale of a channel is degenerate
+        if a is None or b is None
+        else _pair(a.point, b.point, a.direction_only, b.direction_only)
+        for a, b in zip(first, second)
+    ]
+
+
+def _pair(first, second, first_is_direction, second_is_direction) -> VPPair | None:
+    try:
         return VPPair(
-            first=first.point,
-            second=second.point,
-            first_is_direction=first.direction_only,
-            second_is_direction=second.direction_only,
+            first=first,
+            second=second,
+            first_is_direction=first_is_direction,
+            second_is_direction=second_is_direction,
         )
+    except ValueError:
+        return None  # coincident points carry no constraint
+
+
+def _inline_pair(rec: DetectionRecord) -> VPPair | None:
     first_dir = rec.vp_first is None
     second_dir = rec.vp_second is None
     first = (
@@ -262,31 +297,29 @@ def _decode_record(args) -> VPPair | None:
         first = first / np.linalg.norm(first)
     if second_dir:
         second = second / np.linalg.norm(second)
-    try:
-        return VPPair(
-            first=first,
-            second=second,
-            first_is_direction=first_dir,
-            second_is_direction=second_dir,
-        )
-    except ValueError:
-        return None  # coincident points carry no constraint
+    return _pair(first, second, first_dir, second_dir)
 
 
 def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> list[VPPair]:
     """Decode every record into a vanishing-point pair, dropping failures.
 
-    Per-record decoding is independent; with ``config.parallel`` the records
-    are decoded concurrently and collected in input order, so the result is
-    identical to the serial run.
+    Records go in chunks of ``_CHUNK``: the chunk's heatmap files are read
+    into one stack per channel, each decoded by one
+    :func:`~vpcalib.heatmap.decode_stack` call, and inline records are
+    converted directly. Records whose channel has only degenerate scales,
+    or whose two vanishing points coincide, are dropped. The result keeps
+    the input order; ``config.parallel`` has no effect on it.
     """
-    jobs = [(rec, config, base_dir) for rec in records]
-    if config.parallel:
-        with ThreadPoolExecutor() as pool:
-            decoded = list(pool.map(_decode_record, jobs))
-    else:
-        decoded = [_decode_record(j) for j in jobs]
-    return [pair for pair in decoded if pair is not None]
+    pairs = []
+    for start in range(0, len(records), _CHUNK):
+        chunk = records[start : start + _CHUNK]
+        mapped = [rec for rec in chunk if rec.heatmap_ref is not None]
+        decoded = iter(_heatmap_pairs(mapped, config, base_dir))
+        for rec in chunk:
+            pair = next(decoded) if rec.heatmap_ref is not None else _inline_pair(rec)
+            if pair is not None:
+                pairs.append(pair)
+    return pairs
 
 
 def load_measurements(path) -> list[DistanceMeasurement]:

@@ -6,13 +6,12 @@ y down, z along the optical axis. A camera with zero tilt and roll looks
 along world +y; tilt pitches it down about its own x axis, roll turns it
 about the optical axis. All randomness flows through explicitly seeded
 PCG64 generators with per-vehicle substreams derived from (seed, index), so
-serial and parallel generation agree bit for bit across platforms.
+generation agrees bit for bit across platforms.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,8 +328,7 @@ class SyntheticObservation:
     is_outlier: bool = False
 
 
-def _vehicle_payload(args) -> SyntheticObservation:
-    spec, camera, index = args
+def _vehicle_payload(spec: SceneSpec, camera: SyntheticCamera, index: int) -> SyntheticObservation:
     vehicle = _make_vehicle(spec, camera, index)
     pair = vehicle_vps(camera, vehicle)
     if spec.noise_sigma_px > 0 and pair.finite:
@@ -357,16 +355,11 @@ def generate_observations(
 
     Outlier observations replace a seeded random subset of the clean pairs
     with uniform random points drawn from a box three times the image size.
-    Deterministic given the ``SceneSpec``; ``parallel`` only changes how the
-    per-vehicle work is scheduled, never the result.
+    Deterministic given the ``SceneSpec``; ``parallel`` is accepted for
+    compatibility and has no effect (threads made generation slower).
     """
     camera = make_camera(spec)
-    jobs = [(spec, camera, k) for k in range(spec.n_vehicles)]
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            observations = list(pool.map(_vehicle_payload, jobs))
-    else:
-        observations = [_vehicle_payload(j) for j in jobs]
+    observations = [_vehicle_payload(spec, camera, k) for k in range(spec.n_vehicles)]
 
     n_out = int(round(spec.outlier_fraction * len(observations)))
     if n_out:

@@ -141,6 +141,39 @@ class TestCalibrate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InsufficientPairs"
 
+    @staticmethod
+    def _heatmap_detections(tmp_path, damage=None):
+        codec = HeatmapCodec()
+        lines = []
+        for k in range(6):
+            path = tmp_path / f"obs{k}.dvp"
+            write_heatmap_file(path, codec.encode_pair([3.0 + k, -2.0], [-5.0, 1.0 + k]))
+            lines.append(json.dumps(
+                {"frame": 10 * k, "box": [200 * k, 0, 200 * k + 100, 50], "heatmap": path.name}
+            ))
+        if damage:
+            damage(tmp_path / "obs3.dvp")
+        det = tmp_path / "detections.jsonl"
+        det.write_text("\n".join(lines) + "\n")
+        return det
+
+    @pytest.mark.parametrize("damage", ["nan", "missing"])
+    def test_bad_heatmap_file_is_a_format_error(self, tmp_path, capsys, damage):
+        def nan(path):
+            blob = bytearray(path.read_bytes())
+            blob[-4:] = np.float32(np.nan).tobytes()
+            path.write_bytes(bytes(blob))
+
+        det = self._heatmap_detections(tmp_path, nan if damage == "nan" else lambda p: p.unlink())
+        out = tmp_path / "cal.json"
+        code = main(["calibrate", "--detections", str(det), "--out", str(out),
+                     "--image-size", "1920", "1080"])
+        assert code == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "InputFormatError" and "obs3.dvp" in err["message"]
+
     def test_heatmap_payloads_end_to_end(self, tmp_path):
         spec = SceneSpec(seed=2, n_vehicles=30)
         observations, _, truth = generate_observations(spec)

@@ -12,11 +12,18 @@ from vpcalib.heatmap import (
     BBox,
     Heatmap,
     HeatmapCodec,
+    VPDetection,
+    _CellTables,
+    _SUBPIXEL,
+    _cell_tables,
+    _directions,
+    _nearest_cells,
     accuracy_measure,
     bbox_denormalize,
     bbox_denormalize_direction,
     bbox_normalize,
     decode_heatmap,
+    decode_stack,
     diamond_to_pixel,
     encode_vp,
     pixel_to_diamond,
@@ -286,6 +293,152 @@ class TestSelectVP:
     def test_all_degenerate_raises(self, box):
         maps = [Heatmap(np.zeros((64, 64)), s) for s in DEFAULT_SCALES]
         with pytest.raises(AllScalesDegenerate):
+            select_vp(maps, box)
+
+
+class TestCellTables:
+    def test_every_entry_equals_the_scalar_functions(self):
+        tables = _CellTables(DEFAULT_SCALES, 64)
+        s, r, c = np.indices(tables.radius.shape).reshape(3, -1)
+        tables.radii(s, r, c)
+        cells = list(zip(s.tolist(), r.tolist(), c.tolist()))
+        vp = np.array([vp_of_pixel(float(i), float(j), DEFAULT_SCALES[k]) for k, i, j in cells])
+        ideal = is_ideal(vp)
+        assert np.array_equal(tables.vp.reshape(-1, 3), vp)
+        assert np.array_equal(tables.ideal.ravel(), ideal)
+        assert np.array_equal(tables.direction.reshape(-1, 2), _directions(vp))
+        norm = [np.nan if t else np.linalg.norm(dehomogenize(v)) for v, t in zip(vp, ideal)]
+        assert np.array_equal(tables.norm.ravel(), norm, equal_nan=True)
+        radius = [quantization_radius(i, j, DEFAULT_SCALES[k], 64) for k, i, j in cells]
+        assert np.isinf(radius).any()
+        assert np.array_equal(tables.radius.ravel(), radius)
+
+    def test_a_one_record_decode_fills_only_the_cells_it_touches(self, box):
+        _cell_tables.cache_clear()
+        select_vp(HeatmapCodec().encode([4.0, 9.0]), box)
+        tables = _cell_tables(DEFAULT_SCALES, 64)
+        # one peak per scale, each its own only near-maximum cell
+        assert tables._has_point.sum() == 4 and tables._has_radius.sum() == 4
+
+
+def _mixed_chunk(rng):
+    """One channel of records covering the decoder's cases, exact in float32."""
+    maps, boxes = [], []
+
+    def add(grids, box=(100.0, 200.0, 260.0, 300.0)):
+        maps.append(np.stack(grids).astype(np.float32).astype(float))
+        boxes.append(BBox(*box))
+
+    for vp in ([4.0, 9.0], [-40.0, 3.0], [0.7, -0.2], [250.0, 180.0]):
+        add([encode_vp(vp, s).values for s in DEFAULT_SCALES])
+    for vp in ([40.0, 10.0], [-3.0, -6.0], [900.0, -50.0]):
+        grids = [encode_vp(vp, s, sigma=2.0).values + rng.uniform(0.0, 0.05, (64, 64))
+                 for s in DEFAULT_SCALES]
+        for g in grids:
+            g[tuple(rng.integers(0, 64, 2))] = rng.uniform(0.85, 1.0)  # ghost peak
+        add(grids, box=(10.0, 20.0, 50.0, 44.0))
+    one_empty = [encode_vp([12.0, -5.0], s, sigma=2.0).values for s in DEFAULT_SCALES]
+    one_empty[2] = np.zeros((64, 64))
+    add(one_empty)
+    add([np.zeros((64, 64)) for _ in DEFAULT_SCALES])
+    add([encode_vp([3.0, 1.0, 0.0], s).values for s in DEFAULT_SCALES])
+    add([-encode_vp([5.0, 5.0], s).values + 0.5 * encode_vp([2.0, 8.0], s).values
+         for s in DEFAULT_SCALES])
+    return np.stack(maps), boxes
+
+
+def _reference_select_vp(heatmaps, box, peak_ratio=0.8):
+    """The scalar decode that decode_stack replaced, one heatmap at a time."""
+    candidates, near_max_sets = [], []
+    for index, h in enumerate(heatmaps):
+        try:
+            peak, near_max = decode_heatmap(h, peak_ratio)
+        except EmptyHeatmap:
+            continue
+        mask = np.zeros(h.values.shape, dtype=bool)
+        mask[near_max[:, 0], near_max[:, 1]] = True
+        near_max_sets.append((index, h, mask))
+        vph = vp_of_pixel(float(peak[0]), float(peak[1]), h.scale, h.resolution)
+        ideal = bool(is_ideal(vph))
+        if not ideal and np.linalg.norm(dehomogenize(vph)) < 1e-9:
+            continue
+        spread = accuracy_measure(h, peak, near_max)
+        radius = quantization_radius(peak[0], peak[1], h.scale, h.resolution)
+        candidates.append((spread, radius, index, h, peak, vph, ideal))
+    if not candidates:
+        return None
+    spread, _, index, h, peak, center, ideal = min(candidates, key=lambda c: c[:3])
+    vph = center
+    others = [(o, mask) for i, o, mask in near_max_sets if i != index]
+    if others:
+        rc = np.asarray(peak) + _SUBPIXEL
+        samples = vp_of_pixel(rc[:, 0], rc[:, 1], h.scale, h.resolution)
+        cells = _nearest_cells(samples, [o.scale for o, _ in others], h.resolution)
+        keep = np.ones(len(rc), dtype=bool)
+        for (_, mask), cell in zip(others, cells):
+            keep &= mask[cell[:, 0], cell[:, 1]]
+        if keep.any():
+            fused = vp_of_pixel(*rc[keep].mean(axis=0), h.scale, h.resolution)
+            if ideal:
+                xy = fused[:2] if fused[:2] @ center[:2] >= 0.0 else -fused[:2]
+                fused = np.append(xy, 0.0)
+            dirs = _directions(np.vstack([fused, center, samples[keep]]))
+
+            def worst(direction):
+                cosines = dirs[2:] @ direction
+                return np.max(np.arccos(np.clip(np.abs(cosines) if ideal else cosines, -1, 1)))
+
+            vph = center if worst(dirs[0]) > worst(dirs[1]) else fused
+    if ideal:
+        direction = bbox_denormalize_direction(vph[:2], box)
+        return VPDetection(direction / np.linalg.norm(direction), spread, h.scale, True)
+    return VPDetection(bbox_denormalize(dehomogenize(vph), box), spread, h.scale, False)
+
+
+def _same_detection(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return (np.array_equal(a.point, b.point) and a.uncertainty == b.uncertainty
+            and a.chosen_scale == b.chosen_scale and a.direction_only == b.direction_only)
+
+
+class TestDecodeStack:
+    def test_a_mixed_chunk_decodes_like_each_record_alone(self, rng):
+        values, boxes = _mixed_chunk(rng)
+        together = decode_stack(values, DEFAULT_SCALES, boxes)
+        alone = [decode_stack(values[k : k + 1], DEFAULT_SCALES, boxes[k : k + 1])[0]
+                 for k in range(len(boxes))]
+        assert all(_same_detection(a, b) for a, b in zip(together, alone))
+        # the chunk covers the cases it claims to
+        assert sum(d is None for d in together) == 1
+        assert any(d is not None and d.direction_only for d in together)
+        assert any(d is not None and d.uncertainty > 0.0 for d in together)
+        # float32 stacks (as DVP files store them) decode the same
+        single = decode_stack(values.astype(np.float32), DEFAULT_SCALES, boxes)
+        assert all(_same_detection(a, b) for a, b in zip(together, single))
+
+    def test_decodes_equal_the_scalar_reference(self, rng):
+        values, boxes = _mixed_chunk(rng)
+        # plus exact encodings from the acceptance closure distribution
+        codec = HeatmapCodec()
+        for r, th in zip(np.exp(rng.uniform(np.log(0.5), np.log(1e3), 150)),
+                         rng.uniform(0.0, 2.0 * np.pi, 150)):
+            maps = codec.encode([r * np.cos(th), r * np.sin(th)])
+            values = np.concatenate([values, np.stack([h.values for h in maps])[None]])
+            boxes.append(BBox(0.0, 0.0, 128.0, 128.0))
+        stacked = decode_stack(values, DEFAULT_SCALES, boxes)
+        for grids, box, det in zip(values, boxes, stacked):
+            maps = [Heatmap(g, s) for g, s in zip(grids, DEFAULT_SCALES)]
+            assert _same_detection(det, _reference_select_vp(maps, box))
+            if det is None:
+                with pytest.raises(AllScalesDegenerate):
+                    select_vp(maps, box)
+            else:
+                assert _same_detection(select_vp(maps, box), det)
+
+    def test_mixed_resolutions_rejected(self, box):
+        maps = [encode_vp([4.0, 9.0], 0.1), encode_vp([4.0, 9.0], 1.0, resolution=32)]
+        with pytest.raises(ValueError):
             select_vp(maps, box)
 
 

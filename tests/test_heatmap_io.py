@@ -3,7 +3,7 @@ import pytest
 
 from vpcalib.errors import InputFormatError
 from vpcalib.heatmap import HeatmapCodec
-from vpcalib.heatmap_io import MAGIC, read_heatmap_file, write_heatmap_file
+from vpcalib.heatmap_io import MAGIC, read_heatmap_arrays, read_heatmap_file, write_heatmap_file
 
 
 @pytest.fixture
@@ -73,3 +73,41 @@ def test_mismatched_channel_scales_rejected(tmp_path, observation):
     bad = [observation[0], observation[1][::-1]]
     with pytest.raises(ValueError):
         write_heatmap_file(tmp_path / "obs.dvp", bad)
+
+
+def test_arrays_keep_the_stored_precision(tmp_path, observation):
+    for name, dtype in (("obs.dvp", np.float32), ("obs.json", np.float64)):
+        write_heatmap_file(tmp_path / name, observation)
+        scales, values = read_heatmap_arrays(tmp_path / name)
+        assert scales == tuple(h.scale for h in observation[0])
+        assert values.dtype == dtype and values.shape == (2, 4, 64, 64)
+        assert np.array_equal(values[1, 2], observation[1][2].values.astype(np.float32))
+
+
+def _with_nan(path):
+    blob = bytearray(path.read_bytes())
+    blob[-4:] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(blob))
+
+
+def test_non_finite_values_rejected(tmp_path, observation):
+    path = tmp_path / "obs.dvp"
+    write_heatmap_file(path, observation)
+    _with_nan(path)
+    with pytest.raises(InputFormatError, match="finite"):
+        read_heatmap_file(path)
+
+
+def test_missing_file_rejected(tmp_path):
+    with pytest.raises(InputFormatError, match="cannot read"):
+        read_heatmap_arrays(tmp_path / "absent.dvp")
+
+
+def test_non_positive_scale_rejected(tmp_path, observation):
+    path = tmp_path / "obs.dvp"
+    write_heatmap_file(path, observation)
+    blob = bytearray(path.read_bytes())
+    blob[12:20] = np.float64(-1.0).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(InputFormatError, match="positive"):
+        read_heatmap_arrays(path)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from vpcalib.errors import InputFormatError
-from vpcalib.heatmap import BBox, HeatmapCodec, bbox_normalize
-from vpcalib.heatmap_io import write_heatmap_file
+from vpcalib.heatmap import BBox, HeatmapCodec, bbox_normalize, select_vp
+from vpcalib.heatmap_io import read_heatmap_file, write_heatmap_file
 from vpcalib.pipeline import (
     DetectionRecord,
     PipelineConfig,
@@ -163,6 +163,48 @@ class TestDecodeRecords:
         expected = bbox_denormalize(vp_first, box)
         assert np.linalg.norm(pair.first - expected) / np.linalg.norm(expected - box.center) < 0.2
 
+    def test_heatmap_channels_decoding_to_one_point_dropped(self, tmp_path):
+        box = BBox(100, 200, 300, 260)
+        codec = HeatmapCodec()
+        write_heatmap_file(tmp_path / "same.dvp", codec.encode_pair([4.0, -1.5], [4.0, -1.5]))
+        write_heatmap_file(tmp_path / "good.dvp", codec.encode_pair([4.0, -1.5], [-6.0, 2.0]))
+        records = [
+            DetectionRecord(frame_index=0, box=box, confidence=1.0, heatmap_ref=name)
+            for name in ("same.dvp", "good.dvp")
+        ]
+        (pair,) = detections_to_pairs(records, PipelineConfig(), base_dir=tmp_path)
+        assert not np.array_equal(pair.first, pair.second)
+
+    def test_mixed_chunk_decodes_each_record_as_read(self, tmp_path):
+        codec = HeatmapCodec()
+        box = BBox(100, 200, 300, 260)
+        vps = [([4.0, -1.5], [-6.0, 2.0]), ([0.5, 3.0], [9.0, 1.0]), ([-2.0, -7.0], [30.0, 4.0])]
+        names = ["obs0.dvp", "obs1.json", "obs2.dvp"]
+        for name, (first, second) in zip(names, vps):
+            write_heatmap_file(tmp_path / name, codec.encode_pair(first, second))
+        # a float64 JSON grid: a ghost at (0, 0) ties the peak only in float32
+        payload = json.loads((tmp_path / "obs1.json").read_text())
+        grids = np.array(payload["data"])
+        grids[0][grids[0] == 1.0] = 1.0 + 1e-12
+        grids[0, :, 0, 0] = 1.0
+        payload["data"] = grids.tolist()
+        (tmp_path / "obs1.json").write_text(json.dumps(payload))
+        records = []
+        for name in names:
+            records += [DetectionRecord(frame_index=0, box=box, confidence=1.0, heatmap_ref=name),
+                        record(0)]
+        pairs = detections_to_pairs(records, PipelineConfig(), base_dir=tmp_path)
+        assert len(pairs) == len(records)
+        (inline,) = detections_to_pairs([record(0)], PipelineConfig())
+        for k, pair in enumerate(pairs):
+            if k % 2:
+                expected = (inline.first, inline.second)
+            else:
+                channels = read_heatmap_file(tmp_path / names[k // 2])
+                expected = tuple(select_vp(maps, box).point for maps in channels)
+            np.testing.assert_array_equal(pair.first, expected[0])
+            np.testing.assert_array_equal(pair.second, expected[1])
+
     def test_heatmap_scale_mismatch_rejected(self, tmp_path):
         box = BBox(100, 200, 300, 260)
         codec = HeatmapCodec(scales=(0.05, 0.5))
@@ -176,8 +218,9 @@ class TestDecodeRecords:
         codec = HeatmapCodec(resolution=32)
         write_heatmap_file(tmp_path / "obs.dvp", codec.encode_pair([4.0, -1.5], [-6.0, 2.0]))
         rec = DetectionRecord(frame_index=0, box=box, confidence=1.0, heatmap_ref="obs.dvp")
-        with pytest.raises(InputFormatError):
-            detections_to_pairs([rec], PipelineConfig(), base_dir=tmp_path)
+        for config in (PipelineConfig(), PipelineConfig(resolution=-3)):
+            with pytest.raises(InputFormatError):
+                detections_to_pairs([rec], config, base_dir=tmp_path)
 
     def test_parallel_matches_serial(self, tmp_path):
         spec = SceneSpec(seed=44, n_vehicles=12)
