@@ -171,14 +171,19 @@ def focal_from_pair(pair: VPPair, principal_point, epsilon: float = DEFAULT_FOCA
     return float(np.sqrt(radicand))
 
 
-def _pair_focals(pairs, principal_point, epsilon: float) -> list[float | None]:
-    out: list[float | None] = []
+def _usable_focals(pairs, principal_point, min_pairs: int, epsilon: float) -> list[float]:
+    """The per-pair focal lengths of the pairs that give one, at least ``min_pairs``."""
+    focals = []
     for pair in pairs:
         try:
-            out.append(focal_from_pair(pair, principal_point, epsilon))
+            focals.append(focal_from_pair(pair, principal_point, epsilon))
         except (ImaginaryFocal, NearZeroFocal, DegenerateInput):
-            out.append(None)
-    return out
+            pass
+    if len(focals) < min_pairs:
+        raise InsufficientPairs(
+            f"{len(focals)} usable pairs for focal estimation, need {min_pairs}"
+        )
+    return focals
 
 
 def estimate_focal(
@@ -192,12 +197,7 @@ def estimate_focal(
     An even survivor count averages the two central values. Permutation
     invariant, and robust to fewer than half the pairs being corrupt.
     """
-    focals = [f for f in _pair_focals(pairs, principal_point, epsilon) if f is not None]
-    if len(focals) < min_pairs:
-        raise InsufficientPairs(
-            f"{len(focals)} usable pairs for focal estimation, need {min_pairs}"
-        )
-    return float(np.median(focals))
+    return float(np.median(_usable_focals(pairs, principal_point, min_pairs, epsilon)))
 
 
 def _pair_slope(pair: VPPair, slope_epsilon: float) -> float | None:
@@ -324,23 +324,17 @@ def calibrate(
         if image_size is not None:
             check_image_size(image_size)
 
-    focals = _pair_focals(pairs, principal_point, focal_epsilon)
-    usable = [f for f in focals if f is not None]
-    if len(usable) < min_pairs:
-        raise InsufficientPairs(
-            f"{len(usable)} usable pairs for focal estimation, need {min_pairs}"
-        )
-    f = float(np.median(usable))
+    focals = _usable_focals(pairs, principal_point, min_pairs, focal_epsilon)
     horizon = estimate_horizon(pairs, min_pairs=min_pairs, slope_epsilon=slope_epsilon)
-    intrinsics = CameraIntrinsics(f, principal_point)
+    intrinsics = CameraIntrinsics(float(np.median(focals)), principal_point)
     normal = plane_normal_from_horizon(horizon, intrinsics)
     return CameraCalibration(
         intrinsics=intrinsics,
         horizon=horizon,
         plane_normal=normal,
         delta=delta,
-        n_pairs_used=len(usable),
-        n_pairs_rejected=len(pairs) - len(usable),
+        n_pairs_used=len(focals),
+        n_pairs_rejected=len(pairs) - len(focals),
     )
 
 

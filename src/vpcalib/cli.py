@@ -7,21 +7,24 @@ Subcommands:
     augment    augmentation spec -> homography + warped box
 
 Failures print a machine-readable ``{"error": ..., "message": ...}`` object
-to stderr and exit nonzero; output files are only written on success.
+to stderr and exit nonzero; output files are only written on success, each
+whole or not at all.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import CameraCalibration
-from .errors import InputFormatError, VPCalibError
+from .errors import InputFormatError, OutputError, VPCalibError
 from .evaluation import DistanceMeasurement, measured_distance
 from .heatmap import bbox_normalize, bbox_normalize_direction
 from .pipeline import (
@@ -38,13 +41,31 @@ def _load_config(path) -> PipelineConfig:
     return PipelineConfig.from_file(path) if path else PipelineConfig()
 
 
+def _write(path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all.
+
+    The text goes to a temporary file in the target directory, which then
+    replaces ``path``; a failure removes it and raises :class:`OutputError`.
+    """
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
 def _parse_scale_reference(text: str) -> DistanceMeasurement:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 5:
+    try:
+        ax, ay, bx, by, meters = (float(v) for v in text.split(","))
+        return DistanceMeasurement(a=[ax, ay], b=[bx, by], ground_truth=meters)
+    except ValueError as exc:
         raise InputFormatError(
-            "--scale-reference expects 'ax,ay,bx,by,meters'"
-        )
-    return DistanceMeasurement(a=parts[0:2], b=parts[2:4], ground_truth=parts[4])
+            f"--scale-reference expects 'ax,ay,bx,by,meters' with distinct points: {exc}"
+        ) from exc
 
 
 def cmd_calibrate(args) -> int:
@@ -52,19 +73,19 @@ def cmd_calibrate(args) -> int:
     if args.parallel:
         config = dataclasses.replace(config, parallel=True)
     image_size = tuple(args.image_size) if args.image_size else None
+    reference = _parse_scale_reference(args.scale_reference) if args.scale_reference else None
     result = run_calibration(args.detections, config, image_size)
-    if args.scale_reference:
-        reference = _parse_scale_reference(args.scale_reference)
+    if reference is not None:
         calibration = CameraCalibration.from_dict(result)
         result["delta"] = reference.ground_truth / measured_distance(reference, calibration)
-    Path(args.out).write_text(format_json(result))
+    _write(args.out, format_json(result))
     return 0
 
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
     report = run_evaluation(args.calibration, args.measurements, config)
-    Path(args.out).write_text(format_json(report))
+    _write(args.out, format_json(report))
     print(report_table(report))
     return 0
 
@@ -104,10 +125,13 @@ def cmd_synth(args) -> int:
     truth_out["scene_spec"] = spec.to_dict()
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "detections.jsonl").write_text("\n".join(lines) + "\n")
-    (out_dir / "measurements.json").write_text(format_json(measurement_items))
-    (out_dir / "ground_truth.json").write_text(format_json(truth_out))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create {out_dir}: {exc}") from exc
+    _write(out_dir / "detections.jsonl", "\n".join(lines) + "\n")
+    _write(out_dir / "measurements.json", format_json(measurement_items))
+    _write(out_dir / "ground_truth.json", format_json(truth_out))
     return 0
 
 
@@ -130,7 +154,7 @@ def cmd_augment(args) -> int:
         "bbox": list(box.as_tuple()),
         "flipped": flipped,
     }
-    Path(args.out).write_text(format_json(result))
+    _write(args.out, format_json(result))
     return 0
 
 

@@ -72,3 +72,7 @@ class DegenerateHomography(VPCalibError):
 
 class InputFormatError(VPCalibError, ValueError):
     """An input file did not match the expected schema."""
+
+
+class OutputError(VPCalibError):
+    """An output file could not be written."""

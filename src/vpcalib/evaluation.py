@@ -71,14 +71,17 @@ def measured_distance(measurement: DistanceMeasurement, calibration: CameraCalib
     return float(np.linalg.norm(qa - qb))
 
 
-def ratio_error(i: int, j: int, measured, ground_truth) -> float:
-    """Relative error of the measured i/j distance ratio against ground truth."""
-    d_i, d_j = float(measured[i]), float(measured[j])
-    g_i, g_j = float(ground_truth[i]), float(ground_truth[j])
-    if d_j == 0.0 or g_j == 0.0 or g_i == 0.0:
+def ratio_error(i, j, measured, ground_truth):
+    """Relative error of the measured i/j distance ratio against ground truth.
+
+    Index arrays ``i`` and ``j`` give an array of errors, scalars a float.
+    """
+    d, g = np.asarray(measured, dtype=float), np.asarray(ground_truth, dtype=float)
+    if np.any(d[j] == 0.0) or np.any(g[j] == 0.0) or np.any(g[i] == 0.0):
         raise ZeroDivisionError("distance ratios need nonzero denominators")
-    truth = g_i / g_j
-    return abs(d_i / d_j - truth) / truth
+    truth = g[i] / g[j]
+    error = np.abs(d[i] / d[j] - truth) / truth
+    return float(error) if np.ndim(error) == 0 else error
 
 
 def evaluate(
@@ -110,23 +113,17 @@ def evaluate(
             f"{len(measured)} projectable measurements, need at least 2"
         )
 
-    errors = []
     n = len(measured)
     if pair_mode == "ordered":
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    errors.append((i, j, ratio_error(i, j, measured, truth)))
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
     else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                r_ij = ratio_error(i, j, measured, truth)
-                if pair_mode == "unordered-min":
-                    r_ij = min(r_ij, ratio_error(j, i, measured, truth))
-                errors.append((i, j, r_ij))
-    mean = float(np.mean([e[2] for e in errors]))
+        i, j = np.triu_indices(n, 1)
+    errors = ratio_error(i, j, measured, truth)
+    if pair_mode == "unordered-min":
+        errors = np.minimum(errors, ratio_error(j, i, measured, truth))
+    mean = float(np.mean(errors))
     return CalibrationReport(
-        per_pair_errors=tuple(errors),
+        per_pair_errors=tuple(zip(i.tolist(), j.tolist(), errors.tolist())),
         mean_error=mean,
         n_measurements=len(measured),
         n_skipped=n_skipped,

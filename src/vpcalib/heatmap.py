@@ -9,7 +9,8 @@ spread of near-maximum cells, and places the point where that scale's peak
 cell overlaps the near-maximum cells of all the other scales.
 :func:`decode_stack` does this for a stack of many records' grids with
 array operations, taking what it needs to know about a grid cell from
-per-grid tables that are filled the first time a decode touches the cell.
+per-grid tables: the cells' points are tabled whole the first time a grid
+is used, their quantization radius the first time a decode needs it.
 
 Grid convention: ``values[row, col]`` with the rotated coordinates
 ``u = X + Y`` (column axis) and ``v = Y - X`` (row axis), each spanning
@@ -421,15 +422,19 @@ class _CellTables:
     """What a decode needs to know about the cells of one grid.
 
     A grid is a scale set and a resolution; the entries depend on the cell
-    alone, are indexed ``[scale index, row, col]`` and are computed the
-    first time a decode touches the cell, with the numpy operations of the
-    scalar functions, so every entry equals what they return:
+    alone, are indexed ``[scale index, row, col]`` and are computed with the
+    numpy operations of the scalar functions, so every entry equals what
+    they return. The point tables are built whole when the grid is first
+    used:
 
     - ``vp``: :func:`vp_of_pixel` at the cell;
     - ``ideal``: ``projective.is_ideal`` of it (a point at infinity);
     - ``direction``: its unit direction from the box centre;
-    - ``norm``: the length of its dehomogenized point (NaN where ideal);
-    - ``radius``: :func:`quantization_radius` at its defaults.
+    - ``norm``: the length of its dehomogenized point (NaN where ideal).
+
+    ``radius``, :func:`quantization_radius` at its defaults, takes 36
+    boundary points per cell, so :meth:`radii` fills it only for the cells
+    a decode asks for.
     """
 
     def __init__(self, scales: tuple[float, ...], resolution: int):
@@ -438,50 +443,28 @@ class _CellTables:
         self.scales = scales
         self.resolution = resolution
         shape = (len(scales), resolution, resolution)
-        self.vp = np.zeros(shape + (3,))
-        self.ideal = np.zeros(shape, dtype=bool)
-        self.direction = np.zeros(shape + (2,))
-        self.norm = np.zeros(shape)
-        self.radius = np.zeros(shape)
-        self._has_point = np.zeros(shape, dtype=bool)
-        self._has_radius = np.zeros(shape, dtype=bool)
-
-    @staticmethod
-    def _missing(filled: np.ndarray, s, r, c):
-        """The distinct cells among ``(s, r, c)`` that are not filled yet, or None."""
-        todo = ~filled[s, r, c]
-        if not todo.any():
-            return None
-        flat = np.unique(np.ravel_multi_index((s[todo], r[todo], c[todo]), filled.shape))
-        return np.unravel_index(flat, filled.shape)
-
-    def fill_points(self, s, r, c) -> None:
-        """Compute ``vp``, ``ideal``, ``direction`` and ``norm`` where missing."""
-        todo = self._missing(self._has_point, s, r, c)
-        if todo is None:
-            return
-        s, r, c = todo
-        vph = _vp_by_scale(self.scales, s, r, c, self.resolution)
+        vph = _vp_by_scale(scales, *np.indices(shape).reshape(3, -1), resolution)
         ideal = pj.is_ideal(vph, IDEAL_EPS)
-        norm = np.full(len(s), np.nan)
+        norm = np.full(len(vph), np.nan)
         norm[~ideal] = _dot_norms(pj.dehomogenize(vph[~ideal]))
-        self.vp[s, r, c] = vph
-        self.ideal[s, r, c] = ideal
-        self.direction[s, r, c] = _directions(vph)
-        self.norm[s, r, c] = norm
-        self._has_point[s, r, c] = True
+        self.vp = vph.reshape(shape + (3,))
+        self.ideal = ideal.reshape(shape)
+        self.direction = _directions(vph).reshape(shape + (2,))
+        self.norm = norm.reshape(shape)
+        self.radius = np.zeros(shape)
+        self._has_radius = np.zeros(shape, dtype=bool)
 
     def radii(self, s, r, c) -> np.ndarray:
         """``radius`` at cells ``(s, r, c)``, computed where missing."""
-        todo = self._missing(self._has_radius, s, r, c)
-        if todo is not None:
-            self._fill_radius(*todo)
+        todo = ~self._has_radius[s, r, c]
+        if todo.any():
+            flat = np.ravel_multi_index((s[todo], r[todo], c[todo]), self.radius.shape)
+            self._fill_radius(*np.unravel_index(np.unique(flat), self.radius.shape))
         return self.radius[s, r, c]
 
     def _fill_radius(self, s, r, c) -> None:
         # quantization_radius for many cells at once; a stacked matmul takes
         # the same per-cell matrix-vector product as its ``@``
-        self.fill_points(s, r, c)
         ts = np.linspace(-0.5, 0.5, 9)
         half = np.full_like(ts, 0.5)
         row, col = r[:, None], c[:, None]
@@ -531,7 +514,6 @@ def _spreads(tables: _CellTables, near, usable, row, col, ideal, norm) -> np.nda
     """:func:`accuracy_measure` of every usable grid; inf elsewhere."""
     n_scales = usable.shape[1]
     cn, cs, cr, cc = np.unravel_index(np.flatnonzero(near & usable[:, :, None, None]), near.shape)
-    tables.fill_points(cs, cr, cc)
     # a finite peak's spread skips candidates at infinity
     use = ideal[cn, cs] | ~tables.ideal[cs, cr, cc]
     cn, cs, cr, cc = cn[use], cs[use], cr[use], cc[use]
@@ -616,8 +598,7 @@ def decode_stack(
     the N records' boxes. Entry ``n`` of the result equals what
     ``select_vp`` returns for ``values[n]``, field by field, or is ``None``
     where it raises :class:`AllScalesDegenerate`. Per-cell quantities come
-    from tables of the grid (cached per scale set and resolution) that are
-    filled for the cells the decode touches.
+    from tables of the grid, cached per scale set and resolution.
     """
     if not (0.0 < peak_ratio <= 1.0):
         raise ValueError(f"peak_ratio must be in (0, 1], got {peak_ratio}")
@@ -647,7 +628,6 @@ def decode_stack(
 
     # skip empty grids and peaks on the box centre; rank the rest by spread,
     # then by quantization radius, then by scale order
-    tables.fill_points(scale_index[nonempty], row[nonempty], col[nonempty])
     ideal = tables.ideal[scale_index, row, col]
     norm = tables.norm[scale_index, row, col]
     usable = nonempty & (ideal | (norm >= CENTER_EPS))

@@ -87,6 +87,8 @@ class PipelineConfig:
             raise ValueError("static_iou must lie in (0, 1]")
         if self.pair_mode not in PAIR_MODES:
             raise ValueError(f"pair_mode must be one of {PAIR_MODES}")
+        if not isinstance(self.resolution, (int, np.integer)) or self.resolution < 2:
+            raise ValueError(f"resolution must be an integer >= 2, got {self.resolution!r}")
         object.__setattr__(self, "scales", check_scales(self.scales))
 
     @classmethod
@@ -95,14 +97,19 @@ class PipelineConfig:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InputFormatError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise InputFormatError(f"config {path} must hold a JSON object")
         known = set(cls.__dataclass_fields__)
         unknown = sorted(set(data) - known)
         if unknown:
             raise InputFormatError(f"unknown config keys: {unknown}")
-        for key in ("scales", "principal_point", "image_size"):
-            if data.get(key) is not None:
-                data[key] = tuple(data[key])
-        return cls(**data)
+        try:
+            for key in ("scales", "principal_point", "image_size"):
+                if data.get(key) is not None:
+                    data[key] = tuple(data[key])
+            return cls(**data)
+        except (TypeError, ValueError) as exc:
+            raise InputFormatError(f"invalid config {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

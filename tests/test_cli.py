@@ -256,6 +256,61 @@ class TestEvaluate:
         assert err["error"] == "InputFormatError"
 
 
+class TestErrorPaths:
+    """Bad input and unwritable output: exit 1, error JSON, no file written."""
+
+    @staticmethod
+    def _fails(argv, capsys, error, root):
+        before = sorted(root.rglob("*"))
+        assert main([str(a) for a in argv]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert set(err) == {"error", "message"} and err["error"] == error
+        assert "Traceback" not in captured.err + captured.out
+        assert sorted(root.rglob("*")) == before
+        return err["message"]
+
+    @staticmethod
+    def _calibrate(scene_dir, out, *extra):
+        return ["calibrate", "--detections", scene_dir / "detections.jsonl", "--out", out,
+                "--image-size", "1920", "1080", *extra]
+
+    @pytest.mark.parametrize(
+        "config", ['{"scales": "abc"}', '{"frame_stride": 0}', "[1, 2]", '{"resolution": -3}']
+    )
+    def test_bad_config(self, tmp_path, scene_dir, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        argv = self._calibrate(scene_dir, tmp_path / "cal.json", "--config", cfg)
+        message = self._fails(argv, capsys, "InputFormatError", tmp_path)
+        assert str(cfg) in message
+
+    @pytest.mark.parametrize("reference", ["a,b,c,d,e", "1,2,1,2,5"])
+    def test_bad_scale_reference(self, tmp_path, scene_dir, capsys, reference):
+        argv = self._calibrate(scene_dir, tmp_path / "cal.json", "--scale-reference", reference)
+        self._fails(argv, capsys, "InputFormatError", tmp_path)
+
+    @pytest.mark.parametrize("target", ["missing/cal.json", "scene"])
+    def test_unwritable_calibrate_out(self, tmp_path, scene_dir, capsys, target):
+        out = tmp_path / target
+        message = self._fails(self._calibrate(scene_dir, out), capsys, "OutputError", tmp_path)
+        assert str(out) in message
+
+    def test_unwritable_evaluate_out(self, tmp_path, scene_dir, capsys):
+        cal = tmp_path / "cal.json"
+        assert main([str(a) for a in self._calibrate(scene_dir, cal)]) == 0
+        out = tmp_path / "missing" / "report.json"
+        argv = ["evaluate", "--calibration", cal,
+                "--measurements", scene_dir / "measurements.json", "--out", out]
+        assert str(out) in self._fails(argv, capsys, "OutputError", tmp_path)
+
+    @pytest.mark.parametrize("target", ["scene.json", "scene.json/sub"])
+    def test_unwritable_synth_out_dir(self, tmp_path, scene_dir, capsys, target):
+        out_dir = tmp_path / target
+        argv = ["synth", "--spec", tmp_path / "scene.json", "--out-dir", out_dir]
+        assert str(out_dir) in self._fails(argv, capsys, "OutputError", tmp_path)
+
+
 class TestAugmentCommand:
     def test_identity_spec(self, tmp_path):
         spec = tmp_path / "aug.json"

@@ -4,6 +4,7 @@ import pytest
 from vpcalib.calibration import CameraCalibration, CameraIntrinsics
 from vpcalib.errors import InsufficientMeasurements, UnprojectablePoint
 from vpcalib.evaluation import (
+    PAIR_MODES,
     DistanceMeasurement,
     evaluate,
     measured_distance,
@@ -44,6 +45,33 @@ class TestRatioError:
         measured = [2.2, 4.0]
         truth = [2.0, 4.0]
         assert ratio_error(0, 1, measured, truth) != ratio_error(1, 0, measured, truth)
+
+    @pytest.mark.parametrize("mode", PAIR_MODES)
+    def test_index_arrays_match_the_scalar_loop(self, mode):
+        _, measurements, truth = generate_scene(SceneSpec(seed=29, n_vehicles=5, n_measurements=6))
+        wrong = CameraCalibration(
+            intrinsics=CameraIntrinsics(truth.intrinsics.f * 1.2, truth.intrinsics.principal_point),
+            horizon=truth.horizon,
+            plane_normal=truth.plane_normal,
+        )
+        d = [measured_distance(m, wrong) for m in measurements]
+        g = [m.ground_truth for m in measurements]
+
+        def scalar(a, b):
+            # the per-pair formula in Python floats
+            ratio = g[a] / g[b]
+            return abs(d[a] / d[b] - ratio) / ratio
+
+        n = len(d)
+        pairs = [(a, b) for a in range(n) for b in range(n) if (a != b if mode == "ordered" else a < b)]
+        i, j = (np.array(k) for k in zip(*pairs))
+        assert ratio_error(i, j, d, g).tolist() == [scalar(a, b) for a, b in pairs]
+        assert [ratio_error(a, b, d, g) for a, b in pairs] == [scalar(a, b) for a, b in pairs]
+        expected = [
+            (a, b, min(scalar(a, b), scalar(b, a)) if mode == "unordered-min" else scalar(a, b))
+            for a, b in pairs
+        ]
+        assert evaluate(measurements, wrong, pair_mode=mode).per_pair_errors == tuple(expected)
 
 
 class TestMeasuredDistance:

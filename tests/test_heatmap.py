@@ -313,12 +313,21 @@ class TestCellTables:
         assert np.isinf(radius).any()
         assert np.array_equal(tables.radius.ravel(), radius)
 
+    def test_the_point_tables_are_complete_after_construction(self):
+        tables = _CellTables(DEFAULT_SCALES, 16)
+        vp = vp_of_pixel(*np.indices((16, 16)), DEFAULT_SCALES[2], 16)
+        assert np.array_equal(tables.vp[2], vp)
+        assert np.array_equal(tables.ideal[2], is_ideal(vp))
+        assert np.isfinite(tables.direction).all()
+        assert np.array_equal(np.isnan(tables.norm), tables.ideal)
+        assert not tables._has_radius.any()
+
     def test_a_one_record_decode_fills_only_the_cells_it_touches(self, box):
         _cell_tables.cache_clear()
         select_vp(HeatmapCodec().encode([4.0, 9.0]), box)
         tables = _cell_tables(DEFAULT_SCALES, 64)
         # one peak per scale, each its own only near-maximum cell
-        assert tables._has_point.sum() == 4 and tables._has_radius.sum() == 4
+        assert tables._has_radius.sum() == 4
 
 
 def _mixed_chunk(rng):

@@ -218,9 +218,10 @@ class TestDecodeRecords:
         codec = HeatmapCodec(resolution=32)
         write_heatmap_file(tmp_path / "obs.dvp", codec.encode_pair([4.0, -1.5], [-6.0, 2.0]))
         rec = DetectionRecord(frame_index=0, box=box, confidence=1.0, heatmap_ref="obs.dvp")
-        for config in (PipelineConfig(), PipelineConfig(resolution=-3)):
-            with pytest.raises(InputFormatError):
-                detections_to_pairs([rec], config, base_dir=tmp_path)
+        with pytest.raises(InputFormatError):
+            detections_to_pairs([rec], PipelineConfig(), base_dir=tmp_path)
+        with pytest.raises(ValueError):
+            PipelineConfig(resolution=-3)
 
     def test_parallel_matches_serial(self, tmp_path):
         spec = SceneSpec(seed=44, n_vehicles=12)
