@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CameraCalibration
-from .errors import InputFormatError, OutputError, VPCalibError
+from ._validation import as_float_array, check_image_size
+from .errors import OutputError, VPCalibError, reading
 from .evaluation import DistanceMeasurement, measured_distance
 from .heatmap import bbox_normalize, bbox_normalize_direction
 from .pipeline import (
@@ -59,22 +60,20 @@ def _write(path, text: str) -> None:
 
 
 def _parse_scale_reference(text: str) -> DistanceMeasurement:
-    try:
+    with reading("--scale-reference (ax,ay,bx,by,meters with distinct points)"):
         ax, ay, bx, by, meters = (float(v) for v in text.split(","))
         return DistanceMeasurement(a=[ax, ay], b=[bx, by], ground_truth=meters)
-    except ValueError as exc:
-        raise InputFormatError(
-            f"--scale-reference expects 'ax,ay,bx,by,meters' with distinct points: {exc}"
-        ) from exc
 
 
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
     if args.parallel:
         config = dataclasses.replace(config, parallel=True)
-    image_size = tuple(args.image_size) if args.image_size else None
+    if args.image_size:
+        with reading("--image-size"):
+            config = dataclasses.replace(config, image_size=tuple(args.image_size))
     reference = _parse_scale_reference(args.scale_reference) if args.scale_reference else None
-    result = run_calibration(args.detections, config, image_size)
+    result = run_calibration(args.detections, config)
     if reference is not None:
         calibration = CameraCalibration.from_dict(result)
         result["delta"] = reference.ground_truth / measured_distance(reference, calibration)
@@ -91,10 +90,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
+    with reading(f"scene spec {args.spec}"):
         spec = SceneSpec.from_json(Path(args.spec).read_text())
-    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"cannot read scene spec {args.spec}: {exc}") from exc
     observations, measurements, truth = generate_observations(spec, parallel=args.parallel)
 
     lines = []
@@ -136,18 +133,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    try:
+    with reading(f"augment spec {args.spec}"):
         data = json.loads(Path(args.spec).read_text())
-        image_size = tuple(data["image_size"])
-        box_points = data["bbox_3d"]
+        image_size = check_image_size(data["image_size"])
+        box_points = as_float_array(data["bbox_3d"], "bbox_3d", (8, 2))
         params = AugmentationParams(
             corner_sigma=float(data.get("corner_sigma", 12.5)),
             bbox_jitter=float(data.get("bbox_jitter", 5.0)),
             flip_prob=float(data.get("flip_prob", 0.5)),
             rng_seed=int(data.get("rng_seed", 0)),
         )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"cannot read augment spec {args.spec}: {exc}") from exc
     H, box, flipped = augment(image_size, box_points, params)
     result = {
         "homography": H.tolist(),

@@ -5,6 +5,8 @@ can catch the whole family at once. Geometric preconditions raise subclasses of
 ``ValueError`` as well, keeping plain ``except ValueError`` workable.
 """
 
+import contextlib
+
 
 class VPCalibError(Exception):
     """Base class for all vpcalib errors."""
@@ -76,3 +78,22 @@ class InputFormatError(VPCalibError, ValueError):
 
 class OutputError(VPCalibError):
     """An output file could not be written."""
+
+
+# What reading and checking bad input raise: JSON and UTF-8 decode errors are
+# ValueErrors, int(1e999) is an OverflowError, JSON nested too deep a RecursionError.
+READ_ERRORS = (OSError, ValueError, TypeError, LookupError, OverflowError, RecursionError)
+
+
+@contextlib.contextmanager
+def reading(source: str):
+    """Raise the block's :data:`READ_ERRORS` as ``InputFormatError("cannot read <source>: ...")``.
+
+    Keep only reading and checking inside, so a program fault is never reported as bad input.
+    """
+    try:
+        yield
+    except InputFormatError:
+        raise
+    except READ_ERRORS as exc:
+        raise InputFormatError(f"cannot read {source}: {exc}") from exc

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import reading
 from .heatmap import Heatmap, check_scales
 
 __all__ = ["write_heatmap_file", "read_heatmap_file", "read_heatmap_arrays"]
@@ -85,46 +85,36 @@ def read_heatmap_arrays(path) -> tuple[tuple[float, ...], np.ndarray]:
     positive, values that are not finite) raises :class:`InputFormatError`.
     """
     path = Path(path)
-    try:
+    with reading(f"heatmap file {path}"):
         blob = path.read_bytes()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read heatmap file {path}: {exc}") from exc
-    parse = _parse_json if path.suffix == ".json" else _parse_binary
-    scales, values = parse(path, blob)
-    if not all(np.isfinite(s) and s > 0 for s in scales):
-        raise InputFormatError(f"{path}: heatmap scales must be positive, got {scales}")
-    if not np.isfinite(values).all():
-        raise InputFormatError(f"{path}: heatmap values must be finite")
+        scales, values = (_parse_json if path.suffix == ".json" else _parse_binary)(blob)
+        if not all(np.isfinite(s) and s > 0 for s in scales):
+            raise ValueError(f"heatmap scales must be positive, got {scales}")
+        if not np.isfinite(values).all():
+            raise ValueError("heatmap values must be finite")
     return scales, values
 
 
-def _parse_json(path: Path, blob: bytes) -> tuple[tuple[float, ...], np.ndarray]:
-    try:
-        payload = json.loads(blob)
-    except ValueError as exc:
-        raise InputFormatError(f"cannot parse heatmap file {path}: {exc}") from exc
+def _parse_json(blob: bytes) -> tuple[tuple[float, ...], np.ndarray]:
+    payload = json.loads(blob)
     magic = payload.get("magic") if isinstance(payload, dict) else None
     if magic != MAGIC.decode():
-        raise InputFormatError(f"{path}: bad magic {magic!r}")
-    try:
-        resolution = int(payload["resolution"])
-        scales = tuple(float(s) for s in payload["scales"])
-        data = payload["data"]
-        shape = (len(data), len(scales), resolution, resolution)
-        values = np.array(data, dtype=float) if data else np.zeros(shape)
-        channels = int(payload.get("channels", len(data)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"{path}: malformed heatmap JSON: {exc}") from exc
+        raise ValueError(f"bad magic {magic!r}")
+    resolution = int(payload["resolution"])
+    scales = tuple(float(s) for s in payload["scales"])
+    data = payload["data"]
+    shape = (len(data), len(scales), resolution, resolution)
+    values = np.array(data, dtype=float) if data else np.zeros(shape)
     if values.shape != shape:
-        raise InputFormatError(f"{path}: heatmap data shape {values.shape} != {shape}")
-    if channels != len(data):
-        raise InputFormatError(f"{path}: channel count mismatch")
+        raise ValueError(f"heatmap data shape {values.shape} != {shape}")
+    if int(payload.get("channels", len(data))) != len(data):
+        raise ValueError("channel count mismatch")
     return scales, values
 
 
-def _parse_binary(path: Path, blob: bytes) -> tuple[tuple[float, ...], np.ndarray]:
+def _parse_binary(blob: bytes) -> tuple[tuple[float, ...], np.ndarray]:
     if blob[:4] != MAGIC:
-        raise InputFormatError(f"{path}: bad magic {blob[:4]!r}")
+        raise ValueError(f"bad magic {blob[:4]!r}")
     try:
         offset = 4
         resolution, n_scales = struct.unpack_from("<II", blob, offset)
@@ -134,11 +124,11 @@ def _parse_binary(path: Path, blob: bytes) -> tuple[tuple[float, ...], np.ndarra
         (n_channels,) = struct.unpack_from("<I", blob, offset)
         offset += 4
     except struct.error as exc:
-        raise InputFormatError(f"{path}: truncated heatmap file: {exc}") from exc
+        raise ValueError(f"truncated heatmap file: {exc}") from exc
     shape = (n_channels, n_scales, resolution, resolution)
     count = n_channels * n_scales * resolution * resolution
     expected = offset + 4 * count
     if len(blob) != expected:
-        raise InputFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
+        raise ValueError(f"expected {expected} bytes, found {len(blob)}")
     grids = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
     return scales, grids.reshape(shape)

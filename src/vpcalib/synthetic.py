@@ -18,7 +18,7 @@ import numpy as np
 
 from ._validation import as_float_array, check_image_size, check_positive
 from .calibration import CameraCalibration, CameraIntrinsics, VPPair
-from .errors import DegenerateHomography
+from .errors import DegenerateHomography, InsufficientMeasurements
 from .evaluation import DistanceMeasurement
 from .heatmap import BBox
 
@@ -175,12 +175,17 @@ class SceneSpec:
 
     def __post_init__(self):
         check_image_size(self.image_size)
-        if self.n_vehicles < 1:
-            raise ValueError("n_vehicles must be at least 1")
+        for name, low in (("seed", 0), ("n_vehicles", 1), ("n_measurements", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_positive(self.f, "f")
+        check_positive(self.camera_height, "camera_height")
+        as_float_array([self.tilt_deg, self.roll_deg], "tilt_deg and roll_deg")
         if not (0.0 <= self.outlier_fraction <= 1.0):
             raise ValueError("outlier_fraction must lie in [0, 1]")
-        if self.noise_sigma_px < 0:
-            raise ValueError("noise_sigma_px must be >= 0")
+        if not 0.0 <= self.noise_sigma_px < np.inf:
+            raise ValueError("noise_sigma_px must be finite and >= 0")
 
     @classmethod
     def from_json(cls, text: str) -> "SceneSpec":
@@ -414,7 +419,9 @@ def _measurements(spec: SceneSpec, camera: SyntheticCamera) -> list[DistanceMeas
         b = camera.project_point(b_world)
         out.append(DistanceMeasurement(a, b, distance))
     if len(out) < spec.n_measurements:
-        raise RuntimeError("camera sees too little road surface to place measurements")
+        raise InsufficientMeasurements(
+            f"a camera at tilt_deg={spec.tilt_deg} sees too little road for the measurements"
+        )
     return out
 
 
@@ -430,10 +437,12 @@ class AugmentationParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.corner_sigma < 0 or self.bbox_jitter < 0:
-            raise ValueError("corner_sigma and bbox_jitter must be >= 0")
+        if not (0.0 <= self.corner_sigma < np.inf and 0.0 <= self.bbox_jitter < np.inf):
+            raise ValueError("corner_sigma and bbox_jitter must be finite and >= 0")
         if not (0.0 <= self.flip_prob <= 1.0):
             raise ValueError("flip_prob must lie in [0, 1]")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def homography_from_corners(src, dst) -> np.ndarray:

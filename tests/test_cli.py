@@ -276,7 +276,12 @@ class TestErrorPaths:
                 "--image-size", "1920", "1080", *extra]
 
     @pytest.mark.parametrize(
-        "config", ['{"scales": "abc"}', '{"frame_stride": 0}', "[1, 2]", '{"resolution": -3}']
+        "config",
+        [
+            '{"scales": "abc"}', '{"frame_stride": 0}', "[1, 2]", '{"resolution": -3}',
+            '{"frame_stride": 2.5}', '{"max_frames": 1e999}',
+            '{"max_boxes_per_frame": 2.5}', '{"static_min_hits": 1e999}',
+        ],
     )
     def test_bad_config(self, tmp_path, scene_dir, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -284,6 +289,109 @@ class TestErrorPaths:
         argv = self._calibrate(scene_dir, tmp_path / "cal.json", "--config", cfg)
         message = self._fails(argv, capsys, "InputFormatError", tmp_path)
         assert str(cfg) in message
+
+    # One record whose two vanishing points lie on the same side of the image
+    # centre: it gives a horizon slope but no real focal length.
+    NO_USABLE_PAIR = (
+        '{"frame": 0, "box": [900, 500, 1020, 580], "vp_first": [2, 0.1], "vp_second": [4, 0.3]}\n'
+    )
+    AUGMENT = '{"bbox_3d": [[20, 20], [100, 20], [100, 90], [20, 90], ' \
+        '[25, 30], [95, 30], [95, 100], [25, 100]], %s}'
+
+    # case: (command, its options, files to write, error, text the message names).
+    # The options follow the command's working defaults, so they replace them
+    # ("calibrate-unsized" leaves out --image-size, which would override the
+    # config's); files are written as latin-1, which makes "\xff" one byte
+    # that is not UTF-8.
+    BAD_INPUTS = {
+        "config-not-utf8": (
+            "calibrate", ["--config", "cfg.json"], {"cfg.json": '{"pair_mode": "\xff"}'},
+            "InputFormatError", "cfg.json"),
+        "detections-not-utf8": (
+            "calibrate", ["--detections", "det.jsonl"], {"det.jsonl": "\xff\n"},
+            "InputFormatError", "det.jsonl"),
+        "measurements-not-utf8": (
+            "evaluate", ["--measurements", "m.json"], {"m.json": "[\xff]"},
+            "InputFormatError", "m.json"),
+        "image-size-flag-zero": (
+            "calibrate", ["--image-size", "0", "1080"], {},
+            "InputFormatError", "--image-size"),
+        "principal-point-of-three": (
+            "calibrate", ["--config", "cfg.json"], {"cfg.json": '{"principal_point": [1, 2, 3]}'},
+            "InputFormatError", "cfg.json"),
+        "image-size-of-three": (
+            "calibrate-unsized", ["--config", "cfg.json"],
+            {"cfg.json": '{"image_size": [1920, 1080, 1]}'}, "InputFormatError", "cfg.json"),
+        "min-pairs-zero": (
+            "calibrate", ["--config", "cfg.json", "--detections", "det.jsonl"],
+            {"cfg.json": '{"min_pairs": 0}', "det.jsonl": NO_USABLE_PAIR},
+            "InputFormatError", "cfg.json"),
+        "scene-f-zero": (
+            "synth", [], {"spec.json": '{"seed": 1, "n_vehicles": 5, "f": 0}'},
+            "InputFormatError", "spec.json"),
+        "scene-seed-not-integer": (
+            "synth", [], {"spec.json": '{"seed": 1.5, "n_vehicles": 5}'},
+            "InputFormatError", "spec.json"),
+        "scene-n-vehicles-infinite": (
+            "synth", [], {"spec.json": '{"seed": 1, "n_vehicles": 1e999}'},
+            "InputFormatError", "spec.json"),
+        "scene-camera-sees-no-road": (
+            "synth", [], {"spec.json": '{"seed": 1, "n_vehicles": 5, "tilt_deg": -60}'},
+            "InsufficientMeasurements", "tilt_deg=-60"),
+        "augment-image-size-zero": (
+            "augment", [], {"aug.json": AUGMENT % '"image_size": [0, 10]'},
+            "InputFormatError", "aug.json"),
+        "augment-rng-seed-infinite": (
+            "augment", [], {"aug.json": AUGMENT % '"image_size": [128, 128], "rng_seed": 1e999'},
+            "InputFormatError", "aug.json"),
+        "detections-frame-infinite": (
+            "calibrate", ["--detections", "det.jsonl"],
+            {"det.jsonl": '{"frame": 1e999, "box": [0, 0, 9, 9], "vp_first": [3, 0], '
+                          '"vp_second": [-3, 1]}\n'},
+            "InputFormatError", "line 1"),
+        "heatmap-not-a-path": (
+            "calibrate", ["--detections", "det.jsonl"],
+            {"det.jsonl": '{"frame": 0, "box": [0, 0, 9, 9], "heatmap": 5}\n'},
+            "InputFormatError", "line 1"),
+        "scene-tilt-infinite": (
+            "synth", [], {"spec.json": '{"seed": 1, "n_vehicles": 5, "tilt_deg": 1e999}'},
+            "InputFormatError", "spec.json"),
+        "scene-noise-infinite": (
+            "synth", [], {"spec.json": '{"seed": 1, "n_vehicles": 5, "noise_sigma_px": 1e999}'},
+            "InputFormatError", "spec.json"),
+        "augment-corner-sigma-infinite": (
+            "augment", [], {"aug.json": AUGMENT % '"image_size": [128, 128], "corner_sigma": 1e999'},
+            "InputFormatError", "aug.json"),
+        "augment-box-of-two-points": (
+            "augment", [], {"aug.json": '{"image_size": [128, 128], "bbox_3d": [[1, 2], [3, 4]]}'},
+            "InputFormatError", "aug.json"),
+        "augment-rng-seed-negative": (
+            "augment", [], {"aug.json": AUGMENT % '"image_size": [128, 128], "rng_seed": -1'},
+            "InputFormatError", "aug.json"),
+        "heatmap-resolution-infinite": (
+            "calibrate", ["--detections", "det.jsonl"],
+            {"det.jsonl": '{"frame": 0, "box": [0, 0, 9, 9], "heatmap": "obs.json"}\n',
+             "obs.json": '{"magic": "DVP1", "resolution": 1e999, "scales": [0.5], "data": []}'},
+            "InputFormatError", "obs.json"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input(self, tmp_path, scene_dir, capsys, case):
+        command, options, files, error, named = self.BAD_INPUTS[case]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="latin-1")
+        defaults = {
+            "calibrate": self._calibrate(scene_dir, tmp_path / "out.json"),
+            "calibrate-unsized": self._calibrate(scene_dir, tmp_path / "out.json")[:5],
+            "evaluate": ["evaluate", "--calibration", tmp_path / "cal.json", "--measurements",
+                         scene_dir / "measurements.json", "--out", tmp_path / "out.json"],
+            "synth": ["synth", "--spec", tmp_path / "spec.json", "--out-dir", tmp_path / "out"],
+            "augment": ["augment", "--spec", tmp_path / "aug.json", "--out", tmp_path / "out.json"],
+        }
+        if command == "evaluate":
+            assert main([str(a) for a in self._calibrate(scene_dir, tmp_path / "cal.json")]) == 0
+        argv = defaults[command] + [tmp_path / o if o in files else o for o in options]
+        assert named in self._fails(argv, capsys, error, tmp_path)
 
     @pytest.mark.parametrize("reference", ["a,b,c,d,e", "1,2,1,2,5"])
     def test_bad_scale_reference(self, tmp_path, scene_dir, capsys, reference):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,24 @@ class TestRunCalibration:
         out = run_calibration(path, PipelineConfig(), image_size=spec.image_size)
         assert out["f"] == pytest.approx(truth.intrinsics.f, rel=1e-6)
         assert out["n_pairs_used"] == 20
+
+    def test_zero_length_directions_dropped_without_warning(self, tmp_path, capfd):
+        spec = SceneSpec(seed=2, n_vehicles=20)
+        path = tmp_path / "det.jsonl"
+        self._write_detections(path, spec)
+        clean = run_calibration(path, PipelineConfig(), image_size=spec.image_size)
+        box = [0, 0, 100, 50]
+        zero = [
+            {"frame": 0, "box": box, "vp_first_direction": [0, 0], "vp_second": [-4, 2]},
+            {"frame": 0, "box": box, "vp_first": [3, -1], "vp_second_direction": [0, 0]},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in zero) + path.read_text())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run_calibration(path, PipelineConfig(), image_size=spec.image_size)
+        assert capfd.readouterr().err == ""
+        assert out.pop("n_records") == clean.pop("n_records") + 2
+        assert out == clean
 
     def test_image_size_required(self, tmp_path):
         spec = SceneSpec(seed=2, n_vehicles=6)
