@@ -12,6 +12,7 @@ CLI.
 from .calibration import (
     CameraCalibration,
     CameraIntrinsics,
+    PairSet,
     VanishingPointCalibrator,
     VPPair,
     calibrate,
@@ -80,6 +81,7 @@ __all__ = [
     "SyntheticVehicle",
     "VPDetection",
     "VPPair",
+    "PairSet",
     "VanishingPointCalibrator",
     "augment",
     "bbox_denormalize",

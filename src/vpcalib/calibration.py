@@ -9,6 +9,10 @@ normal. Aggregation is median-based throughout, so up to half the pairs can
 be arbitrarily wrong without moving the result outside the range of the good
 ones.
 
+The estimators work on a :class:`PairSet`, the pairs as columns, so each
+median is a few array operations whatever the number of vehicles; they also
+accept a list of :class:`VPPair`, converted once.
+
 ``VanishingPointCalibrator`` wraps the procedure in a scikit-learn style
 ``fit``/``transform`` estimator so it can sit in standard pipelines;
 ``transform`` maps frame-pixel points onto the reconstructed road plane.
@@ -30,9 +34,11 @@ from .errors import (
     NearZeroFocal,
     PointOnHorizon,
 )
+from .projective import row_dots, row_norms
 
 __all__ = [
     "VPPair",
+    "PairSet",
     "CameraIntrinsics",
     "CameraCalibration",
     "focal_from_pair",
@@ -79,6 +85,89 @@ class VPPair:
     @property
     def finite(self) -> bool:
         return not (self.first_is_direction or self.second_is_direction)
+
+
+def _coincident(first, second, first_is_direction, second_is_direction) -> np.ndarray:
+    """Rows whose two finite vanishing points are ``np.allclose``: no constraint."""
+    close = np.isclose(first, second).all(axis=1)
+    return close & ~first_is_direction & ~second_is_direction
+
+
+class PairSet:
+    """Vanishing-point pairs as columns: the array form of a list of :class:`VPPair`.
+
+    ``first`` and ``second`` are read-only ``(N, 2)`` float arrays, and
+    ``first_is_direction`` / ``second_is_direction`` boolean ``(N,)`` masks
+    (default all False). The constructor applies :class:`VPPair`'s checks to
+    every row at once. Iterating yields one :class:`VPPair` per row, in order.
+    """
+
+    __slots__ = ("first", "second", "first_is_direction", "second_is_direction")
+
+    def __init__(self, first, second, first_is_direction=None, second_is_direction=None):
+        first = np.array(first, dtype=float)
+        second = np.array(second, dtype=float)
+        for name, arr in (("first", first), ("second", second)):
+            if arr.ndim != 2 or arr.shape[1] != 2:
+                raise ValueError(f"{name} must be an (n, 2) array, got shape {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must contain only finite values")
+        if len(first) != len(second):
+            raise ValueError(f"{len(first)} first and {len(second)} second vanishing points")
+        masks = []
+        for name, mask in (("first_is_direction", first_is_direction),
+                           ("second_is_direction", second_is_direction)):
+            mask = np.zeros(len(first), bool) if mask is None else np.array(mask, dtype=bool)
+            if mask.shape != (len(first),):
+                raise ValueError(f"{name} must hold one flag per pair, got shape {mask.shape}")
+            masks.append(mask)
+        if _coincident(first, second, *masks).any():
+            raise ValueError("vanishing points of a pair must be distinct")
+        for name, arr in zip(self.__slots__, (first, second, *masks)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PairSet is immutable")
+
+    @classmethod
+    def of(cls, pairs) -> "PairSet":
+        """``pairs`` itself if a PairSet, else the PairSet of its :class:`VPPair` items."""
+        if isinstance(pairs, PairSet):
+            return pairs
+        pairs = list(pairs)
+        return cls(
+            np.reshape([p.first for p in pairs], (-1, 2)),
+            np.reshape([p.second for p in pairs], (-1, 2)),
+            [p.first_is_direction for p in pairs],
+            [p.second_is_direction for p in pairs],
+        )
+
+    @classmethod
+    def valid_rows(cls, first, second, first_is_direction, second_is_direction) -> "PairSet":
+        """The PairSet of the rows that make a valid pair, the others dropped.
+
+        A row is dropped where an entry is not finite, or where its two
+        finite vanishing points coincide.
+        """
+        keep = np.isfinite(first).all(axis=1) & np.isfinite(second).all(axis=1)
+        keep[keep] = ~_coincident(
+            first[keep], second[keep], first_is_direction[keep], second_is_direction[keep]
+        )
+        return cls(first[keep], second[keep], first_is_direction[keep], second_is_direction[keep])
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def __iter__(self):
+        flags = zip(self.first_is_direction.tolist(), self.second_is_direction.tolist())
+        for first, second, (first_dir, second_dir) in zip(self.first, self.second, flags):
+            yield VPPair(first, second, first_is_direction=first_dir, second_is_direction=second_dir)
+
+    @property
+    def finite(self) -> np.ndarray:
+        """Rows whose vanishing points are both positions, not directions."""
+        return ~(self.first_is_direction | self.second_is_direction)
 
 
 @dataclass(frozen=True)
@@ -154,6 +243,11 @@ class CameraCalibration:
 # per-pair and aggregate estimators
 
 
+def _radicands(first, second, principal_point) -> np.ndarray:
+    """``-(u - p) . (v - p)`` of each row: the squared focal length it implies."""
+    return -row_dots(first - principal_point, second - principal_point)
+
+
 def focal_from_pair(pair: VPPair, principal_point, epsilon: float = DEFAULT_FOCAL_EPSILON) -> float:
     """Focal length from one orthogonal pair: ``sqrt(-(u - p) . (v - p))``.
 
@@ -163,7 +257,7 @@ def focal_from_pair(pair: VPPair, principal_point, epsilon: float = DEFAULT_FOCA
     if not pair.finite:
         raise DegenerateInput("pair with a vanishing point at infinity has no focal constraint")
     p = as_float_array(principal_point, "principal_point", (2,))
-    radicand = -float(np.dot(pair.first - p, pair.second - p))
+    radicand = float(_radicands(pair.first[None], pair.second[None], p)[0])
     if radicand <= 0.0:
         raise ImaginaryFocal(f"(u - p) . (v - p) = {-radicand} >= 0")
     if radicand < epsilon * epsilon:
@@ -171,14 +265,11 @@ def focal_from_pair(pair: VPPair, principal_point, epsilon: float = DEFAULT_FOCA
     return float(np.sqrt(radicand))
 
 
-def _usable_focals(pairs, principal_point, min_pairs: int, epsilon: float) -> list[float]:
-    """The per-pair focal lengths of the pairs that give one, at least ``min_pairs``."""
-    focals = []
-    for pair in pairs:
-        try:
-            focals.append(focal_from_pair(pair, principal_point, epsilon))
-        except (ImaginaryFocal, NearZeroFocal, DegenerateInput):
-            pass
+def _usable_focals(pairs: PairSet, principal_point, min_pairs: int, epsilon: float) -> np.ndarray:
+    """The focal lengths of the pairs :func:`focal_from_pair` accepts, at least ``min_pairs``."""
+    finite = pairs.finite
+    radicand = _radicands(pairs.first[finite], pairs.second[finite], principal_point)
+    focals = np.sqrt(radicand[~(radicand <= 0.0) & ~(radicand < epsilon * epsilon)])
     if len(focals) < min_pairs:
         raise InsufficientPairs(
             f"{len(focals)} usable pairs for focal estimation, need {min_pairs}"
@@ -194,25 +285,32 @@ def estimate_focal(
 ) -> float:
     """Median of the surviving per-pair focal lengths.
 
-    An even survivor count averages the two central values. Permutation
-    invariant, and robust to fewer than half the pairs being corrupt.
+    ``pairs`` is a :class:`PairSet` or a list of :class:`VPPair`. An even
+    survivor count averages the two central values. Permutation invariant,
+    and robust to fewer than half the pairs being corrupt.
     """
-    return float(np.median(_usable_focals(pairs, principal_point, min_pairs, epsilon)))
+    p = as_float_array(principal_point, "principal_point", (2,))
+    return float(np.median(_usable_focals(PairSet.of(pairs), p, min_pairs, epsilon)))
 
 
-def _pair_slope(pair: VPPair, slope_epsilon: float) -> float | None:
-    if pair.first_is_direction and pair.second_is_direction:
-        return None  # both at infinity: the pair line is the ideal line
-    if pair.first_is_direction or pair.second_is_direction:
-        d = pair.first if pair.first_is_direction else pair.second
-        n = np.linalg.norm(d)
-        if n == 0 or abs(d[0]) <= 1e-9 * n:
-            return None
-        return float(d[1] / d[0])
-    dx = pair.first[0] - pair.second[0]
-    if abs(dx) <= slope_epsilon:
-        return None
-    return float((pair.first[1] - pair.second[1]) / dx)
+def _pair_slopes(pairs: PairSet, slope_epsilon: float) -> np.ndarray:
+    """Slopes of the pair lines that have one: first those through a direction, then the rest.
+
+    A line through two directions is the ideal line. One through a direction
+    has that direction's slope, unless the direction is (near-)vertical or
+    of zero length. One through two points has none when their x
+    coordinates lie within ``slope_epsilon``.
+    """
+    one = pairs.first_is_direction ^ pairs.second_is_direction
+    d = np.where(pairs.first_is_direction[:, None], pairs.first, pairs.second)[one]
+    n = row_norms(d)
+    d = d[~((n == 0) | (np.abs(d[:, 0]) <= 1e-9 * n))]
+    first, second = pairs.first[pairs.finite], pairs.second[pairs.finite]
+    dx = first[:, 0] - second[:, 0]
+    steep = np.abs(dx) <= slope_epsilon
+    return np.concatenate(
+        [d[:, 1] / d[:, 0], (first[~steep, 1] - second[~steep, 1]) / dx[~steep]]
+    )
 
 
 def estimate_horizon(
@@ -222,19 +320,19 @@ def estimate_horizon(
 ) -> np.ndarray:
     """Horizon line (m, -1, q) via medians of pair slopes and point intercepts.
 
-    Slope: median over the slopes of the lines joining each pair. Intercept:
-    with the slope fixed, every finite vanishing point contributes
+    ``pairs`` is a :class:`PairSet` or a list of :class:`VPPair`. Slope:
+    median over the slopes of the lines joining each pair. Intercept: with
+    the slope fixed, every finite vanishing point contributes
     ``q = y - m * x`` and the median is taken, vanishing points of
     slope-skipped pairs included. Pairs whose line is near-vertical are
     excluded from the slope median; if more than half the pairs are excluded
     the camera roll is pathological and the estimate aborts rather than
     return garbage.
     """
-    pairs = list(pairs)
-    if not pairs:
+    pairs = PairSet.of(pairs)
+    if not len(pairs):
         raise InsufficientPairs("no pairs given")
-    slopes = [_pair_slope(pair, slope_epsilon) for pair in pairs]
-    usable = [s for s in slopes if s is not None]
+    usable = _pair_slopes(pairs, slope_epsilon)
     if len(usable) * 2 < len(pairs):
         raise NearVerticalHorizon(
             f"{len(pairs) - len(usable)} of {len(pairs)} pair lines are near-vertical"
@@ -244,14 +342,10 @@ def estimate_horizon(
             f"{len(usable)} usable pairs for horizon estimation, need {min_pairs}"
         )
     slope = float(np.median(usable))
-
-    intercepts = []
-    for pair in pairs:
-        if not pair.first_is_direction:
-            intercepts.append(pair.first[1] - pair.first[0] * slope)
-        if not pair.second_is_direction:
-            intercepts.append(pair.second[1] - pair.second[0] * slope)
-    intercept = float(np.median(intercepts))
+    points = np.concatenate(
+        [pairs.first[~pairs.first_is_direction], pairs.second[~pairs.second_is_direction]]
+    )
+    intercept = float(np.median(points[:, 1] - points[:, 0] * slope))
     return np.array([slope, -1.0, intercept])
 
 
@@ -308,12 +402,13 @@ def calibrate(
 ) -> CameraCalibration:
     """Full calibration from vanishing-point pairs.
 
-    The principal point is assumed at the image centre unless overridden;
-    with an explicit principal point the image size may be None. Pairs that
-    fail the focal constraint are counted as rejected but still contribute
-    to the horizon.
+    ``pairs`` is a :class:`PairSet` or a list of :class:`VPPair`. The
+    principal point is assumed at the image centre unless overridden; with
+    an explicit principal point the image size may be None. Pairs that fail
+    the focal constraint are counted as rejected but still contribute to the
+    horizon.
     """
-    pairs = list(pairs)
+    pairs = PairSet.of(pairs)
     if principal_point is None:
         if image_size is None:
             raise ValueError("image_size is required when principal_point is not given")
@@ -345,8 +440,8 @@ def calibrate(
 class VanishingPointCalibrator:
     """Scikit-learn style estimator around :func:`calibrate`.
 
-    ``fit`` consumes vanishing-point pairs, either as a list of
-    :class:`VPPair` or as an (n, 4) array of ``(u_x, u_y, v_x, v_y)`` rows;
+    ``fit`` consumes vanishing-point pairs, as a :class:`PairSet`, a list of
+    :class:`VPPair` or an (n, 4) array of ``(u_x, u_y, v_x, v_y)`` rows;
     ``transform`` maps frame-pixel points to 3D road-plane coordinates.
 
     Parameters
@@ -396,17 +491,15 @@ class VanishingPointCalibrator:
         return self
 
     @staticmethod
-    def _as_pairs(X) -> list[VPPair]:
-        if len(X) and isinstance(X[0], VPPair):
-            return list(X)
+    def _as_pairs(X) -> PairSet:
+        if isinstance(X, PairSet) or (len(X) and isinstance(X[0], VPPair)):
+            return PairSet.of(X)
         arr = np.asarray(X, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 4:
             raise ValueError(
-                f"X must be a list of VPPair or an (n, 4) array, got shape {arr.shape}"
+                f"X must be a PairSet, a list of VPPair or an (n, 4) array, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("X must contain only finite values")
-        return [VPPair(row[:2], row[2:]) for row in arr]
+        return PairSet(arr[:, :2], arr[:, 2:])
 
     def fit(self, X, y=None) -> "VanishingPointCalibrator":
         pairs = self._as_pairs(X)

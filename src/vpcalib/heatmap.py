@@ -43,6 +43,7 @@ __all__ = [
     "bbox_denormalize",
     "bbox_normalize_direction",
     "bbox_denormalize_direction",
+    "bbox_arrays",
     "diamond_to_pixel",
     "pixel_to_diamond",
     "encode_vp",
@@ -168,6 +169,13 @@ def bbox_denormalize(points, box: BBox) -> np.ndarray:
     """Inverse of :func:`bbox_normalize`."""
     pts = np.asarray(points, dtype=float)
     return pts * box.half_size + box.center
+
+
+def bbox_arrays(boxes) -> tuple[np.ndarray, np.ndarray]:
+    """``(N, 2)`` centres and half sizes of ``boxes``, bit for bit their
+    :attr:`BBox.center` and :attr:`BBox.half_size`."""
+    corners = np.array([box.as_tuple() for box in boxes], dtype=float).reshape(-1, 4)
+    return (corners[:, :2] + corners[:, 2:]) / 2.0, (corners[:, 2:] - corners[:, :2]) / 2.0
 
 
 def bbox_normalize_direction(direction, box: BBox) -> np.ndarray:
@@ -395,17 +403,6 @@ def quantization_radius(
     return float(np.max(np.arccos(cosines)))
 
 
-def _dot_norms(xy: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of every row of ``xy``, bit for bit.
-
-    For one vector numpy takes the square root of its dot product with
-    itself; a stacked matmul takes the same dot product row by row, which a
-    sum of squares does not reproduce exactly.
-    """
-    xy = np.ascontiguousarray(xy)
-    return np.sqrt(np.matmul(xy[:, None, :], xy[:, :, None])[:, 0, 0])
-
-
 def _vp_by_scale(scales, index, rows, cols, resolution: int) -> np.ndarray:
     """:func:`vp_of_pixel` at ``(rows, cols)`` on the grid ``scales[index]``.
 
@@ -446,7 +443,7 @@ class _CellTables:
         vph = _vp_by_scale(scales, *np.indices(shape).reshape(3, -1), resolution)
         ideal = pj.is_ideal(vph, IDEAL_EPS)
         norm = np.full(len(vph), np.nan)
-        norm[~ideal] = _dot_norms(pj.dehomogenize(vph[~ideal]))
+        norm[~ideal] = pj.row_norms(pj.dehomogenize(vph[~ideal]))
         self.vp = vph.reshape(shape + (3,))
         self.ideal = ideal.reshape(shape)
         self.direction = _directions(vph).reshape(shape + (2,))
@@ -650,12 +647,10 @@ def decode_stack(
             vph[fuse], is_ideal[fuse], others[fuse],
         )
 
-    corners = np.array([boxes[k].as_tuple() for k in records], dtype=float).reshape(-1, 4)
-    box_centre = (corners[:, :2] + corners[:, 2:]) / 2.0
-    half = (corners[:, 2:] - corners[:, :2]) / 2.0
+    box_centre, half = bbox_arrays([boxes[k] for k in records])
     points = np.empty((len(records), 2))
     direction = vph[is_ideal, :2] * half[is_ideal]
-    points[is_ideal] = direction / _dot_norms(direction)[:, None]
+    points[is_ideal] = direction / pj.row_norms(direction)[:, None]
     finite = ~is_ideal
     points[finite] = pj.dehomogenize(vph[finite]) * half[finite] + box_centre[finite]
 

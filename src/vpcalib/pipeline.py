@@ -19,12 +19,13 @@ a structured JSON error object goes to stderr and the exit code is nonzero.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .calibration import CameraCalibration, VPPair, calibrate
+from .calibration import CameraCalibration, PairSet, calibrate
 from ._validation import as_float_array, check_image_size
 from .errors import READ_ERRORS, InputFormatError, reading
 from .evaluation import PAIR_MODES, DistanceMeasurement, evaluate
@@ -33,13 +34,13 @@ from .heatmap import (
     DEFAULT_RESOLUTION,
     DEFAULT_SCALES,
     BBox,
-    bbox_denormalize,
-    bbox_denormalize_direction,
+    bbox_arrays,
     check_scales,
     decode_stack,
     select_vp,  # noqa: F401  (kept importable from here: perfbench/tracing.py wraps it)
 )
 from .heatmap_io import read_heatmap_arrays, read_heatmap_file  # noqa: F401  (likewise)
+from .projective import row_norms
 
 __all__ = [
     "PipelineConfig",
@@ -112,13 +113,15 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class DetectionRecord:
+    """One detected vehicle; each vanishing point is an ``(x, y)`` pair of numbers."""
+
     frame_index: int
     box: BBox
     confidence: float
-    vp_first: np.ndarray | None = None
-    vp_second: np.ndarray | None = None
-    vp_first_direction: np.ndarray | None = None
-    vp_second_direction: np.ndarray | None = None
+    vp_first: tuple[float, float] | None = None
+    vp_second: tuple[float, float] | None = None
+    vp_first_direction: tuple[float, float] | None = None
+    vp_second_direction: tuple[float, float] | None = None
     heatmap_ref: str | None = None
 
     def __post_init__(self):
@@ -148,13 +151,18 @@ def _parse_record(data: dict) -> DetectionRecord:
     )
 
 
-def _opt_vec(value):
+def _opt_vec(value) -> tuple[float, float] | None:
+    # plain floats: an array per vanishing point cost a fifth of the parse
     if value is None:
         return None
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (2,) or not np.all(np.isfinite(arr)):
-        raise ValueError(f"expected a finite [x, y] pair, got {value!r}")
-    return arr
+    if isinstance(value, list) and len(value) == 2:
+        try:
+            x, y = float(value[0]), float(value[1])
+        except TypeError:
+            x = y = math.nan
+        if math.isfinite(x) and math.isfinite(y):
+            return x, y
+    raise ValueError(f"expected a finite [x, y] pair, got {value!r}")
 
 
 def parse_detections(path) -> list[DetectionRecord]:
@@ -254,69 +262,85 @@ def _read_stack(records, config: PipelineConfig, base_dir) -> np.ndarray:
     return stack
 
 
-def _heatmap_pairs(records, config: PipelineConfig, base_dir) -> list[VPPair | None]:
-    if not records:
-        return []
+# A pair set's columns, for some records: (first, second, first_is_direction,
+# second_is_direction), with NaN rows where a record gives no vanishing point.
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _heatmap_pairs(records, config: PipelineConfig, base_dir) -> _Columns:
+    """The pair columns decoded from the records' heatmap files.
+
+    A row is NaN where a channel has only degenerate scales.
+    """
     stack = _read_stack(records, config, base_dir)
     boxes = [rec.box for rec in records]
-    first, second = (decode_stack(maps, config.scales, boxes, config.peak_ratio) for maps in stack)
-    return [
-        None  # every scale of a channel is degenerate
-        if a is None or b is None
-        else _pair(a.point, b.point, a.direction_only, b.direction_only)
-        for a, b in zip(first, second)
-    ]
+    columns = []
+    for maps in stack:
+        detections = decode_stack(maps, config.scales, boxes, config.peak_ratio)
+        columns.append(np.array([(np.nan, np.nan) if d is None else d.point for d in detections]))
+        columns.append(np.array([d is not None and d.direction_only for d in detections]))
+    first, first_is_direction, second, second_is_direction = columns
+    return first, second, first_is_direction, second_is_direction
 
 
-def _pair(first, second, first_is_direction, second_is_direction) -> VPPair | None:
-    try:
-        return VPPair(
-            first=first,
-            second=second,
-            first_is_direction=first_is_direction,
-            second_is_direction=second_is_direction,
-        )
-    except ValueError:
-        return None  # coincident points carry no constraint
+def _inline_ends(points, directions, boxes) -> tuple[np.ndarray, np.ndarray]:
+    """Inline vanishing points in frame pixels, and which are unit directions.
+
+    Row ``k`` is ``points[k]`` denormalised to the box, or, where that is
+    None, ``directions[k]`` scaled to the box and to unit length. A
+    zero-length direction, or a value that overflows, comes out non-finite.
+    """
+    is_direction = np.array([p is None for p in points], dtype=bool)
+    ends = np.array(
+        [d if p is None else p for p, d in zip(points, directions)], dtype=float
+    ).reshape(-1, 2)
+    centre, half = bbox_arrays(boxes)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ends *= half  # bbox_denormalize and bbox_denormalize_direction, row by row
+        ends[~is_direction] += centre[~is_direction]
+        d = ends[is_direction]
+        ends[is_direction] = d / row_norms(d)[:, None]
+    return ends, is_direction
 
 
-def _inline_end(point, direction, box: BBox) -> np.ndarray | None:
-    """A vanishing point in frame pixels, or a unit direction (None if it has no length)."""
-    if point is not None:
-        return bbox_denormalize(point, box)
-    direction = bbox_denormalize_direction(direction, box)
-    norm = np.linalg.norm(direction)
-    return direction / norm if norm > 0 else None
+def _inline_pairs(records) -> _Columns:
+    """The pair columns of records that carry their vanishing points inline."""
+    boxes = [rec.box for rec in records]
+    first, first_is_direction = _inline_ends(
+        [rec.vp_first for rec in records], [rec.vp_first_direction for rec in records], boxes
+    )
+    second, second_is_direction = _inline_ends(
+        [rec.vp_second for rec in records], [rec.vp_second_direction for rec in records], boxes
+    )
+    return first, second, first_is_direction, second_is_direction
 
 
-def _inline_pair(rec: DetectionRecord) -> VPPair | None:
-    first = _inline_end(rec.vp_first, rec.vp_first_direction, rec.box)
-    second = _inline_end(rec.vp_second, rec.vp_second_direction, rec.box)
-    if first is None or second is None:
-        return None  # a zero-length direction points nowhere
-    return _pair(first, second, rec.vp_first is None, rec.vp_second is None)
-
-
-def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> list[VPPair]:
+def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSet:
     """Decode every record into a vanishing-point pair, dropping failures.
 
-    Records go in chunks of ``_CHUNK``: the chunk's heatmap files are read
-    into one stack per channel, each decoded by one
-    :func:`~vpcalib.heatmap.decode_stack` call, and inline records are
-    converted directly. Records whose channel has only degenerate scales,
-    or whose two vanishing points coincide, are dropped. The result keeps
-    the input order; ``config.parallel`` has no effect on it.
+    Inline records are converted in one array pass. Heatmap records go in
+    chunks of ``_CHUNK``: the chunk's files are read into one stack per
+    channel, each decoded by one :func:`~vpcalib.heatmap.decode_stack` call.
+    Records whose channel has only degenerate scales, whose inline values
+    are a zero-length direction or overflow, or whose two vanishing points
+    coincide, are dropped. The result keeps the input order;
+    ``config.parallel`` has no effect on it.
     """
-    pairs = []
-    for start in range(0, len(records), _CHUNK):
-        chunk = records[start : start + _CHUNK]
-        mapped = [rec for rec in chunk if rec.heatmap_ref is not None]
-        decoded = iter(_heatmap_pairs(mapped, config, base_dir))
-        for rec in chunk:
-            pair = next(decoded) if rec.heatmap_ref is not None else _inline_pair(rec)
-            if pair is not None:
-                pairs.append(pair)
-    return pairs
+    n = len(records)
+    columns = (np.empty((n, 2)), np.empty((n, 2)), np.empty(n, bool), np.empty(n, bool))
+
+    def fill(rows, values: _Columns) -> None:
+        for column, part in zip(columns, values):
+            column[rows] = part
+
+    mapped = np.array([rec.heatmap_ref is not None for rec in records], dtype=bool)
+    inline = np.flatnonzero(~mapped)
+    fill(inline, _inline_pairs([records[k] for k in inline]))
+    mapped = np.flatnonzero(mapped)
+    for start in range(0, len(mapped), _CHUNK):
+        rows = mapped[start : start + _CHUNK]
+        fill(rows, _heatmap_pairs([records[k] for k in rows], config, base_dir))
+    return PairSet.valid_rows(*columns)
 
 
 def load_measurements(path) -> list[DistanceMeasurement]:
@@ -392,6 +416,9 @@ def report_table(report: dict) -> str:
 # deterministic JSON with 17 significant digits
 
 
+_FLOAT_TEXT = "{:.17g}".format
+
+
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -402,15 +429,41 @@ def _format_value(value) -> str:
     if isinstance(value, (float, np.floating)):
         if not np.isfinite(value):
             raise ValueError(f"non-finite number in output: {value}")
-        return format(float(value), ".17g")
+        return _FLOAT_TEXT(float(value))
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
         inner = ", ".join(f"{json.dumps(str(k))}: {_format_value(v)}" for k, v in value.items())
         return "{" + inner + "}"
+    if isinstance(value, list) and value and type(value[0]) is list:
+        rows = _format_rows(value)
+        if rows is not None:
+            return rows
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_format_value(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _format_rows(rows: list) -> str | None:
+    """:func:`_format_value` of equal-length lists of plain ints and floats, None for others.
+
+    Formats column by column: an evaluate report holds ~90k ``[i, j, r]`` rows.
+    """
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {len(rows[0])} or not rows[0]:
+        return None
+    texts = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            texts.append(map(str, column))
+        elif kinds == {float}:
+            finite = np.isfinite(column)
+            if not finite.all():
+                raise ValueError(f"non-finite number in output: {column[np.argmin(finite)]}")
+            texts.append(map(_FLOAT_TEXT, column))
+        else:
+            return None  # bools print as true/false, numpy scalars by value, mixed columns
+    return "[" + ", ".join(map("[{}]".format, map(", ".join, zip(*texts)))) + "]"
 
 
 def format_json(value) -> str:

@@ -174,6 +174,13 @@ class SceneSpec:
     camera_height: float = 10.0
 
     def __post_init__(self):
+        numbers = [(name, getattr(self, name)) for name in (
+            "f", "tilt_deg", "roll_deg", "noise_sigma_px", "outlier_fraction", "camera_height")]
+        numbers += [("image_size", value) for value in self.image_size]
+        for name, value in numbers:
+            # float() would take "1200" and True, which generation then trips over
+            if isinstance(value, (str, bool)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         check_image_size(self.image_size)
         for name, low in (("seed", 0), ("n_vehicles", 1), ("n_measurements", 0)):
             value = getattr(self, name)

@@ -4,6 +4,7 @@ import pytest
 from vpcalib.calibration import (
     CameraCalibration,
     CameraIntrinsics,
+    PairSet,
     VPPair,
     calibrate,
     estimate_focal,
@@ -24,6 +25,40 @@ from vpcalib.synthetic import SceneSpec, generate_scene
 
 def pair(u, v, **kw):
     return VPPair(np.asarray(u, float), np.asarray(v, float), **kw)
+
+
+class TestPairSet:
+    def test_rejects_what_vppair_rejects(self):
+        for first, second in [
+            ([[1.0, np.nan]], [[0.0, 0.0]]),
+            ([[1.0, 2.0, 3.0]], [[0.0, 0.0, 0.0]]),
+            ([[1.0, 2.0]], [[1.0, 2.0 + 1e-9]]),
+            ([[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]),
+        ]:
+            with pytest.raises(ValueError):
+                PairSet(first, second)
+        with pytest.raises(ValueError):
+            PairSet([[1.0, 2.0]], [[3.0, 4.0]], first_is_direction=[True, False])
+        # a direction may equal the other member's position
+        assert len(PairSet([[1.0, 2.0]], [[1.0, 2.0]], first_is_direction=[True])) == 1
+
+    def test_iterates_as_the_vppairs_it_holds(self):
+        pairs = [pair([100, 0], [-100, 0]), pair([0.6, 0.8], [5, 7], first_is_direction=True)]
+        columns = PairSet.of(pairs)
+        assert PairSet.of(columns) is columns
+        assert len(columns) == len(list(columns)) == 2
+        for got, want in zip(columns, pairs):
+            np.testing.assert_array_equal(got.first, want.first)
+            np.testing.assert_array_equal(got.second, want.second)
+            assert got.first_is_direction == want.first_is_direction
+            assert got.second_is_direction == want.second_is_direction
+
+    def test_immutable(self):
+        columns = PairSet([[1.0, 2.0]], [[3.0, 4.0]])
+        with pytest.raises(AttributeError):
+            columns.first = np.zeros((1, 2))
+        with pytest.raises(ValueError):
+            columns.first[0, 0] = 3.0
 
 
 class TestFocalFromPair:

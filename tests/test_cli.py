@@ -115,6 +115,21 @@ class TestCalibrate:
         assert err["error"] == "InputFormatError"
         assert not (tmp_path / "cal.json").exists()
 
+    def test_overflowing_inline_vp_dropped_quietly(self, tmp_path, scene_dir, capsys):
+        # finite in box coordinates, infinite once scaled to the 120 px box
+        huge = '{"frame": 0, "box": [900, 500, 1020, 580], "vp_first": [1e308, 0], ' \
+            '"vp_second": [-4, 2]}'
+        good = (scene_dir / "detections.jsonl").read_text().splitlines()[:5]
+        det = tmp_path / "det.jsonl"
+        det.write_text("\n".join([huge] + good) + "\n")
+        out = tmp_path / "cal.json"
+        code = main(["calibrate", "--detections", str(det), "--out", str(out),
+                     "--image-size", "1920", "1080"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        cal = json.loads(out.read_text())
+        assert (cal["n_records"], cal["n_pairs_used"]) == (6, 5)
+
     def test_failure_writes_no_output(self, tmp_path, capsys):
         det = tmp_path / "bad.jsonl"
         # all pairs give imaginary focal lengths: same-side vanishing points
@@ -374,6 +389,18 @@ class TestErrorPaths:
              "obs.json": '{"magic": "DVP1", "resolution": 1e999, "scales": [0.5], "data": []}'},
             "InputFormatError", "obs.json"),
     }
+
+    # numbers given as JSON strings or booleans, which float() would accept
+    BAD_INPUTS.update({
+        f"scene-{field}-{'bool' if 'true' in value or 'false' in value else 'string'}": (
+            "synth", [], {"spec.json": '{"seed": 1, "n_vehicles": 5, "%s": %s}' % (field, value)},
+            "InputFormatError", field)
+        for field, value in [
+            ("f", '"1200"'), ("f", "true"), ("tilt_deg", '"25"'), ("roll_deg", '"2"'),
+            ("noise_sigma_px", '"1"'), ("outlier_fraction", "false"), ("camera_height", '"10"'),
+            ("image_size", '["1920", 1080]'), ("image_size", "[1920, true]"),
+        ]
+    })
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_bad_input(self, tmp_path, scene_dir, capsys, case):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vpcalib.calibration import VanishingPointCalibrator
+from vpcalib.calibration import PairSet, VanishingPointCalibrator
 from vpcalib.synthetic import SceneSpec, generate_scene
 
 
@@ -51,8 +51,10 @@ class TestFit:
 
     def test_fit_accepts_array_input(self, scene):
         spec, pairs, _, truth = scene
-        est = VanishingPointCalibrator(image_size=spec.image_size)
-        est.fit(pairs_as_array(pairs))
+        from_list = VanishingPointCalibrator(image_size=spec.image_size).fit(pairs)
+        for X in (pairs_as_array(pairs), PairSet.of(pairs)):
+            est = VanishingPointCalibrator(image_size=spec.image_size).fit(X)
+            assert est.calibration_.to_dict() == from_list.calibration_.to_dict()
         assert est.focal_ == pytest.approx(truth.intrinsics.f, rel=1e-9)
 
     def test_fit_requires_geometry_hint(self, scene):

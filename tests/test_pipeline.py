@@ -332,5 +332,14 @@ class TestFormatJson:
         np.testing.assert_array_equal(back["values"], values)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            format_json({"x": float("nan")})
+        for bad in ({"x": float("nan")}, {"rows": [[0, 1, 0.5], [1, 0, float("inf")]]}):
+            with pytest.raises(ValueError):
+                format_json(bad)
+
+    def test_rows_print_as_their_values_do(self, rng):
+        # lists of rows go column by column; each value prints as it would alone
+        rows = [[int(i), int(i) + 1, float(r)] for i, r in enumerate(rng.normal(size=50) * 1e5)]
+        for value in (rows, [[1, True], [2, False]], [[1, 2.5], [3, 4]], [[1, 2], [3]],
+                      [[0.5, np.float64(0.25)]], [[], []], [[0, 1], (2, 3)]):
+            expected = "[" + ", ".join(format_json(row)[:-1] for row in value) + "]\n"
+            assert format_json(value) == expected

@@ -10,6 +10,8 @@ from vpcalib.projective import (
     is_ideal,
     line_through,
     projectively_equal,
+    row_dots,
+    row_norms,
     scale_point,
     sgn,
     to_diamond,
@@ -155,3 +157,24 @@ def test_is_ideal_flags_directions():
     # relative threshold: far-but-finite points stay finite, w ~ 0 does not
     assert not is_ideal([1e6, 0.0, 1.0], rel_eps=1e-9)
     assert is_ideal([1e9, 0.0, 1e-3], rel_eps=1e-9)
+
+
+def test_row_dots_give_the_bits_of_np_dot():
+    # The estimators take per-pair dot products and norms row by row; the
+    # calibration file keeps its bytes only while these equal the per-vector
+    # np.dot and np.linalg.norm bit for bit. On a BLAS whose ddot fuses the
+    # multiply and add, a plain sum of products differs on about a quarter
+    # of these rows.
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4000, 2)) * np.exp(rng.uniform(-8, 8, size=(4000, 1)))
+    b = rng.normal(size=(4000, 2)) * np.exp(rng.uniform(-8, 8, size=(4000, 1)))
+    for got, want, what in [
+        (row_dots(a, b), [np.dot(x, y) for x, y in zip(a, b)], "np.dot"),
+        (row_norms(a), [np.linalg.norm(x) for x in a], "np.linalg.norm"),
+    ]:
+        differ = np.flatnonzero(got != np.array(want))
+        assert not len(differ), (
+            f"row_dots/row_norms differ from {what} on {len(differ)} of {len(a)} rows "
+            f"(first: row {differ[0]}): this numpy/BLAS build rounds them differently, "
+            "so calibration files will not be byte-identical to earlier ones"
+        )
