@@ -53,6 +53,11 @@ __all__ = [
 DEFAULT_MIN_PAIRS = 5
 DEFAULT_FOCAL_EPSILON = 1.0  # px; focal lengths below this are noise
 DEFAULT_SLOPE_EPSILON = 1e-6  # px; guard against vertical pair lines
+# px; the largest |coordinate| of a usable vanishing point. A point that far
+# out is a direction in all but name, and within it the products the
+# estimators take (two coordinates, a coordinate and a slope) stay far from
+# float64 overflow.
+MAX_COORDINATE = 1e50
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,8 @@ class PairSet:
     ``first`` and ``second`` are read-only ``(N, 2)`` float arrays, and
     ``first_is_direction`` / ``second_is_direction`` boolean ``(N,)`` masks
     (default all False). The constructor applies :class:`VPPair`'s checks to
-    every row at once. Iterating yields one :class:`VPPair` per row, in order.
+    every row at once. Iterating yields one :class:`VPPair` per row, in order,
+    and indexing the one of a row.
     """
 
     __slots__ = ("first", "second", "first_is_direction", "second_is_direction")
@@ -145,12 +151,14 @@ class PairSet:
 
     @classmethod
     def valid_rows(cls, first, second, first_is_direction, second_is_direction) -> "PairSet":
-        """The PairSet of the rows that make a valid pair, the others dropped.
+        """The PairSet of the rows that make a usable pair, the others dropped.
 
-        A row is dropped where an entry is not finite, or where its two
-        finite vanishing points coincide.
+        A row is dropped where an entry is not finite or exceeds
+        :data:`MAX_COORDINATE` in magnitude, or where its two finite
+        vanishing points coincide.
         """
-        keep = np.isfinite(first).all(axis=1) & np.isfinite(second).all(axis=1)
+        keep = (np.abs(first) <= MAX_COORDINATE).all(axis=1)
+        keep &= (np.abs(second) <= MAX_COORDINATE).all(axis=1)
         keep[keep] = ~_coincident(
             first[keep], second[keep], first_is_direction[keep], second_is_direction[keep]
         )
@@ -158,6 +166,14 @@ class PairSet:
 
     def __len__(self) -> int:
         return len(self.first)
+
+    def __getitem__(self, k: int) -> VPPair:
+        return VPPair(
+            self.first[k],
+            self.second[k],
+            first_is_direction=bool(self.first_is_direction[k]),
+            second_is_direction=bool(self.second_is_direction[k]),
+        )
 
     def __iter__(self):
         flags = zip(self.first_is_direction.tolist(), self.second_is_direction.tolist())

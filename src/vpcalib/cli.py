@@ -8,7 +8,7 @@ Subcommands:
 
 Failures print a machine-readable ``{"error": ..., "message": ...}`` object
 to stderr and exit nonzero; output files are only written on success, each
-whole or not at all.
+whole or not at all, and ``synth``'s three files all or none.
 """
 
 from __future__ import annotations
@@ -27,36 +27,71 @@ from .calibration import CameraCalibration
 from ._validation import as_float_array, check_image_size
 from .errors import OutputError, VPCalibError, reading
 from .evaluation import DistanceMeasurement, measured_distance
-from .heatmap import bbox_normalize, bbox_normalize_direction
+from .heatmap import bbox_arrays
 from .pipeline import (
     PipelineConfig,
     format_json,
+    format_rows,
     report_table,
     run_calibration,
     run_evaluation,
 )
-from .synthetic import AugmentationParams, SceneSpec, augment, generate_observations
+from .projective import row_norms
+from .synthetic import (
+    AugmentationParams,
+    SceneSpec,
+    SyntheticObservations,
+    augment,
+    generate_observations,
+)
 
 
 def _load_config(path) -> PipelineConfig:
     return PipelineConfig.from_file(path) if path else PipelineConfig()
 
 
-def _write(path, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all.
+def _write(texts: dict) -> None:
+    """Write each ``{path: text}`` item whole, and all of them or none.
 
-    The text goes to a temporary file in the target directory, which then
-    replaces ``path``; a failure removes it and raises :class:`OutputError`.
+    Every text first goes to a temporary file beside its target. Only once
+    all are written do they replace their targets, in order; the old file
+    of each target but the last is set aside until the last is in place. A
+    failure removes the temporary files, puts the set-aside files back, and
+    raises :class:`OutputError`.
     """
-    path = Path(path)
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    staged = [(Path(path), text) for path, text in texts.items()]
+    tmp = {path: path.parent / f".{path.name}.{os.getpid()}.tmp" for path, _ in staged}
+    aside = {
+        path: path.parent / f".{path.name}.{os.getpid()}.old"
+        for path, _ in staged[:-1]
+        if os.path.isfile(path) or os.path.islink(path)
+    }
+    moved, placed = [], []
+    target = None
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        for target, text in staged:
+            tmp[target].write_text(text)
+        for target, _ in staged:
+            if target in aside:
+                os.replace(target, aside[target])
+                moved.append(target)
+            os.replace(tmp[target], target)
+            placed.append(target)
     except OSError as exc:
+        for path in placed:
+            if path not in aside:
+                with contextlib.suppress(OSError):
+                    path.unlink()
+        for path in moved:
+            with contextlib.suppress(OSError):
+                os.replace(aside[path], path)
+        for path in tmp.values():
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise OutputError(f"cannot write {target}: {exc}") from exc
+    for path in aside.values():
         with contextlib.suppress(OSError):
-            tmp.unlink()
-        raise OutputError(f"cannot write {path}: {exc}") from exc
+            path.unlink()
 
 
 def _parse_scale_reference(text: str) -> DistanceMeasurement:
@@ -77,43 +112,43 @@ def cmd_calibrate(args) -> int:
     if reference is not None:
         calibration = CameraCalibration.from_dict(result)
         result["delta"] = reference.ground_truth / measured_distance(reference, calibration)
-    _write(args.out, format_json(result))
+    _write({args.out: format_json(result)})
     return 0
 
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
     report = run_evaluation(args.calibration, args.measurements, config)
-    _write(args.out, format_json(report))
+    _write({args.out: format_json(report)})
     print(report_table(report))
     return 0
+
+
+def _detections_text(observations: SyntheticObservations) -> str:
+    """A scene's detections file: one record per vehicle, frame 10 k for vehicle k.
+
+    Vanishing points are in box coordinates, directions scaled to unit
+    length; the records are printed by column with :func:`format_rows`.
+    """
+    n = len(observations)
+    pairs = observations.pairs
+    centre, half = bbox_arrays(observations.boxes)
+    columns = [10 * np.arange(n), *observations.boxes.T, 1.0 - 1e-4 * np.arange(n)]
+    for name, end, is_direction in (("vp_first", pairs.first, pairs.first_is_direction),
+                                    ("vp_second", pairs.second, pairs.second_is_direction)):
+        value = (end - centre) / half  # bbox_normalize, row by row
+        d = end[is_direction] / half[is_direction]  # bbox_normalize_direction
+        value[is_direction] = d / row_norms(d)[:, None]
+        columns += [np.where(is_direction, name + "_direction", name), *value.T]
+    template = '{{"frame": {}, "box": [{}, {}, {}, {}], "confidence": {}, ' \
+        '"{}": [{}, {}], "{}": [{}, {}]}}'
+    return format_rows(template, columns, "\n") + "\n"
 
 
 def cmd_synth(args) -> int:
     with reading(f"scene spec {args.spec}"):
         spec = SceneSpec.from_json(Path(args.spec).read_text())
     observations, measurements, truth = generate_observations(spec, parallel=args.parallel)
-
-    lines = []
-    for k, obs in enumerate(observations):
-        record = {
-            "frame": obs.frame_index * 10,
-            "box": list(obs.box.as_tuple()),
-            "confidence": 1.0 - 1e-4 * k,
-        }
-        pair = obs.pair
-        if pair.first_is_direction:
-            d = bbox_normalize_direction(pair.first, obs.box)
-            record["vp_first_direction"] = (d / np.linalg.norm(d)).tolist()
-        else:
-            record["vp_first"] = bbox_normalize(pair.first, obs.box).tolist()
-        if pair.second_is_direction:
-            d = bbox_normalize_direction(pair.second, obs.box)
-            record["vp_second_direction"] = (d / np.linalg.norm(d)).tolist()
-        else:
-            record["vp_second"] = bbox_normalize(pair.second, obs.box).tolist()
-        lines.append(format_json(record).rstrip("\n"))
-
     measurement_items = [
         {"a": m.a.tolist(), "b": m.b.tolist(), "distance": m.ground_truth}
         for m in measurements
@@ -126,9 +161,11 @@ def cmd_synth(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OutputError(f"cannot create {out_dir}: {exc}") from exc
-    _write(out_dir / "detections.jsonl", "\n".join(lines) + "\n")
-    _write(out_dir / "measurements.json", format_json(measurement_items))
-    _write(out_dir / "ground_truth.json", format_json(truth_out))
+    _write({
+        out_dir / "detections.jsonl": _detections_text(observations),
+        out_dir / "measurements.json": format_json(measurement_items),
+        out_dir / "ground_truth.json": format_json(truth_out),
+    })
     return 0
 
 
@@ -149,7 +186,7 @@ def cmd_augment(args) -> int:
         "bbox": list(box.as_tuple()),
         "flipped": flipped,
     }
-    _write(args.out, format_json(result))
+    _write({args.out: format_json(result)})
     return 0
 
 

@@ -50,15 +50,26 @@ class DistanceMeasurement:
             raise ValueError(f"ground truth distance must be positive, got {self.ground_truth}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationReport:
-    """Per-pair ratio errors and their mean (as a fraction, not percent)."""
+    """Per-pair ratio errors and their mean (as a fraction, not percent).
 
-    per_pair_errors: tuple
+    Pair ``k`` compares measurements ``pair_i[k]`` and ``pair_j[k]`` (indices
+    among the projectable ones) with ratio error ``errors[k]``.
+    """
+
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    errors: np.ndarray
     mean_error: float
     n_measurements: int
     n_skipped: int
     pair_mode: str = "ordered"
+
+    @property
+    def per_pair_errors(self) -> tuple:
+        """The pairs as ``(i, j, error)`` tuples of Python numbers."""
+        return tuple(zip(self.pair_i.tolist(), self.pair_j.tolist(), self.errors.tolist()))
 
 
 def measured_distance(measurement: DistanceMeasurement, calibration: CameraCalibration) -> float:
@@ -123,7 +134,9 @@ def evaluate(
         errors = np.minimum(errors, ratio_error(j, i, measured, truth))
     mean = float(np.mean(errors))
     return CalibrationReport(
-        per_pair_errors=tuple(zip(i.tolist(), j.tolist(), errors.tolist())),
+        pair_i=i,
+        pair_j=j,
+        errors=errors,
         mean_error=mean,
         n_measurements=len(measured),
         n_skipped=n_skipped,

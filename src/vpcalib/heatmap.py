@@ -173,8 +173,14 @@ def bbox_denormalize(points, box: BBox) -> np.ndarray:
 
 def bbox_arrays(boxes) -> tuple[np.ndarray, np.ndarray]:
     """``(N, 2)`` centres and half sizes of ``boxes``, bit for bit their
-    :attr:`BBox.center` and :attr:`BBox.half_size`."""
-    corners = np.array([box.as_tuple() for box in boxes], dtype=float).reshape(-1, 4)
+    :attr:`BBox.center` and :attr:`BBox.half_size`.
+
+    ``boxes`` is a sequence of :class:`BBox` or an ``(N, 4)`` array of their
+    :meth:`BBox.as_tuple` rows.
+    """
+    if not isinstance(boxes, np.ndarray):
+        boxes = [box.as_tuple() for box in boxes]
+    corners = np.asarray(boxes, dtype=float).reshape(-1, 4)
     return (corners[:, :2] + corners[:, 2:]) / 2.0, (corners[:, 2:] - corners[:, :2]) / 2.0
 
 

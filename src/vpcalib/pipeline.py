@@ -52,6 +52,8 @@ __all__ = [
     "run_evaluation",
     "load_measurements",
     "format_json",
+    "format_rows",
+    "Rows",
 ]
 
 
@@ -322,9 +324,10 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
     chunks of ``_CHUNK``: the chunk's files are read into one stack per
     channel, each decoded by one :func:`~vpcalib.heatmap.decode_stack` call.
     Records whose channel has only degenerate scales, whose inline values
-    are a zero-length direction or overflow, or whose two vanishing points
-    coincide, are dropped. The result keeps the input order;
-    ``config.parallel`` has no effect on it.
+    are a zero-length direction, overflow or exceed
+    :data:`~vpcalib.calibration.MAX_COORDINATE` in frame pixels, or whose
+    two vanishing points coincide, are dropped. The result keeps the input
+    order; ``config.parallel`` has no effect on it.
     """
     n = len(records)
     columns = (np.empty((n, 2)), np.empty((n, 2)), np.empty(n, bool), np.empty(n, bool))
@@ -397,7 +400,7 @@ def run_evaluation(calibration_path, measurements_path, config: PipelineConfig) 
         "n_measurements": report.n_measurements,
         "n_skipped": report.n_skipped,
         "pair_mode": report.pair_mode,
-        "per_pair_errors": [[i, j, r] for i, j, r in report.per_pair_errors],
+        "per_pair_errors": Rows((report.pair_i, report.pair_j, report.errors)),
     }
 
 
@@ -419,6 +422,23 @@ def report_table(report: dict) -> str:
 _FLOAT_TEXT = "{:.17g}".format
 
 
+@dataclass(frozen=True)
+class Rows:
+    """Equal-length number columns that :func:`format_json` prints as a list of rows.
+
+    An evaluate report's ``[[i, j, r], ...]`` held as its three columns, so
+    no list is built per row. Iterating yields the rows as lists.
+    """
+
+    columns: tuple
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return map(list, zip(*(np.asarray(c).tolist() for c in self.columns)))
+
+
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -435,35 +455,72 @@ def _format_value(value) -> str:
     if isinstance(value, dict):
         inner = ", ".join(f"{json.dumps(str(k))}: {_format_value(v)}" for k, v in value.items())
         return "{" + inner + "}"
+    if isinstance(value, Rows):
+        rows = _format_rows(value.columns)
+        if rows is None:
+            raise TypeError("Rows columns must hold ints or floats")
+        return rows
     if isinstance(value, list) and value and type(value[0]) is list:
-        rows = _format_rows(value)
-        if rows is not None:
-            return rows
+        # equal-length lists of plain ints and floats print column by column
+        if set(map(type, value)) == {list} and set(map(len, value)) == {len(value[0])} and value[0]:
+            rows = _format_rows(list(zip(*value)))
+            if rows is not None:
+                return rows
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_format_value(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _format_rows(rows: list) -> str | None:
-    """:func:`_format_value` of equal-length lists of plain ints and floats, None for others.
+def _format_rows(columns) -> str | None:
+    """The JSON list of the rows of ``columns``, None as :func:`format_rows` gives it."""
+    rows = format_rows("[" + ", ".join(["{}"] * len(columns)) + "]", columns, ", ")
+    return None if rows is None else "[" + rows + "]"
 
-    Formats column by column: an evaluate report holds ~90k ``[i, j, r]`` rows.
+
+# How each kind of column prints: ints as str() does, floats as _FLOAT_TEXT
+# does, and text as it is
+_CODE = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
+_KIND = {int: "i", float: "f"}
+
+
+def _column_kind(column) -> str | None:
+    """The kind of a column as ``_CODE`` knows it, or None.
+
+    None unless the column is an int, float or str array, or a sequence of
+    plain ints or of plain floats: bools print as true/false, numpy scalars
+    by value, a Python str quoted. A non-finite float raises ``ValueError``.
     """
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {len(rows[0])} or not rows[0]:
-        return None
-    texts = []
-    for column in zip(*rows):
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+    else:
         kinds = set(map(type, column))
-        if kinds == {int}:
-            texts.append(map(str, column))
-        elif kinds == {float}:
-            finite = np.isfinite(column)
-            if not finite.all():
-                raise ValueError(f"non-finite number in output: {column[np.argmin(finite)]}")
-            texts.append(map(_FLOAT_TEXT, column))
-        else:
-            return None  # bools print as true/false, numpy scalars by value, mixed columns
-    return "[" + ", ".join(map("[{}]".format, map(", ".join, zip(*texts)))) + "]"
+        kind = _KIND.get(kinds.pop()) if len(kinds) == 1 else None
+    if kind == "f":
+        finite = np.isfinite(column)
+        if not finite.all():
+            raise ValueError(f"non-finite number in output: {column[np.argmin(finite)]}")
+    return kind if kind in _CODE else None
+
+
+def format_rows(template: str, columns, sep: str) -> str | None:
+    """``template`` filled in with each row of equal-length columns, joined by ``sep``.
+
+    ``template`` has a ``{}`` per column. Numbers print as
+    :func:`format_json` prints them, and a str array's entries as they are,
+    unquoted. A detections file holds ~10k records and an evaluate report
+    ~90k ``[i, j, r]`` rows, so the whole text is one %-format call. A column
+    is an int, float or str array, or a sequence of plain ints or of plain
+    floats; if one is anything else, the result is None.
+    """
+    kinds = [_column_kind(column) for column in columns]
+    if None in kinds:
+        return None
+    n, width = len(columns[0]), len(columns)
+    values = [None] * (n * width)
+    for k, column in enumerate(columns):
+        values[k::width] = column.tolist() if isinstance(column, np.ndarray) else column
+    row = template.replace("%", "%%").format(*(_CODE[kind] for kind in kinds))
+    return sep.join([row] * n) % tuple(values)
 
 
 def format_json(value) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -45,6 +46,34 @@ class TestSynth:
         ) == 0
         for name in ("detections.jsonl", "measurements.json", "ground_truth.json"):
             assert (par / name).read_bytes() == (scene_dir / name).read_bytes()
+
+    # SHA-256 of the three files as the per-vehicle generator wrote them: any
+    # drift in the synthetic scene's bytes fails here
+    GOLDEN = {
+        "noisy-with-outliers": (
+            {"seed": 7, "n_vehicles": 300, "noise_sigma_px": 1.5, "outlier_fraction": 0.2,
+             "n_measurements": 12},
+            {"detections.jsonl": "2470aca2fec714930fc4f5f32e6e888c6e80957eab61418dc779390dbaf11bc0",
+             "measurements.json": "07511ec9ee75074cc7ba0a82317bcad36cf0d39a8088a7339222480acdee809f",
+             "ground_truth.json": "e5635c03d2d4fac381ce0a90a3a1095a333fc58c700e977b3dc9fed758213d8e"},
+        ),
+        # 74 of the 200 vehicles' first pixels see no road within range
+        "low-tilt-rejections": (
+            {"seed": 11, "n_vehicles": 200, "tilt_deg": 4.0, "roll_deg": -6.0, "n_measurements": 8},
+            {"detections.jsonl": "cb8695b03bb30c28f6a52c0a267f9029fa796809b9911f45b8d455d662ddde05",
+             "measurements.json": "ab96502f93066a06309b2555b442bc6b148b45916be07755bcd4b311eadf8278",
+             "ground_truth.json": "1f1bb849ef0616907db48d7e1875ce3d2c9d0beda038f0d2ae9221670f9e55bd"},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_bytes(self, tmp_path, name):
+        spec, digests = self.GOLDEN[name]
+        spec_path = tmp_path / "scene.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["synth", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 0
+        for file, digest in digests.items():
+            assert hashlib.sha256((tmp_path / "out" / file).read_bytes()).hexdigest() == digest, file
 
 
 class TestCalibrate:
@@ -115,13 +144,11 @@ class TestCalibrate:
         assert err["error"] == "InputFormatError"
         assert not (tmp_path / "cal.json").exists()
 
-    def test_overflowing_inline_vp_dropped_quietly(self, tmp_path, scene_dir, capsys):
-        # finite in box coordinates, infinite once scaled to the 120 px box
-        huge = '{"frame": 0, "box": [900, 500, 1020, 580], "vp_first": [1e308, 0], ' \
-            '"vp_second": [-4, 2]}'
+    @staticmethod
+    def _used_with_five_good_records(tmp_path, scene_dir, capsys, record):
         good = (scene_dir / "detections.jsonl").read_text().splitlines()[:5]
         det = tmp_path / "det.jsonl"
-        det.write_text("\n".join([huge] + good) + "\n")
+        det.write_text("\n".join([record] + good) + "\n")
         out = tmp_path / "cal.json"
         code = main(["calibrate", "--detections", str(det), "--out", str(out),
                      "--image-size", "1920", "1080"])
@@ -129,6 +156,18 @@ class TestCalibrate:
         assert capsys.readouterr().err == ""
         cal = json.loads(out.read_text())
         assert (cal["n_records"], cal["n_pairs_used"]) == (6, 5)
+
+    def test_overflowing_inline_vp_dropped_quietly(self, tmp_path, scene_dir, capsys):
+        # finite in box coordinates, infinite once scaled to the 120 px box
+        huge = '{"frame": 0, "box": [900, 500, 1020, 580], "vp_first": [1e308, 0], ' \
+            '"vp_second": [-4, 2]}'
+        self._used_with_five_good_records(tmp_path, scene_dir, capsys, huge)
+
+    def test_vp_beyond_max_coordinate_dropped_quietly(self, tmp_path, scene_dir, capsys):
+        # finite in frame pixels too, but the estimators' products would overflow
+        huge = '{"frame": 0, "box": [0, 0, 2, 2], "vp_first": [1.7e308, 0], ' \
+            '"vp_second": [-1.7e308, 0]}'
+        self._used_with_five_good_records(tmp_path, scene_dir, capsys, huge)
 
     def test_failure_writes_no_output(self, tmp_path, capsys):
         det = tmp_path / "bad.jsonl"
@@ -444,6 +483,22 @@ class TestErrorPaths:
         out_dir = tmp_path / target
         argv = ["synth", "--spec", tmp_path / "scene.json", "--out-dir", out_dir]
         assert str(out_dir) in self._fails(argv, capsys, "OutputError", tmp_path)
+
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_synth_writes_all_files_or_none(self, tmp_path, scene_dir, capsys, existing):
+        # the last of the three targets cannot be replaced: neither may the other two be
+        out_dir = scene_dir if existing else tmp_path / "fresh"
+        (out_dir / "ground_truth.json").unlink(missing_ok=True)
+        (out_dir / "ground_truth.json").mkdir(parents=True)
+        names = ("detections.jsonl", "measurements.json")
+        for name in names if existing else ():
+            (out_dir / name).write_text(f"an older {name}\n")
+        before = {name: (out_dir / name).read_bytes() for name in names if existing}
+        argv = ["synth", "--spec", tmp_path / "scene.json", "--out-dir", out_dir]
+        assert "ground_truth.json" in self._fails(argv, capsys, "OutputError", tmp_path)
+        assert {name: (out_dir / name).read_bytes() for name in names if existing} == before
+        assert all((out_dir / name).exists() == existing for name in names)
 
 
 class TestAugmentCommand:

@@ -12,7 +12,9 @@ from vpcalib.pipeline import (
     PipelineConfig,
     detections_to_pairs,
     filter_detections,
+    Rows,
     format_json,
+    format_rows,
     parse_detections,
     run_calibration,
 )
@@ -343,3 +345,20 @@ class TestFormatJson:
                       [[0.5, np.float64(0.25)]], [[], []], [[0, 1], (2, 3)]):
             expected = "[" + ", ".join(format_json(row)[:-1] for row in value) + "]\n"
             assert format_json(value) == expected
+
+    def test_row_columns_print_as_the_rows_do(self, rng):
+        # Rows and format_rows print arrays through %-codes: the same text as
+        # format_json gives each value, from subnormals to near the float limit
+        n = 2000
+        i, j = rng.integers(0, 10**6, n), rng.integers(-5, 5, n).astype(np.uint8)
+        r = rng.normal(size=n) * 10.0 ** rng.integers(-320, 300, n)
+        r[:4] = [0.0, -0.0, 5e-324, -1.7976931348623157e308]
+        rows = [[a, b, c] for a, b, c in zip(i.tolist(), j.tolist(), r.tolist())]
+        assert format_json({"rows": Rows((i, j, r))}) == format_json({"rows": rows})
+        assert list(Rows((i, j, r))) == rows
+        names = np.where(r > 0, "up", "down")
+        assert format_rows('"{}": {}', (names, r), "\n") == "\n".join(
+            f'"{name}": {format_json(float(x))[:-1]}' for name, x in zip(names, r))
+        with pytest.raises(ValueError):
+            format_json(Rows((i, np.where(r > 0, r, np.inf))))
+        assert format_rows("{}", ([True, False],), ",") is None
