@@ -56,8 +56,17 @@ DEFAULT_SLOPE_EPSILON = 1e-6  # px; guard against vertical pair lines
 # px; the largest |coordinate| of a usable vanishing point. A point that far
 # out is a direction in all but name, and within it the products the
 # estimators take (two coordinates, a coordinate and a slope) stay far from
-# float64 overflow.
+# float64 overflow. VPPair and PairSet reject a coordinate beyond it, as they
+# reject a non-finite one; PairSet.valid_rows drops its row.
 MAX_COORDINATE = 1e50
+
+
+def _check_coordinates(arr: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` unless every entry of ``arr`` lies within :data:`MAX_COORDINATE`."""
+    if not (np.abs(arr) <= MAX_COORDINATE).all():
+        raise ValueError(
+            f"{name} must contain only finite values of magnitude <= {MAX_COORDINATE:g} px"
+        )
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,8 @@ class VPPair:
     def __post_init__(self):
         object.__setattr__(self, "first", as_float_array(self.first, "first", (2,)))
         object.__setattr__(self, "second", as_float_array(self.second, "second", (2,)))
+        _check_coordinates(self.first, "first")
+        _check_coordinates(self.second, "second")
         if self.weight < 0:
             raise ValueError(f"weight must be >= 0, got {self.weight}")
         if (
@@ -116,8 +127,7 @@ class PairSet:
         for name, arr in (("first", first), ("second", second)):
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise ValueError(f"{name} must be an (n, 2) array, got shape {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must contain only finite values")
+            _check_coordinates(arr, name)
         if len(first) != len(second):
             raise ValueError(f"{len(first)} first and {len(second)} second vanishing points")
         masks = []

@@ -427,16 +427,10 @@ class Rows:
     """Equal-length number columns that :func:`format_json` prints as a list of rows.
 
     An evaluate report's ``[[i, j, r], ...]`` held as its three columns, so
-    no list is built per row. Iterating yields the rows as lists.
+    no list is built per row.
     """
 
     columns: tuple
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __iter__(self):
-        return map(list, zip(*(np.asarray(c).tolist() for c in self.columns)))
 
 
 def _format_value(value) -> str:
@@ -456,25 +450,14 @@ def _format_value(value) -> str:
         inner = ", ".join(f"{json.dumps(str(k))}: {_format_value(v)}" for k, v in value.items())
         return "{" + inner + "}"
     if isinstance(value, Rows):
-        rows = _format_rows(value.columns)
+        template = "[" + ", ".join(["{}"] * len(value.columns)) + "]"
+        rows = format_rows(template, value.columns, ", ")
         if rows is None:
             raise TypeError("Rows columns must hold ints or floats")
-        return rows
-    if isinstance(value, list) and value and type(value[0]) is list:
-        # equal-length lists of plain ints and floats print column by column
-        if set(map(type, value)) == {list} and set(map(len, value)) == {len(value[0])} and value[0]:
-            rows = _format_rows(list(zip(*value)))
-            if rows is not None:
-                return rows
+        return "[" + rows + "]"
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_format_value(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _format_rows(columns) -> str | None:
-    """The JSON list of the rows of ``columns``, None as :func:`format_rows` gives it."""
-    rows = format_rows("[" + ", ".join(["{}"] * len(columns)) + "]", columns, ", ")
-    return None if rows is None else "[" + rows + "]"
 
 
 # How each kind of column prints: ints as str() does, floats as _FLOAT_TEXT

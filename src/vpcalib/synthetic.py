@@ -27,7 +27,7 @@ import numpy as np
 
 from ._validation import as_float_array, check_image_size, check_positive
 from .calibration import CameraCalibration, CameraIntrinsics, PairSet, VPPair
-from .errors import DegenerateHomography, InsufficientMeasurements
+from .errors import DegenerateHomography, InputFormatError, InsufficientMeasurements
 from .evaluation import DistanceMeasurement
 from .heatmap import BBox
 from .projective import row_norms
@@ -511,13 +511,18 @@ def generate_observations(
         noise = spec.noise_sigma_px * np.reshape(normal, (-1, 4))
         first[rows] += noise[:, :2]
         second[rows] += noise[:, 2:]
+    try:
+        # a huge f, image_size or noise_sigma_px puts them past MAX_COORDINATE
+        pairs = PairSet(first, second, first_is_direction, second_is_direction)
+    except ValueError as exc:
+        raise InputFormatError(f"scene spec gives unusable vanishing points: {exc}") from exc
 
     observations = SyntheticObservations(
         position=position,
         heading=heading,
         dims=dims,
         boxes=_image_boxes(camera, position, heading, dims),
-        pairs=PairSet(first, second, first_is_direction, second_is_direction),
+        pairs=pairs,
         is_outlier=is_outlier,
     )
     return observations, _measurements(spec, camera), ground_truth_calibration(camera)

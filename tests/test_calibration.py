@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from vpcalib.calibration import (
+    MAX_COORDINATE,
     CameraCalibration,
     CameraIntrinsics,
     PairSet,
@@ -41,6 +44,20 @@ class TestPairSet:
             PairSet([[1.0, 2.0]], [[3.0, 4.0]], first_is_direction=[True, False])
         # a direction may equal the other member's position
         assert len(PairSet([[1.0, 2.0]], [[1.0, 2.0]], first_is_direction=[True])) == 1
+
+    def test_rejects_coordinates_beyond_the_bound(self):
+        # the focal radicand of this pair would overflow to -inf
+        first, second = [1.7e308, 0.0], [-1.7e308, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (lambda: VPPair(first, second), lambda: PairSet([first], [second]),
+                          lambda: PairSet([[MAX_COORDINATE * 1.5, 0.0]], [[0.0, 0.0]]),
+                          lambda: PairSet([[0.0, 0.0]], [[0.0, -np.inf]])):
+                with pytest.raises(ValueError, match="finite values of magnitude"):
+                    build()
+            # within the bound, the pair still counts
+            edge = PairSet([[MAX_COORDINATE, 0.0]], [[-MAX_COORDINATE, 0.0]])
+            assert estimate_focal(edge, [0.0, 0.0], min_pairs=1) == MAX_COORDINATE
 
     def test_iterates_as_the_vppairs_it_holds(self):
         pairs = [pair([100, 0], [-100, 0]), pair([0.6, 0.8], [5, 7], first_is_direction=True)]

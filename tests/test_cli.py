@@ -484,6 +484,16 @@ class TestErrorPaths:
         argv = ["synth", "--spec", tmp_path / "scene.json", "--out-dir", out_dir]
         assert str(out_dir) in self._fails(argv, capsys, "OutputError", tmp_path)
 
+    @pytest.mark.parametrize("spec", [
+        '{"f": 1e308}', '{"noise_sigma_px": 1e300}',
+        '{"image_size": [1e308, 1e308], "outlier_fraction": 0.5}',
+    ])
+    def test_synth_spec_beyond_max_coordinate(self, tmp_path, capsys, spec):
+        # vanishing points past calibration.MAX_COORDINATE: an input error, not a traceback
+        path = tmp_path / "scene.json"
+        path.write_text(spec[:-1] + ', "seed": 1, "n_vehicles": 5}')
+        argv = ["synth", "--spec", path, "--out-dir", tmp_path / "out"]
+        assert "magnitude <= 1e+50 px" in self._fails(argv, capsys, "InputFormatError", tmp_path)
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_synth_writes_all_files_or_none(self, tmp_path, scene_dir, capsys, existing):
