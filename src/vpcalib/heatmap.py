@@ -9,8 +9,12 @@ spread of near-maximum cells, and places the point where that scale's peak
 cell overlaps the near-maximum cells of all the other scales.
 :func:`decode_stack` does this for a stack of many records' grids with
 array operations, taking what it needs to know about a grid cell from
-per-grid tables: the cells' points are tabled whole the first time a grid
-is used, their quantization radius the first time a decode needs it.
+per-grid tables that persist for the process: the cells' points are tabled
+whole the first time a grid is used, their quantization radius the first
+time a decode needs it. Where the sub-pixel samples of a chosen peak cell
+land at every scale goes into a table that lives for one run instead
+(:class:`_SampleCells`, 1.8 KB per distinct cell at four 64 x 64 scales):
+its owner passes it to every decode of the run and drops it afterwards.
 
 Grid convention: ``values[row, col]`` with the rotated coordinates
 ``u = X + Y`` (column axis) and ``v = Y - X`` (row axis), each spanning
@@ -274,10 +278,23 @@ def encode_vp(
     standard deviations and values below 1e-4 are zeroed, which keeps targets
     sparse without moving the argmax.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    i0, j0 = _nearest_cells(_as_vp_homogeneous(vp), [scale], resolution)[0]
+    _check_sigma(sigma)
+    ((i0, j0),) = _nearest_cells(_as_vp_homogeneous(vp), [scale], resolution)
+    return Heatmap(_rasterize(i0, j0, resolution, sigma), scale)
 
+
+def _check_sigma(sigma: float) -> None:
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+
+
+def _check_peak_ratio(peak_ratio: float) -> None:
+    if not (0.0 < peak_ratio <= 1.0):
+        raise ValueError(f"peak_ratio must be in (0, 1], got {peak_ratio}")
+
+
+def _rasterize(i0: int, j0: int, resolution: int, sigma: float) -> np.ndarray:
+    """The grid of :func:`encode_vp` with its peak at cell ``(i0, j0)``."""
     values = np.zeros((resolution, resolution))
     reach = int(np.ceil(3.0 * sigma))
     lo_i, hi_i = max(0, i0 - reach), min(resolution, i0 + reach + 1)
@@ -289,7 +306,7 @@ def encode_vp(
     patch = np.exp(-(di2[:, None] + dj2[None, :]) / (2.0 * sigma * sigma))
     patch[patch < 1e-4] = 0.0
     values[lo_i:hi_i, lo_j:hi_j] = patch
-    return Heatmap(values, scale)
+    return values
 
 
 def decode_heatmap(
@@ -303,8 +320,7 @@ def decode_heatmap(
     ``peak_ratio`` times the maximum; the argmax tie-break is the first cell
     in row-major order and is always a member of ``candidates``.
     """
-    if not (0.0 < peak_ratio <= 1.0):
-        raise ValueError(f"peak_ratio must be in (0, 1], got {peak_ratio}")
+    _check_peak_ratio(peak_ratio)
     values = np.maximum(heatmap.values, 0.0)
     top = values.max()
     if top <= 0.0:
@@ -542,7 +558,57 @@ def _spreads(tables: _CellTables, near, usable, row, col, ideal, norm) -> np.nda
     return spread
 
 
-def _fuse(tables: _CellTables, near, records, chosen, row, col, centre, ideal, others):
+class _SampleCells:
+    """Where the sub-pixel samples of chosen peak cells land at every scale.
+
+    One entry per distinct chosen cell ``(scale index, row, col)`` that a
+    decode has met. For each of the cell's :data:`_SUBPIXEL` samples it
+    holds, at every scale, the flat index ``row * R + col`` of the cell
+    where :func:`_nearest_cells` puts the sample. The indices take the
+    narrowest unsigned dtype that holds ``R * R - 1``: uint16 at 64 x 64,
+    1.8 KB per cell at four scales. The values depend on the grid alone, but
+    a table lives for one run: whoever runs the decodes creates it and
+    passes it to each of them, so nothing is left resident afterwards. A
+    decode on another grid starts the table afresh.
+    """
+
+    def __init__(self):
+        self._grid = None
+
+    def lookup(self, scales, resolution, chosen, row, col) -> np.ndarray:
+        """``(M, S, samples)`` flat cell indices of the chosen cells, filling
+        the missing ones in one pass."""
+        if self._grid != (scales, resolution):
+            self._grid = (scales, resolution)
+            self._slot = {}
+            dtype = np.min_scalar_type(resolution * resolution - 1)
+            self._cells = np.empty((0, len(scales), len(_SUBPIXEL)), dtype=dtype)
+        key = ((chosen * resolution + row) * resolution + col).tolist()
+        missing = sorted(set(key).difference(self._slot))
+        if missing:
+            self._fill(missing)
+        return self._cells[[self._slot[k] for k in key]]
+
+    def _fill(self, key: list[int]) -> None:
+        scales, resolution = self._grid
+        size = len(self._slot)
+        if size + len(key) > len(self._cells):
+            grown = np.empty((max(2 * size, size + len(key)),) + self._cells.shape[1:],
+                             dtype=self._cells.dtype)
+            grown[:size] = self._cells[:size]
+            self._cells = grown
+        chosen, row, col = np.unravel_index(key, (len(scales), resolution, resolution))
+        rc = np.stack([row, col], axis=-1)[:, None, :] + _SUBPIXEL
+        samples = _vp_by_scale(scales, chosen, rc[..., 0], rc[..., 1], resolution)
+        cells = _nearest_cells(samples, scales, resolution)
+        self._cells[size : size + len(key)] = np.moveaxis(
+            cells[..., 0] * resolution + cells[..., 1], 0, 1
+        )
+        self._slot.update(zip(key, range(size, size + len(key))))
+
+
+def _fuse(tables: _CellTables, sample_cells: _SampleCells, near, records, chosen, row, col,
+          centre, ideal, others):
     """Homogeneous box-coordinate VPs where the other scales' cells meet the chosen ones.
 
     One row per decoded record: ``records`` indexes ``near``, ``chosen`` is
@@ -550,31 +616,40 @@ def _fuse(tables: _CellTables, near, records, chosen, row, col, centre, ideal, o
     that cell and ``others`` marks the other non-empty scales. Each chosen
     cell is sampled on a sub-pixel grid; a sample is kept when, at every
     other scale, it falls into a near-maximum cell (by the rounding of
-    :func:`encode_vp`). The result is the point at the mean position of the
-    kept samples, or ``centre`` when no sample is kept or when that point is
-    farther from some kept sample than ``centre`` is. The mean never reaches
-    the grid diagonal, where points lie at infinity, unless the chosen cell
-    is on it.
+    :func:`encode_vp`). Where each sample falls comes from ``sample_cells``,
+    so a run maps the samples of each distinct chosen cell once; the points
+    and directions of the samples are computed for the kept ones only. The
+    result is the point at the mean position of the kept samples, or
+    ``centre`` when no sample is kept or when that point is farther from
+    some kept sample than ``centre`` is. The mean never reaches the grid
+    diagonal, where points lie at infinity, unless the chosen cell is on it.
     """
-    resolution = tables.resolution
-    rc = np.stack([row, col], axis=-1)[:, None, :] + _SUBPIXEL
-    samples = _vp_by_scale(tables.scales, chosen, rc[..., 0], rc[..., 1], resolution)
-    cells = _nearest_cells(samples, tables.scales, resolution)
-    scale_index = np.arange(len(tables.scales))[:, None, None]
-    hit = near[records[:, None], scale_index, cells[..., 0], cells[..., 1]]
-    keep = np.all(hit | ~others.T[:, :, None], axis=0)
+    scales, resolution = tables.scales, tables.resolution
+    n_scales = len(scales)
+    cells = sample_cells.lookup(scales, resolution, chosen, row, col)
+    hit = near.reshape(len(near), n_scales, -1)[
+        records[:, None, None], np.arange(n_scales)[:, None], cells
+    ]
+    keep = np.all(hit | ~others[:, :, None], axis=1)
     count = keep.sum(axis=1)
+    rc = np.stack([row, col], axis=-1)[:, None, :] + _SUBPIXEL
     fused = centre.copy()
     some = count > 0
     # rc[keep].mean(axis=0) adds the kept rows in order; skipped rows add zero
     mean = np.where(keep[..., None], rc, 0.0).sum(axis=1)[some] / count[some, None]
-    fused[some] = _vp_by_scale(tables.scales, chosen[some], mean[:, 0], mean[:, 1], resolution)
+    # the points at the means and at the kept samples, in one pass
+    at = np.concatenate([np.flatnonzero(some), np.nonzero(keep)[0]])
+    positions = np.concatenate([mean, rc[keep]])
+    points = _vp_by_scale(scales, chosen[at], positions[:, 0], positions[:, 1], resolution)
+    fused[some] = points[: len(mean)]
     # a direction at infinity stays one, oriented like the centre's
     flip = ideal & (np.sum(fused[:, :2] * centre[:, :2], axis=1) < 0.0)
     fused[flip, :2] *= -1.0
     fused[ideal, 2] = 0.0
 
-    sample_dirs = _directions(samples.reshape(-1, 3)).reshape(samples.shape[:2] + (2,))
+    # the kept samples' directions; the others stay zero and are masked below
+    sample_dirs = np.zeros(keep.shape + (2,))
+    sample_dirs[keep] = _directions(points[len(mean) :])
 
     def worst_angle(direction):
         # the stacked matmul gives each sample what ``dirs @ direction`` gives
@@ -601,10 +676,15 @@ def decode_stack(
     the N records' boxes. Entry ``n`` of the result equals what
     ``select_vp`` returns for ``values[n]``, field by field, or is ``None``
     where it raises :class:`AllScalesDegenerate`. Per-cell quantities come
-    from tables of the grid, cached per scale set and resolution.
+    from tables of the grid, cached per scale set and resolution; where the
+    sub-pixel samples of the chosen cells land is mapped afresh per call.
     """
-    if not (0.0 < peak_ratio <= 1.0):
-        raise ValueError(f"peak_ratio must be in (0, 1], got {peak_ratio}")
+    return _decode_stack(values, scales, boxes, peak_ratio, _SampleCells())
+
+
+def _decode_stack(values, scales, boxes, peak_ratio, sample_cells: _SampleCells):
+    """:func:`decode_stack` with the sample-cell table of the caller's run."""
+    _check_peak_ratio(peak_ratio)
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.floating):
         values = values.astype(float)
@@ -649,7 +729,7 @@ def decode_stack(
     fuse = others.any(axis=1)
     if fuse.any():
         vph[fuse] = _fuse(
-            tables, near, records[fuse], chosen[fuse], pr[fuse], pc[fuse],
+            tables, sample_cells, near, records[fuse], chosen[fuse], pr[fuse], pc[fuse],
             vph[fuse], is_ideal[fuse], others[fuse],
         )
 
@@ -716,7 +796,10 @@ class HeatmapCodec:
 
     Channel convention for per-vehicle observations: channel 0 is the
     vanishing point of the direction the vehicle faces, channel 1 the
-    orthogonal one.
+    orthogonal one. The parameters are checked when the codec is built, and
+    a bad one raises ``ValueError``: ``resolution`` must be at least 2,
+    ``scales`` strictly increasing positive reals, ``sigma`` positive and
+    finite, and ``peak_ratio`` in (0, 1].
     """
 
     def __init__(
@@ -731,11 +814,18 @@ class HeatmapCodec:
         self.resolution = int(resolution)
         self.scales = check_scales(scales)
         self.sigma = float(sigma)
+        _check_sigma(self.sigma)
         self.peak_ratio = float(peak_ratio)
+        _check_peak_ratio(self.peak_ratio)
 
     def encode(self, vp) -> list[Heatmap]:
-        """One heatmap per scale for a box-coordinate vanishing point."""
-        return [encode_vp(vp, s, self.resolution, self.sigma) for s in self.scales]
+        """One heatmap per scale for a box-coordinate vanishing point: what
+        :func:`encode_vp` gives at each scale."""
+        cells = _nearest_cells(_as_vp_homogeneous(vp), self.scales, self.resolution)
+        return [
+            Heatmap(_rasterize(i0, j0, self.resolution, self.sigma), s)
+            for (i0, j0), s in zip(cells, self.scales)
+        ]
 
     def decode(self, heatmaps, box: BBox) -> VPDetection:
         return select_vp(heatmaps, box, self.peak_ratio)

@@ -35,8 +35,9 @@ from .heatmap import (
     DEFAULT_SCALES,
     BBox,
     bbox_arrays,
+    _decode_stack,
+    _SampleCells,
     check_scales,
-    decode_stack,
     select_vp,  # noqa: F401  (kept importable from here: perfbench/tracing.py wraps it)
 )
 from .heatmap_io import read_heatmap_arrays, read_heatmap_file  # noqa: F401  (likewise)
@@ -269,16 +270,17 @@ def _read_stack(records, config: PipelineConfig, base_dir) -> np.ndarray:
 _Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _heatmap_pairs(records, config: PipelineConfig, base_dir) -> _Columns:
+def _heatmap_pairs(records, config: PipelineConfig, base_dir, sample_cells) -> _Columns:
     """The pair columns decoded from the records' heatmap files.
 
-    A row is NaN where a channel has only degenerate scales.
+    A row is NaN where a channel has only degenerate scales. ``sample_cells``
+    is the run's :class:`~vpcalib.heatmap._SampleCells` table.
     """
     stack = _read_stack(records, config, base_dir)
     boxes = [rec.box for rec in records]
     columns = []
     for maps in stack:
-        detections = decode_stack(maps, config.scales, boxes, config.peak_ratio)
+        detections = _decode_stack(maps, config.scales, boxes, config.peak_ratio, sample_cells)
         columns.append(np.array([(np.nan, np.nan) if d is None else d.point for d in detections]))
         columns.append(np.array([d is not None and d.direction_only for d in detections]))
     first, first_is_direction, second, second_is_direction = columns
@@ -322,7 +324,10 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
 
     Inline records are converted in one array pass. Heatmap records go in
     chunks of ``_CHUNK``: the chunk's files are read into one stack per
-    channel, each decoded by one :func:`~vpcalib.heatmap.decode_stack` call.
+    channel, and each stack is decoded in one batch as by
+    :func:`~vpcalib.heatmap.decode_stack`. The batches share one table of
+    where the sub-pixel samples of the chosen peak cells land, which lives
+    for this call only.
     Records whose channel has only degenerate scales, whose inline values
     are a zero-length direction, overflow or exceed
     :data:`~vpcalib.calibration.MAX_COORDINATE` in frame pixels, or whose
@@ -340,9 +345,10 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
     inline = np.flatnonzero(~mapped)
     fill(inline, _inline_pairs([records[k] for k in inline]))
     mapped = np.flatnonzero(mapped)
+    sample_cells = _SampleCells()
     for start in range(0, len(mapped), _CHUNK):
         rows = mapped[start : start + _CHUNK]
-        fill(rows, _heatmap_pairs([records[k] for k in rows], config, base_dir))
+        fill(rows, _heatmap_pairs([records[k] for k in rows], config, base_dir, sample_cells))
     return PairSet.valid_rows(*columns)
 
 

@@ -1,3 +1,7 @@
+import gc
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,8 +18,10 @@ from vpcalib.heatmap import (
     HeatmapCodec,
     VPDetection,
     _CellTables,
+    _SampleCells,
     _SUBPIXEL,
     _cell_tables,
+    _decode_stack,
     _directions,
     _nearest_cells,
     accuracy_measure,
@@ -31,6 +37,8 @@ from vpcalib.heatmap import (
     select_vp,
     vp_of_pixel,
 )
+from vpcalib.heatmap_io import write_heatmap_file
+from vpcalib.pipeline import DetectionRecord, PipelineConfig, detections_to_pairs
 from vpcalib.projective import dehomogenize, is_ideal, scale_point, to_diamond
 
 
@@ -117,6 +125,42 @@ class TestEncode:
         grids = [encode_vp(np.array([1.0, 0.0, 0.0]), s).values for s in DEFAULT_SCALES]
         for g in grids[1:]:
             np.testing.assert_array_equal(g, grids[0])
+
+    def test_codec_encodes_each_scale_like_encode_vp(self):
+        for sigma in (1.0, 2.0):
+            codec = HeatmapCodec(sigma=sigma)
+            for vp in _encode_cases():
+                expected = [encode_vp(vp, s, sigma=sigma) for s in DEFAULT_SCALES]
+                for got, want in zip(codec.encode(vp), expected):
+                    assert got.scale == want.scale
+                    assert np.array_equal(got.values, want.values)
+
+    def test_codec_grids_keep_their_bytes(self):
+        digest = hashlib.sha256()
+        for sigma in (1.0, 2.0):
+            codec = HeatmapCodec(sigma=sigma)
+            for vp in _encode_cases():
+                for h in codec.encode(vp):
+                    digest.update(h.values.tobytes())
+        # the bytes every DVP file written so far holds for these VPs
+        assert digest.hexdigest() == (
+            "c29fe5ef333ef53523f80e498107780e20a3f3dad73bdb292d917046294a0c6e"
+        )
+
+
+def _encode_cases():
+    """Finite VPs over six decades, directions, and VPs on every grid border."""
+    rng = np.random.default_rng(4321)
+    radius = np.exp(rng.uniform(np.log(0.01), np.log(1e4), 200))
+    angle = rng.uniform(0.0, 2.0 * np.pi, 260)
+    cases = [np.array([r * np.cos(t), r * np.sin(t)]) for r, t in zip(radius, angle)]
+    cases += [np.array([np.cos(t), np.sin(t), 0.0]) for t in angle[200:]]
+    for s in DEFAULT_SCALES:
+        for k in (0, 17, 40, 63):
+            for row, col in ((0, k), (63, k), (k, 0), (k, 63)):
+                cases.append(vp_of_pixel(row + rng.uniform(-0.49, 0.49),
+                                         col + rng.uniform(-0.49, 0.49), s))
+    return cases
 
 
 class TestDecode:
@@ -451,6 +495,93 @@ class TestDecodeStack:
             select_vp(maps, box)
 
 
+class TestSampleCells:
+    def test_every_entry_equals_nearest_cells_of_the_samples(self):
+        table = _SampleCells()
+        s, r, c = np.indices((len(DEFAULT_SCALES), 16, 16)).reshape(3, -1)
+        cells = table.lookup(DEFAULT_SCALES, 16, s, r, c)
+        assert cells.dtype == np.uint8
+        assert cells.shape == (len(s), len(DEFAULT_SCALES), len(_SUBPIXEL))
+        for k, i, j, got in zip(s, r, c, cells):
+            rc = np.array([i, j]) + _SUBPIXEL
+            samples = vp_of_pixel(rc[:, 0], rc[:, 1], DEFAULT_SCALES[k], 16)
+            expected = _nearest_cells(samples, DEFAULT_SCALES, 16)
+            assert np.array_equal(got, expected[..., 0] * 16 + expected[..., 1])
+
+    def test_indices_take_the_narrowest_dtype_that_holds_the_grid(self):
+        for resolution, dtype in ((16, np.uint8), (17, np.uint16), (64, np.uint16),
+                                  (256, np.uint16), (257, np.uint32)):
+            one = np.array([0])
+            cells = _SampleCells().lookup((1.0,), resolution, one, one, one)
+            assert cells.dtype == dtype
+
+    def test_a_warm_table_decodes_like_a_cold_one(self, rng):
+        warm_up, _ = _mixed_chunk(rng)
+        values, boxes = _mixed_chunk(rng)
+        # exact encodings whose chosen cells the warm-up chunk partly shares
+        codec = HeatmapCodec()
+        for r, th in zip(np.exp(rng.uniform(np.log(0.5), np.log(1e3), 40)),
+                         rng.uniform(0.0, 2.0 * np.pi, 40)):
+            maps = codec.encode([r * np.cos(th), r * np.sin(th)])
+            values = np.concatenate([values, np.stack([h.values for h in maps])[None]])
+            boxes.append(BBox(0.0, 0.0, 128.0, 128.0))
+        warm_up = np.concatenate([warm_up, values[::3]])
+        table = _SampleCells()
+        _decode_stack(warm_up, DEFAULT_SCALES, [boxes[0]] * len(warm_up), 0.8, table)
+        warm = _decode_stack(values, DEFAULT_SCALES, boxes, 0.8, table)
+        cold = decode_stack(values, DEFAULT_SCALES, boxes)
+        backwards = _decode_stack(values[::-1], DEFAULT_SCALES, boxes[::-1], 0.8, _SampleCells())
+        for k, (grids, box) in enumerate(zip(values, boxes)):
+            reference = _reference_select_vp([Heatmap(g, s) for g, s in zip(grids, DEFAULT_SCALES)],
+                                             box)
+            assert _same_detection(warm[k], reference)
+            assert _same_detection(cold[k], reference)
+            assert _same_detection(backwards[-1 - k], reference)
+
+    def test_a_run_leaves_no_module_state_behind(self, tmp_path, rng):
+        codec = HeatmapCodec()
+        box = BBox(100.0, 200.0, 260.0, 300.0)
+
+        def records(n):
+            out = []
+            for k in range(n):
+                name = f"v{len(list(tmp_path.iterdir()))}.dvp"
+                first, second = rng.uniform(-50.0, 50.0, (2, 2))
+                write_heatmap_file(tmp_path / name, codec.encode_pair(first, second))
+                out.append(DetectionRecord(frame_index=k, box=box, confidence=1.0,
+                                           heatmap_ref=name))
+            return out
+
+        config = PipelineConfig(min_pairs=1)
+        detections_to_pairs(records(20), config, tmp_path)  # builds the grid's cell tables
+        fresh = records(150)
+        maps = [codec.encode(vp) for vp in rng.uniform(-50.0, 50.0, (50, 2))]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            pairs = detections_to_pairs(fresh, config, tmp_path)
+            for m in maps:
+                select_vp(m, box)
+            del pairs
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a table kept past the run would hold about 1.8 KB for each of the
+        # few hundred distinct cells met here
+        assert kept < 64 * 1024
+
+    def test_a_grid_with_more_cells_than_uint16_decodes_like_the_reference(self):
+        codec = HeatmapCodec(resolution=257)
+        box = BBox(0.0, 0.0, 128.0, 128.0)
+        rng = np.random.default_rng(5)
+        # peaks on the last row, whose flat indices exceed 65535
+        for scale in DEFAULT_SCALES:
+            for col in rng.uniform(0.0, 256.0, 3):
+                maps = codec.encode(vp_of_pixel(256.0 + rng.uniform(-0.45, 0.3), col, scale, 257))
+                assert _same_detection(select_vp(maps, box), _reference_select_vp(maps, box))
+
+
 class TestQuantizationRadius:
     def test_positive_and_finite_midfield(self):
         h = encode_vp([3.0, 2.0], 1.0)
@@ -469,6 +600,22 @@ class TestQuantizationRadius:
 
 
 class TestCodecValidation:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            HeatmapCodec(sigma=sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            encode_vp([4.0, 9.0], 1.0, sigma=sigma)
+
+    @pytest.mark.parametrize("peak_ratio", [0.0, -0.5, 1.5, 2.0, np.nan])
+    def test_peak_ratio_must_lie_in_the_unit_interval(self, peak_ratio):
+        with pytest.raises(ValueError, match="peak_ratio"):
+            HeatmapCodec(peak_ratio=peak_ratio)
+
+    def test_peak_ratio_one_is_allowed(self, box):
+        codec = HeatmapCodec(peak_ratio=1.0)
+        assert codec.decode(codec.encode([4.0, 9.0]), box).chosen_scale in DEFAULT_SCALES
+
     def test_scale_set_must_increase(self):
         with pytest.raises(ValueError):
             HeatmapCodec(scales=(0.1, 0.1, 1.0))

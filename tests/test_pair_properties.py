@@ -175,3 +175,22 @@ def test_array_estimators_match_the_per_pair_loop(raw, min_pairs):
     expected = _outcome(lambda: _reference_calibrate(pairs, min_pairs))
     assert _outcome(run(pair_set)) == expected
     assert _outcome(run(pairs)) == expected
+
+
+@BOUNDED
+@given(
+    raw=st.lists(rows(), max_size=24).flatmap(
+        lambda raw: st.tuples(st.just(raw), st.permutations(raw))
+    ),
+    min_pairs=st.integers(1, 5),
+)
+def test_calibrate_ignores_the_order_of_the_pairs(raw, min_pairs):
+    def outcome(given_rows):
+        columns = [np.reshape([r[k] for r in given_rows], (-1, 2)) for k in (0, 1)]
+        columns += [np.array([r[k] for r in given_rows], dtype=bool) for k in (2, 3)]
+        pairs = PairSet.valid_rows(*columns)
+        return _outcome(lambda: calibrate(pairs, None, min_pairs=min_pairs,
+                                          principal_point=PRINCIPAL_POINT))
+
+    given_order, permuted = raw
+    assert outcome(permuted) == outcome(given_order)
