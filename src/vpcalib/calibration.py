@@ -80,7 +80,6 @@ class VPPair:
 
     first: np.ndarray
     second: np.ndarray
-    weight: float = 1.0
     first_is_direction: bool = False
     second_is_direction: bool = False
 
@@ -89,8 +88,6 @@ class VPPair:
         object.__setattr__(self, "second", as_float_array(self.second, "second", (2,)))
         _check_coordinates(self.first, "first")
         _check_coordinates(self.second, "second")
-        if self.weight < 0:
-            raise ValueError(f"weight must be >= 0, got {self.weight}")
         if (
             not self.first_is_direction
             and not self.second_is_direction

@@ -27,7 +27,7 @@ from .calibration import CameraCalibration
 from ._validation import as_float_array, check_image_size
 from .errors import OutputError, VPCalibError, reading
 from .evaluation import DistanceMeasurement, measured_distance
-from .heatmap import bbox_arrays
+from .heatmap import frame_to_box
 from .pipeline import (
     PipelineConfig,
     format_json,
@@ -36,7 +36,6 @@ from .pipeline import (
     run_calibration,
     run_evaluation,
 )
-from .projective import row_norms
 from .synthetic import (
     AugmentationParams,
     SceneSpec,
@@ -132,13 +131,10 @@ def _detections_text(observations: SyntheticObservations) -> str:
     """
     n = len(observations)
     pairs = observations.pairs
-    centre, half = bbox_arrays(observations.boxes)
     columns = [10 * np.arange(n), *observations.boxes.T, 1.0 - 1e-4 * np.arange(n)]
     for name, end, is_direction in (("vp_first", pairs.first, pairs.first_is_direction),
                                     ("vp_second", pairs.second, pairs.second_is_direction)):
-        value = (end - centre) / half  # bbox_normalize, row by row
-        d = end[is_direction] / half[is_direction]  # bbox_normalize_direction
-        value[is_direction] = d / row_norms(d)[:, None]
+        value = frame_to_box(end, is_direction, observations.boxes)
         columns += [np.where(is_direction, name + "_direction", name), *value.T]
     template = '{{"frame": {}, "box": [{}, {}, {}, {}], "confidence": {}, ' \
         '"{}": [{}, {}], "{}": [{}, {}]}}'

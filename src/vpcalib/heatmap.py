@@ -15,6 +15,8 @@ time a decode needs it. Where the sub-pixel samples of a chosen peak cell
 land at every scale goes into a table that lives for one run instead
 (:class:`_SampleCells`, 1.8 KB per distinct cell at four 64 x 64 scales):
 its owner passes it to every decode of the run and drops it afterwards.
+The decode works in box coordinates; :func:`box_to_frame` and its inverse
+:func:`frame_to_box` are the one array form of the box <-> frame convention.
 
 Grid convention: ``values[row, col]`` with the rotated coordinates
 ``u = X + Y`` (column axis) and ``v = Y - X`` (row axis), each spanning
@@ -45,9 +47,10 @@ __all__ = [
     "HeatmapCodec",
     "bbox_normalize",
     "bbox_denormalize",
-    "bbox_normalize_direction",
     "bbox_denormalize_direction",
     "bbox_arrays",
+    "box_to_frame",
+    "frame_to_box",
     "diamond_to_pixel",
     "pixel_to_diamond",
     "encode_vp",
@@ -188,13 +191,38 @@ def bbox_arrays(boxes) -> tuple[np.ndarray, np.ndarray]:
     return (corners[:, :2] + corners[:, 2:]) / 2.0, (corners[:, 2:] - corners[:, :2]) / 2.0
 
 
-def bbox_normalize_direction(direction, box: BBox) -> np.ndarray:
-    """Linear part of :func:`bbox_normalize`, for points at infinity."""
-    return np.asarray(direction, dtype=float) / box.half_size
-
-
 def bbox_denormalize_direction(direction, box: BBox) -> np.ndarray:
+    """Linear part of :func:`bbox_denormalize`, for points at infinity."""
     return np.asarray(direction, dtype=float) * box.half_size
+
+
+def box_to_frame(points, is_direction, boxes) -> np.ndarray:
+    """:func:`bbox_denormalize` of each ``(N, 2)`` row in its box (``boxes`` as
+    :func:`bbox_arrays` takes them). A row where the mask ``is_direction`` is
+    set is a direction: :func:`bbox_denormalize_direction` of it, scaled to
+    unit length. A zero-length or overflowing row comes out non-finite,
+    without a warning.
+    """
+    centre, half = bbox_arrays(boxes)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rows = np.asarray(points, dtype=float) * half
+        rows[~is_direction] += centre[~is_direction]
+        d = rows[is_direction]
+        rows[is_direction] = d / pj.row_norms(d)[:, None]
+    return rows
+
+
+def frame_to_box(points, is_direction, boxes) -> np.ndarray:
+    """The inverse of :func:`box_to_frame`: :func:`bbox_normalize` row by row,
+    and directions divided by the half sizes and scaled to unit length."""
+    centre, half = bbox_arrays(boxes)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rows = np.array(points, dtype=float)
+        rows[~is_direction] -= centre[~is_direction]
+        rows /= half
+        d = rows[is_direction]
+        rows[is_direction] = d / pj.row_norms(d)[:, None]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -679,11 +707,26 @@ def decode_stack(
     from tables of the grid, cached per scale set and resolution; where the
     sub-pixel samples of the chosen cells land is mapped afresh per call.
     """
-    return _decode_stack(values, scales, boxes, peak_ratio, _SampleCells())
+    values = np.asarray(values)
+    records, points, is_direction, spread, scale = _decode_stack(
+        values, scales, peak_ratio, _SampleCells()
+    )
+    if len(boxes) != len(values):
+        raise ValueError(f"need one box per record, got {len(boxes)} for {len(values)}")
+    points = box_to_frame(points, is_direction, [boxes[k] for k in records])
+    out: list[VPDetection | None] = [None] * len(values)
+    for j, k in enumerate(records.tolist()):
+        out[k] = VPDetection(points[j], float(spread[j]), float(scale[j]), bool(is_direction[j]))
+    return out
 
 
-def _decode_stack(values, scales, boxes, peak_ratio, sample_cells: _SampleCells):
-    """:func:`decode_stack` with the sample-cell table of the caller's run."""
+def _decode_stack(values, scales, peak_ratio, sample_cells: _SampleCells):
+    """:func:`decode_stack` in box coordinates, with the caller's sample-cell table.
+
+    Columns with a row per decoded record: its index in ``values``, its
+    box-coordinate point or direction, the direction mask, the spread and
+    the chosen scale.
+    """
     _check_peak_ratio(peak_ratio)
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.floating):
@@ -691,10 +734,10 @@ def _decode_stack(values, scales, boxes, peak_ratio, sample_cells: _SampleCells)
     if values.ndim != 4 or values.shape[2] != values.shape[3]:
         raise ValueError(f"expected an (N, S, R, R) stack, got shape {values.shape}")
     n, n_scales, resolution = values.shape[:3]
-    if len(scales) != n_scales or len(boxes) != n:
-        raise ValueError("need one scale per grid and one box per record")
+    if len(scales) != n_scales:
+        raise ValueError("need one scale per grid")
     if n_scales == 0:
-        return [None] * n
+        return np.empty(0, int), np.empty((0, 2)), np.empty(0, bool), np.empty(0), np.empty(0)
     tables = _cell_tables(tuple(float(s) for s in scales), resolution)
     scale_index = np.broadcast_to(np.arange(n_scales), (n, n_scales))
 
@@ -733,22 +776,10 @@ def _decode_stack(values, scales, boxes, peak_ratio, sample_cells: _SampleCells)
             vph[fuse], is_ideal[fuse], others[fuse],
         )
 
-    box_centre, half = bbox_arrays([boxes[k] for k in records])
-    points = np.empty((len(records), 2))
-    direction = vph[is_ideal, :2] * half[is_ideal]
-    points[is_ideal] = direction / pj.row_norms(direction)[:, None]
+    points = vph[:, :2].copy()
     finite = ~is_ideal
-    points[finite] = pj.dehomogenize(vph[finite]) * half[finite] + box_centre[finite]
-
-    out: list[VPDetection | None] = [None] * n
-    for j, k in enumerate(records):
-        out[k] = VPDetection(
-            points[j],
-            float(spread[k, chosen[j]]),
-            tables.scales[chosen[j]],
-            direction_only=bool(is_ideal[j]),
-        )
-    return out
+    points[finite] = pj.dehomogenize(vph[finite])
+    return records, points, is_ideal, spread[records, chosen], np.asarray(tables.scales)[chosen]
 
 
 def select_vp(

@@ -9,7 +9,11 @@ Vanishing points are given in box coordinates (box centre at origin, corners
 at (+-1, +-1)); a record may instead carry ``"heatmap": "relative/path"``
 pointing at a heatmap observation file, which is decoded with the multi-scale
 codec. Direction-only payloads use ``"vp_first_direction"`` /
-``"vp_second_direction"`` unit vectors.
+``"vp_second_direction"`` unit vectors. ``frame`` must be a JSON integer, and
+the box, confidence and vanishing-point entries JSON numbers; a string or a
+boolean in their place is an ``InputFormatError``. Both routes give box
+coordinates, which :func:`~vpcalib.heatmap.box_to_frame` takes to frame
+pixels.
 
 All numeric output is printed with 17 significant digits and fixed key
 order, so repeated runs are byte-identical. On failure nothing is written;
@@ -21,6 +25,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +40,13 @@ from .heatmap import (
     DEFAULT_RESOLUTION,
     DEFAULT_SCALES,
     BBox,
-    bbox_arrays,
     _decode_stack,
     _SampleCells,
+    box_to_frame,
     check_scales,
     select_vp,  # noqa: F401  (kept importable from here: perfbench/tracing.py wraps it)
 )
 from .heatmap_io import read_heatmap_arrays, read_heatmap_file  # noqa: F401  (likewise)
-from .projective import row_norms
 
 __all__ = [
     "PipelineConfig",
@@ -141,11 +146,24 @@ class DetectionRecord:
             raise TypeError(f"heatmap must be a path, got {self.heatmap_ref!r}")
 
 
+# The types json.loads gives a JSON number. A bool is not one, though
+# isinstance would take it for an int, and int() and float() would take
+# True, "0" and 10.5 too.
+_NUMBER = frozenset((int, float))
+
+
 def _parse_record(data: dict) -> DetectionRecord:
+    frame, box, confidence = data["frame"], data["box"], data.get("confidence", 1.0)
+    if type(frame) is not int:
+        raise ValueError(f"frame must be an integer, got {frame!r}")
+    if type(box) is not list or not _NUMBER.issuperset(map(type, box)):
+        raise ValueError(f"box must be a list of numbers, got {box!r}")
+    if type(confidence) not in _NUMBER:
+        raise ValueError(f"confidence must be a number, got {confidence!r}")
     return DetectionRecord(
-        frame_index=int(data["frame"]),
-        box=BBox(*map(float, data["box"])),
-        confidence=float(data.get("confidence", 1.0)),
+        frame_index=frame,
+        box=BBox(*map(float, box)),
+        confidence=float(confidence),
         vp_first=_opt_vec(data.get("vp_first")),
         vp_second=_opt_vec(data.get("vp_second")),
         vp_first_direction=_opt_vec(data.get("vp_first_direction")),
@@ -158,14 +176,11 @@ def _opt_vec(value) -> tuple[float, float] | None:
     # plain floats: an array per vanishing point cost a fifth of the parse
     if value is None:
         return None
-    if isinstance(value, list) and len(value) == 2:
-        try:
-            x, y = float(value[0]), float(value[1])
-        except TypeError:
-            x = y = math.nan
+    if type(value) is list and len(value) == 2 and _NUMBER.issuperset(map(type, value)):
+        x, y = float(value[0]), float(value[1])
         if math.isfinite(x) and math.isfinite(y):
             return x, y
-    raise ValueError(f"expected a finite [x, y] pair, got {value!r}")
+    raise ValueError(f"expected a finite [x, y] pair of numbers, got {value!r}")
 
 
 def parse_detections(path) -> list[DetectionRecord]:
@@ -265,66 +280,22 @@ def _read_stack(records, config: PipelineConfig, base_dir) -> np.ndarray:
     return stack
 
 
-# A pair set's columns, for some records: (first, second, first_is_direction,
-# second_is_direction), with NaN rows where a record gives no vanishing point.
-_Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _heatmap_pairs(records, config: PipelineConfig, base_dir, sample_cells) -> _Columns:
-    """The pair columns decoded from the records' heatmap files.
-
-    A row is NaN where a channel has only degenerate scales. ``sample_cells``
-    is the run's :class:`~vpcalib.heatmap._SampleCells` table.
-    """
+def _decode_chunk(records, config: PipelineConfig, base_dir, sample_cells) -> list:
+    """Per channel, the record indices, box-coordinate points and direction
+    masks decoded from the records' heatmap files; their stack dies on return."""
     stack = _read_stack(records, config, base_dir)
-    boxes = [rec.box for rec in records]
-    columns = []
-    for maps in stack:
-        detections = _decode_stack(maps, config.scales, boxes, config.peak_ratio, sample_cells)
-        columns.append(np.array([(np.nan, np.nan) if d is None else d.point for d in detections]))
-        columns.append(np.array([d is not None and d.direction_only for d in detections]))
-    first, first_is_direction, second, second_is_direction = columns
-    return first, second, first_is_direction, second_is_direction
-
-
-def _inline_ends(points, directions, boxes) -> tuple[np.ndarray, np.ndarray]:
-    """Inline vanishing points in frame pixels, and which are unit directions.
-
-    Row ``k`` is ``points[k]`` denormalised to the box, or, where that is
-    None, ``directions[k]`` scaled to the box and to unit length. A
-    zero-length direction, or a value that overflows, comes out non-finite.
-    """
-    is_direction = np.array([p is None for p in points], dtype=bool)
-    ends = np.array(
-        [d if p is None else p for p, d in zip(points, directions)], dtype=float
-    ).reshape(-1, 2)
-    centre, half = bbox_arrays(boxes)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ends *= half  # bbox_denormalize and bbox_denormalize_direction, row by row
-        ends[~is_direction] += centre[~is_direction]
-        d = ends[is_direction]
-        ends[is_direction] = d / row_norms(d)[:, None]
-    return ends, is_direction
-
-
-def _inline_pairs(records) -> _Columns:
-    """The pair columns of records that carry their vanishing points inline."""
-    boxes = [rec.box for rec in records]
-    first, first_is_direction = _inline_ends(
-        [rec.vp_first for rec in records], [rec.vp_first_direction for rec in records], boxes
-    )
-    second, second_is_direction = _inline_ends(
-        [rec.vp_second for rec in records], [rec.vp_second_direction for rec in records], boxes
-    )
-    return first, second, first_is_direction, second_is_direction
+    return [
+        _decode_stack(maps, config.scales, config.peak_ratio, sample_cells)[:3] for maps in stack
+    ]
 
 
 def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSet:
     """Decode every record into a vanishing-point pair, dropping failures.
 
-    Inline records are converted in one array pass. Heatmap records go in
-    chunks of ``_CHUNK``: the chunk's files are read into one stack per
-    channel, and each stack is decoded in one batch as by
+    Both routes fill box-coordinate columns, and one
+    :func:`~vpcalib.heatmap.box_to_frame` call per channel takes them to
+    frame pixels. Heatmap records go in chunks of ``_CHUNK``: the chunk's
+    files are read into one stack per channel, each decoded in one batch as by
     :func:`~vpcalib.heatmap.decode_stack`. The batches share one table of
     where the sub-pixel samples of the chosen peak cells land, which lives
     for this call only.
@@ -335,21 +306,31 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
     order; ``config.parallel`` has no effect on it.
     """
     n = len(records)
-    columns = (np.empty((n, 2)), np.empty((n, 2)), np.empty(n, bool), np.empty(n, bool))
-
-    def fill(rows, values: _Columns) -> None:
-        for column, part in zip(columns, values):
-            column[rows] = part
-
+    # per channel, (n, 2) box-coordinate points and directions; NaN where a
+    # channel decodes to nothing
+    ends = np.full((2, n, 2), np.nan)
+    is_direction = np.zeros((2, n), dtype=bool)
     mapped = np.array([rec.heatmap_ref is not None for rec in records], dtype=bool)
-    inline = np.flatnonzero(~mapped)
-    fill(inline, _inline_pairs([records[k] for k in inline]))
+    inline = [records[k] for k in np.flatnonzero(~mapped)]
+    for c, names in enumerate((("vp_first", "vp_first_direction"),
+                               ("vp_second", "vp_second_direction"))):
+        points, directions = (list(map(attrgetter(name), inline)) for name in names)
+        is_direction[c, ~mapped] = [p is None for p in points]
+        ends[c, ~mapped] = np.reshape([d if p is None else p for p, d in zip(points, directions)],
+                                      (-1, 2))
     mapped = np.flatnonzero(mapped)
     sample_cells = _SampleCells()
     for start in range(0, len(mapped), _CHUNK):
         rows = mapped[start : start + _CHUNK]
-        fill(rows, _heatmap_pairs([records[k] for k in rows], config, base_dir, sample_cells))
-    return PairSet.valid_rows(*columns)
+        chunk = _decode_chunk([records[k] for k in rows], config, base_dir, sample_cells)
+        for c, (decoded, points, directions) in enumerate(chunk):
+            ends[c, rows[decoded]] = points
+            is_direction[c, rows[decoded]] = directions
+    corners = chain.from_iterable(rec.box.as_tuple() for rec in records)
+    boxes = np.fromiter(corners, float, 4 * n).reshape(n, 4)
+    for c in range(2):
+        ends[c] = box_to_frame(ends[c], is_direction[c], boxes)
+    return PairSet.valid_rows(*ends, *is_direction)
 
 
 def load_measurements(path) -> list[DistanceMeasurement]:

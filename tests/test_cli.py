@@ -144,6 +144,46 @@ class TestCalibrate:
         assert err["error"] == "InputFormatError"
         assert not (tmp_path / "cal.json").exists()
 
+    # SHA-256 of the calibration file of a scene that takes every route into
+    # frame pixels: exact sigma=1 DVP maps, broad noisy sigma=2 maps, inline
+    # points, an inline direction, an inline value that overflows once scaled
+    # to its box and a heatmap channel that decodes to nothing
+    MIXED_GOLDEN = "878a012c1dea49b6125f16bdb9f2fb152581469e6853432723717edf3373589a"
+
+    def test_golden_bytes_of_a_mixed_scene(self, tmp_path):
+        spec = tmp_path / "scene.json"
+        spec.write_text(json.dumps(
+            {"seed": 31, "n_vehicles": 60, "noise_sigma_px": 1.0, "outlier_fraction": 0.1}
+        ))
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "detections.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        exact, broad = HeatmapCodec(), HeatmapCodec(sigma=2.0)
+        rng = np.random.default_rng(31)
+        for k, record in enumerate(records):
+            if k % 3 == 2 or "vp_first" not in record or "vp_second" not in record:
+                continue
+            maps = (exact if k % 3 == 0 else broad).encode_pair(
+                record.pop("vp_first"), record.pop("vp_second")
+            )
+            if k % 3 == 1:
+                for h in maps[0] + maps[1]:
+                    h.values = h.values + rng.uniform(-0.02, 0.06, h.values.shape)
+            if k == 4:  # a channel with every scale empty: the record is dropped
+                for h in maps[1]:
+                    h.values = np.zeros_like(h.values)
+            write_heatmap_file(tmp_path / f"v{k}.dvp", maps)
+            record["heatmap"] = f"v{k}.dvp"
+        records[2]["vp_first_direction"] = [0.9, -0.1]
+        del records[2]["vp_first"]
+        records[5]["vp_first"] = [1e308, 0.0]
+        det = tmp_path / "mixed.jsonl"
+        det.write_text("".join(json.dumps(record) + "\n" for record in records))
+        out = tmp_path / "cal.json"
+        assert main(["calibrate", "--detections", str(det), "--out", str(out),
+                     "--image-size", "1920", "1080"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MIXED_GOLDEN
+
     @staticmethod
     def _used_with_five_good_records(tmp_path, scene_dir, capsys, record):
         good = (scene_dir / "detections.jsonl").read_text().splitlines()[:5]
@@ -438,6 +478,27 @@ class TestErrorPaths:
             ("f", '"1200"'), ("f", "true"), ("tilt_deg", '"25"'), ("roll_deg", '"2"'),
             ("noise_sigma_px", '"1"'), ("outlier_fraction", "false"), ("camera_height", '"10"'),
             ("image_size", '["1920", 1080]'), ("image_size", "[1920, true]"),
+        ]
+    })
+
+    # detection fields of the wrong JSON type, which int() and float() would
+    # take: a fractional frame would pass the stride filter as frame 10
+    BAD_INPUTS.update({
+        f"detections-{name}": (
+            "calibrate", ["--detections", "det.jsonl"],
+            {"det.jsonl": '{"frame": 0, "box": [0, 0, 9, 9], %s}\n' % fields},
+            "InputFormatError", "line 1")
+        for name, fields in [
+            ("frame-fractional", '"frame": 10.5, "vp_first": [3, 0], "vp_second": [-3, 1]'),
+            ("frame-string", '"frame": "0", "vp_first": [3, 0], "vp_second": [-3, 1]'),
+            ("frame-bool", '"frame": true, "vp_first": [3, 0], "vp_second": [-3, 1]'),
+            ("box-string", '"box": ["0", 0, 9, 9], "vp_first": [3, 0], "vp_second": [-3, 1]'),
+            ("box-bool", '"box": [0, 0, true, 9], "vp_first": [3, 0], "vp_second": [-3, 1]'),
+            ("confidence-bool", '"confidence": true, "vp_first": [3, 0], "vp_second": [-3, 1]'),
+            ("confidence-string", '"confidence": "1", "vp_first": [3, 0], "vp_second": [-3, 1]'),
+            ("vp-string", '"vp_first": ["3", 0], "vp_second": [-3, 1]'),
+            ("vp-bool", '"vp_first": [3, 0], "vp_second": [true, 1]'),
+            ("direction-string", '"vp_first_direction": ["1", 0], "vp_second": [-3, 1]'),
         ]
     })
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,10 +29,12 @@ from vpcalib.heatmap import (
     bbox_denormalize,
     bbox_denormalize_direction,
     bbox_normalize,
+    box_to_frame,
     decode_heatmap,
     decode_stack,
     diamond_to_pixel,
     encode_vp,
+    frame_to_box,
     pixel_to_diamond,
     quantization_radius,
     select_vp,
@@ -64,6 +67,59 @@ class TestBBoxCoordinates:
     def test_invalid_box_rejected(self):
         with pytest.raises(ValueError):
             BBox(10.0, 0.0, 5.0, 20.0)
+
+    @staticmethod
+    def _rows(rng, n=400):
+        """Boxes, box-coordinate or frame rows over many decades, and a direction mask."""
+        corner = rng.uniform(-500.0, 2000.0, (n, 2))
+        size = np.exp(rng.uniform(np.log(0.5), np.log(800.0), (n, 2)))
+        boxes = np.hstack([corner, corner + size])
+        rows = rng.normal(size=(n, 2)) * np.exp(rng.uniform(-5.0, 12.0, (n, 1)))
+        return boxes, rows, rng.random(n) < 0.4
+
+    def test_box_to_frame_is_the_scalar_helpers_row_by_row(self, rng):
+        boxes, rows, is_direction = self._rows(rng)
+        bboxes = [BBox(*b) for b in boxes]
+        for given in (boxes, bboxes):
+            frame = box_to_frame(rows, is_direction, given)
+            for row, direction, box, got in zip(rows, is_direction, bboxes, frame):
+                if direction:
+                    expected = bbox_denormalize_direction(row, box)
+                    expected = expected / np.linalg.norm(expected)
+                else:
+                    expected = bbox_denormalize(row, box)
+                assert np.array_equal(got, expected)
+
+    def test_frame_to_box_is_the_scalar_helpers_row_by_row(self, rng):
+        boxes, rows, is_direction = self._rows(rng)
+        bboxes = [BBox(*b) for b in boxes]
+        for given in (boxes, bboxes):
+            in_box = frame_to_box(rows, is_direction, given)
+            for row, direction, box, got in zip(rows, is_direction, bboxes, in_box):
+                if direction:
+                    expected = row / box.half_size
+                    expected = expected / np.linalg.norm(expected)
+                else:
+                    expected = bbox_normalize(row, box)
+                assert np.array_equal(got, expected)
+        # and it inverts box_to_frame, up to rounding
+        back = frame_to_box(box_to_frame(rows, is_direction, boxes), is_direction, boxes)
+        unit = rows[is_direction] / np.linalg.norm(rows[is_direction], axis=1)[:, None]
+        np.testing.assert_allclose(back[~is_direction], rows[~is_direction], rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(back[is_direction], unit, rtol=1e-9, atol=1e-12)
+
+    def test_zero_length_and_overflowing_rows_come_out_non_finite_quietly(self):
+        boxes = np.array([[900.0, 500.0, 1020.0, 580.0]] * 3 + [[0.0, 0.0, 0.5, 0.5]])
+        rows = np.array([[0.0, 0.0], [1e308, 0.0], [1e308, -1e308], [1.7e308, 0.0]])
+        is_direction = np.array([True, False, True, False])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frame = box_to_frame(rows, is_direction, boxes)
+            in_box = frame_to_box(rows, is_direction, boxes)
+        # a zero-length direction is never finite; the 120 x 80 px box takes
+        # huge rows past float64 one way, the 0.5 px box the other way
+        assert list(np.isfinite(frame).all(axis=1)) == [False, False, False, True]
+        assert list(np.isfinite(in_box).all(axis=1)) == [False, True, True, False]
 
     def test_iou(self):
         a = BBox(0, 0, 10, 10)
@@ -527,16 +583,22 @@ class TestSampleCells:
             boxes.append(BBox(0.0, 0.0, 128.0, 128.0))
         warm_up = np.concatenate([warm_up, values[::3]])
         table = _SampleCells()
-        _decode_stack(warm_up, DEFAULT_SCALES, [boxes[0]] * len(warm_up), 0.8, table)
-        warm = _decode_stack(values, DEFAULT_SCALES, boxes, 0.8, table)
-        cold = decode_stack(values, DEFAULT_SCALES, boxes)
-        backwards = _decode_stack(values[::-1], DEFAULT_SCALES, boxes[::-1], 0.8, _SampleCells())
-        for k, (grids, box) in enumerate(zip(values, boxes)):
+        _decode_stack(warm_up, DEFAULT_SCALES, 0.8, table)
+        warm = _decode_stack(values, DEFAULT_SCALES, 0.8, table)
+        cold = _decode_stack(values, DEFAULT_SCALES, 0.8, _SampleCells())
+        backwards = _decode_stack(values[::-1], DEFAULT_SCALES, 0.8, _SampleCells())
+        # the columns: record index, box-coordinate point, direction mask,
+        # spread, chosen scale; the backward run has its rows in reverse
+        assert np.array_equal(warm[0], cold[0])
+        assert np.array_equal(backwards[0], len(values) - 1 - warm[0][::-1])
+        for w, c, b in zip(warm[1:], cold[1:], backwards[1:]):
+            assert w.dtype == c.dtype == b.dtype
+            assert np.array_equal(w, c) and np.array_equal(w, b[::-1])
+        # and the cold table's decode is the reference's, bit for bit
+        for grids, box, det in zip(values, boxes, decode_stack(values, DEFAULT_SCALES, boxes)):
             reference = _reference_select_vp([Heatmap(g, s) for g, s in zip(grids, DEFAULT_SCALES)],
                                              box)
-            assert _same_detection(warm[k], reference)
-            assert _same_detection(cold[k], reference)
-            assert _same_detection(backwards[-1 - k], reference)
+            assert _same_detection(det, reference)
 
     def test_a_run_leaves_no_module_state_behind(self, tmp_path, rng):
         codec = HeatmapCodec()

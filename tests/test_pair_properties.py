@@ -194,3 +194,81 @@ def test_calibrate_ignores_the_order_of_the_pairs(raw, min_pairs):
 
     given_order, permuted = raw
     assert outcome(permuted) == outcome(given_order)
+
+
+# -- a common shift of the principal point and the vanishing points --------------
+
+# Relative bound on what a shift may change. Shifting a coordinate of up to
+# ~2e4 px rounds it by ~4e-12 px; the scenes below keep every focal radicand
+# above 200 px^2 and every pair line within 20:1 of horizontal, so f, the
+# slope and the unit normal move by well under 1e-10 of their size.
+SHIFT_RTOL = 1e-9
+ANGLE = st.floats(0.0, 2 * np.pi)
+
+
+@st.composite
+def shifted_scenes(draw):
+    """Raw pair rows about a principal point, that point, and a shift.
+
+    Each row is either a pair on opposite sides of the principal point (a
+    real focal length), one on the same side (an imaginary one), or a point
+    with a direction at infinity. The points lie 20 to 4000 px from the
+    principal point, and the two of a pair at least 10 px apart; pair lines
+    steeper than 20:1 are left out. So a shift moves no row across a
+    threshold of the estimators (coincident points, near-zero focal length,
+    near-vertical pair line).
+    """
+    p = np.array([draw(st.floats(0.0, 4000.0)), draw(st.floats(0.0, 3000.0))])
+    t = np.array([draw(st.floats(-5000.0, 5000.0)), draw(st.floats(-5000.0, 5000.0))])
+    raw = []
+    for _ in range(draw(st.integers(5, 24))):
+        kind = draw(st.sampled_from(["real", "imaginary", "direction"]))
+        alpha, r1 = draw(ANGLE), draw(st.floats(20.0, 4000.0))
+        a = r1 * np.array([np.cos(alpha), np.sin(alpha)])
+        if kind == "direction":
+            phi = draw(ANGLE)
+            d = np.array([np.cos(phi), np.sin(phi)])
+            if abs(d[0]) < 0.05:
+                continue
+            raw.append((p + a, d, False, True))
+            continue
+        delta = draw(st.floats(-1.0, 1.0)) + (np.pi if kind == "real" else 0.0)
+        r2 = r1 + draw(st.floats(10.0, 3000.0))
+        b = r2 * np.array([np.cos(alpha + delta), np.sin(alpha + delta)])
+        if abs(a[0] - b[0]) < 0.05 * np.linalg.norm(a - b):
+            continue
+        raw.append((p + a, p + b, False, False))
+    return raw, p, t
+
+
+@BOUNDED
+@given(scene=shifted_scenes())
+def test_a_common_shift_moves_only_the_horizon_intercept(scene):
+    raw, p, t = scene
+
+    def run(shift):
+        first = np.array([u + (0.0 if d else shift) for u, _, d, _ in raw]).reshape(-1, 2)
+        second = np.array([v + (0.0 if d else shift) for _, v, _, d in raw]).reshape(-1, 2)
+        masks = [np.array([r[k] for r in raw], dtype=bool) for k in (2, 3)]
+        pairs = PairSet(first, second, *masks)
+        return calibrate(pairs, None, min_pairs=1, principal_point=p + shift)
+
+    try:
+        before = run(np.zeros(2))
+    except VPCalibError as exc:
+        with pytest.raises(type(exc)):
+            run(t)
+        return
+    after = run(t)
+    assert after.n_pairs_used == before.n_pairs_used
+    assert after.intrinsics.f == pytest.approx(before.intrinsics.f, rel=SHIFT_RTOL)
+    # plane_normal's sign is fixed by the horizon's -1; unit_normal's flips
+    # with a z component of zero, which a horizon through the principal point has
+    unit = [c.plane_normal / np.linalg.norm(c.plane_normal) for c in (before, after)]
+    np.testing.assert_allclose(unit[1], unit[0], rtol=0, atol=SHIFT_RTOL)
+    m, c = before.horizon[0], before.horizon[2]
+    assert after.horizon[0] == pytest.approx(m, rel=SHIFT_RTOL, abs=SHIFT_RTOL)
+    # y = m x + c moved by (t_x, t_y): y - t_y = m (x - t_x) + c
+    expected = c + t[1] - m * t[0]
+    scale = abs(c) + abs(t[1]) + abs(m * t[0]) + np.linalg.norm(p)
+    assert after.horizon[2] == pytest.approx(expected, rel=0, abs=SHIFT_RTOL * scale)
