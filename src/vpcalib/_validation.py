@@ -42,6 +42,19 @@ def check_positive(value: float, name: str) -> float:
     return value
 
 
+def check_integer(value, name: str, low: int) -> int:
+    """``value`` as an int, if it is an integer >= ``low``.
+
+    A numpy integer counts and comes back as an int; a bool, a float or a
+    numeric string does not count.
+    """
+    if isinstance(value, np.integer):
+        value = int(value)
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def check_image_size(image_size) -> tuple[float, float]:
     w, h = image_size
     return check_positive(w, "image width"), check_positive(h, "image height")

@@ -547,13 +547,16 @@ _SUBPIXEL = np.stack(
 def _run_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """``np.mean`` of every run ``values[starts[k]:starts[k + 1]]``, bit for bit.
 
-    numpy's summation order depends on the run length, so longer runs are
-    left to ``np.mean``; a single value is its own mean.
+    numpy's summation order depends on the run length alone, so the runs of
+    one length are averaged in one ``(runs, length)`` row mean, which sums
+    each row as ``np.mean`` sums the run; ``np.add.reduceat`` would not. A
+    single value is its own mean.
     """
-    ends = np.append(starts[1:], len(values))
+    lengths = np.diff(starts, append=len(values))
     means = values[starts]
-    for k in np.flatnonzero(ends - starts > 1):
-        means[k] = np.mean(values[starts[k] : ends[k]])
+    for length in np.unique(lengths[lengths > 1]).tolist():
+        runs = np.flatnonzero(lengths == length)
+        means[runs] = values[starts[runs, None] + np.arange(length)].mean(axis=1)
     return means
 
 

@@ -9,11 +9,18 @@ Vanishing points are given in box coordinates (box centre at origin, corners
 at (+-1, +-1)); a record may instead carry ``"heatmap": "relative/path"``
 pointing at a heatmap observation file, which is decoded with the multi-scale
 codec. Direction-only payloads use ``"vp_first_direction"`` /
-``"vp_second_direction"`` unit vectors. ``frame`` must be a JSON integer, and
-the box, confidence and vanishing-point entries JSON numbers; a string or a
-boolean in their place is an ``InputFormatError``. Both routes give box
-coordinates, which :func:`~vpcalib.heatmap.box_to_frame` takes to frame
-pixels.
+``"vp_second_direction"`` unit vectors. ``frame`` must be a JSON integer in
+[0, 2**63), and the box, confidence and vanishing-point entries JSON
+numbers; a string or a boolean in their place is an ``InputFormatError``.
+Both routes give box coordinates, which
+:func:`~vpcalib.heatmap.box_to_frame` takes to frame pixels.
+
+The records travel as one :class:`DetectionTable` of columns: frame index,
+boxes, confidence, the four vanishing-point columns with their presence
+masks and the heatmap references. :func:`parse_detections` builds it,
+:func:`filter_detections` selects its rows and :func:`detections_to_pairs`
+reads its columns, each in array passes. :class:`DetectionRecord` is the
+view of one row.
 
 All numeric output is printed with 17 significant digits and fixed key
 order, so repeated runs are byte-identical. On failure nothing is written;
@@ -25,14 +32,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import CameraCalibration, PairSet, calibrate
-from ._validation import as_float_array, check_image_size
+from ._validation import as_float_array, check_image_size, check_integer
 from .errors import READ_ERRORS, InputFormatError, reading
 from .evaluation import PAIR_MODES, DistanceMeasurement, evaluate
 from .heatmap import (
@@ -51,6 +58,8 @@ from .heatmap_io import read_heatmap_arrays, read_heatmap_file  # noqa: F401  (l
 __all__ = [
     "PipelineConfig",
     "DetectionRecord",
+    "DetectionTable",
+    "VP_FIELDS",
     "parse_detections",
     "filter_detections",
     "detections_to_pairs",
@@ -90,13 +99,12 @@ class PipelineConfig:
     def __post_init__(self):
         for name, low in (("frame_stride", 1), ("max_frames", 1), ("max_boxes_per_frame", 1),
                           ("static_min_hits", 1), ("min_pairs", 1), ("resolution", 2)):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, low))
+        for name in ("peak_ratio", "static_iou"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (0.0 < self.peak_ratio <= 1.0):
-            raise ValueError("peak_ratio must lie in (0, 1]")
-        if not (0.0 < self.static_iou <= 1.0):
-            raise ValueError("static_iou must lie in (0, 1]")
+            # 0 < True <= 1 holds, but a JSON boolean is not a ratio
+            if isinstance(value, bool) or not (0.0 < value <= 1.0):
+                raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
         if self.pair_mode not in PAIR_MODES:
             raise ValueError(f"pair_mode must be one of {PAIR_MODES}")
         for name in ("image_size", "principal_point"):
@@ -121,7 +129,10 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class DetectionRecord:
-    """One detected vehicle; each vanishing point is an ``(x, y)`` pair of numbers."""
+    """One detected vehicle; each vanishing point is an ``(x, y)`` pair of numbers.
+
+    The row view of a :class:`DetectionTable`.
+    """
 
     frame_index: int
     box: BBox
@@ -133,47 +144,135 @@ class DetectionRecord:
     heatmap_ref: str | None = None
 
     def __post_init__(self):
-        if self.frame_index < 0:
-            raise ValueError("frame_index must be >= 0")
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
+        _check_frame_index(self.frame_index)
+        _check_confidence(self.confidence)
         has_inline = (self.vp_first is not None or self.vp_first_direction is not None) and (
             self.vp_second is not None or self.vp_second_direction is not None
         )
-        if not has_inline and self.heatmap_ref is None:
-            raise ValueError("record needs either inline vanishing points or a heatmap reference")
-        if self.heatmap_ref is not None and not isinstance(self.heatmap_ref, str):
-            raise TypeError(f"heatmap must be a path, got {self.heatmap_ref!r}")
+        _check_payload(has_inline, self.heatmap_ref)
+
+
+# The vanishing-point fields of a record, in the order of DetectionTable.vps:
+# row c of the points and row c + 2 of the directions are channel c
+VP_FIELDS = ("vp_first", "vp_second", "vp_first_direction", "vp_second_direction")
+
+
+class DetectionTable:
+    """Detection records as columns: the array form of a list of :class:`DetectionRecord`.
+
+    ``frame_index`` is an int64 ``(n,)`` column, ``boxes`` an ``(n, 4)``
+    float column of ``(x_min, y_min, x_max, y_max)`` and ``confidence`` an
+    ``(n,)`` float column. ``vps`` stacks the four vanishing-point columns
+    of :data:`VP_FIELDS` as ``(4, n, 2)``, NaN where a record has none, and
+    ``vp_given`` is their ``(4, n)`` presence mask. ``heatmap_ref`` is an
+    ``(n,)`` object column of paths, None where a record has none. All are
+    read-only copies. The constructor takes the columns as they are:
+    :func:`parse_detections` checks a file's, and :meth:`of` takes records
+    that their own constructor checked. Iterating yields one
+    :class:`DetectionRecord` per row, in order, and indexing the one of a row.
+    """
+
+    __slots__ = ("frame_index", "boxes", "confidence", "vps", "vp_given", "heatmap_ref")
+
+    def __init__(self, frame_index, boxes, confidence, vps, vp_given, heatmap_ref):
+        dtypes = (np.int64, float, float, float, bool, object)
+        for name, column, dtype in zip(self.__slots__, (frame_index, boxes, confidence, vps,
+                                                        vp_given, heatmap_ref), dtypes):
+            column = np.array(column, dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DetectionTable is immutable")
+
+    @classmethod
+    def of(cls, records) -> "DetectionTable":
+        """``records`` itself if a DetectionTable, else the table of its
+        :class:`DetectionRecord` items."""
+        if isinstance(records, DetectionTable):
+            return records
+        records = list(records)
+        n = len(records)
+        vps = np.full((4, n, 2), np.nan)
+        given = np.zeros((4, n), dtype=bool)
+        for j, name in enumerate(VP_FIELDS):
+            values = [getattr(rec, name) for rec in records]
+            given[j] = [value is not None for value in values]
+            vps[j, given[j]] = np.reshape([v for v in values if v is not None], (-1, 2))
+        return cls(
+            [rec.frame_index for rec in records],
+            np.reshape([rec.box.as_tuple() for rec in records], (n, 4)),
+            [rec.confidence for rec in records],
+            vps,
+            given,
+            [rec.heatmap_ref for rec in records],
+        )
+
+    def take(self, rows) -> "DetectionTable":
+        """The table of ``rows``, in their order."""
+        return DetectionTable(
+            self.frame_index[rows],
+            self.boxes[rows],
+            self.confidence[rows],
+            self.vps[:, rows],
+            self.vp_given[:, rows],
+            self.heatmap_ref[rows],
+        )
+
+    def __len__(self) -> int:
+        return len(self.frame_index)
+
+    def __getitem__(self, k: int) -> DetectionRecord:
+        vps = {
+            name: tuple(self.vps[j, k].tolist()) if self.vp_given[j, k] else None
+            for j, name in enumerate(VP_FIELDS)
+        }
+        return DetectionRecord(
+            frame_index=int(self.frame_index[k]),
+            box=BBox(*self.boxes[k].tolist()),
+            confidence=float(self.confidence[k]),
+            heatmap_ref=self.heatmap_ref[k],
+            **vps,
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 # The types json.loads gives a JSON number. A bool is not one, though
 # isinstance would take it for an int, and int() and float() would take
 # True, "0" and 10.5 too.
 _NUMBER = frozenset((int, float))
+_INT, _LIST, _STR = frozenset((int,)), frozenset((list,)), frozenset((str,))
+# frame indices are an int64 column
+_FRAME_LIMIT = 2**63
+_FRAME, _BOX = itemgetter("frame"), itemgetter("box")
 
 
-def _parse_record(data: dict) -> DetectionRecord:
-    frame, box, confidence = data["frame"], data["box"], data.get("confidence", 1.0)
+# One check per stage of reading a record, in the order the stages run: a
+# record is reported for the first check it fails.
+
+
+def _check_frame_type(frame):
     if type(frame) is not int:
         raise ValueError(f"frame must be an integer, got {frame!r}")
+
+
+def _check_box_type(box):
     if type(box) is not list or not _NUMBER.issuperset(map(type, box)):
         raise ValueError(f"box must be a list of numbers, got {box!r}")
+
+
+def _check_confidence_type(confidence):
     if type(confidence) not in _NUMBER:
         raise ValueError(f"confidence must be a number, got {confidence!r}")
-    return DetectionRecord(
-        frame_index=frame,
-        box=BBox(*map(float, box)),
-        confidence=float(confidence),
-        vp_first=_opt_vec(data.get("vp_first")),
-        vp_second=_opt_vec(data.get("vp_second")),
-        vp_first_direction=_opt_vec(data.get("vp_first_direction")),
-        vp_second_direction=_opt_vec(data.get("vp_second_direction")),
-        heatmap_ref=data.get("heatmap"),
-    )
+
+
+def _check_box(box):
+    BBox(*map(float, box))
 
 
 def _opt_vec(value) -> tuple[float, float] | None:
-    # plain floats: an array per vanishing point cost a fifth of the parse
     if value is None:
         return None
     if type(value) is list and len(value) == 2 and _NUMBER.issuperset(map(type, value)):
@@ -183,65 +282,279 @@ def _opt_vec(value) -> tuple[float, float] | None:
     raise ValueError(f"expected a finite [x, y] pair of numbers, got {value!r}")
 
 
-def parse_detections(path) -> list[DetectionRecord]:
-    """Read a JSON-lines detections file, sorted input required."""
+def _check_frame_index(frame):
+    if frame < 0:
+        raise ValueError("frame_index must be >= 0")
+    if frame >= _FRAME_LIMIT:
+        raise ValueError(f"frame_index must be below 2**63, got {frame}")
+
+
+def _check_confidence(confidence):
+    if not (0.0 <= confidence <= 1.0):
+        raise ValueError(f"confidence must lie in [0, 1], got {confidence}")
+
+
+def _check_payload(has_inline, heatmap_ref):
+    if not has_inline and heatmap_ref is None:
+        raise ValueError("record needs either inline vanishing points or a heatmap reference")
+    if heatmap_ref is not None and not isinstance(heatmap_ref, str):
+        raise TypeError(f"heatmap must be a path, got {heatmap_ref!r}")
+
+
+class _BadRow(Exception):
+    """Row ``row`` of a column failed its check with ``cause``."""
+
+    def __init__(self, row: int, cause: Exception):
+        super().__init__(row, cause)
+        self.row, self.cause = row, cause
+
+
+def _stage(values, fast, check):
+    """``fast(values)``: one stage of reading, done on a whole column.
+
+    ``fast`` fails by raising one of :data:`READ_ERRORS` or by returning
+    False. Then ``check``, the same stage for one value, runs on the values
+    in order, and the first it raises for is raised as :class:`_BadRow`.
+    """
+    try:
+        result = fast(values)
+    except READ_ERRORS:
+        result = False
+    if result is not False:
+        return result
+    for k, value in enumerate(values):
+        try:
+            check(value)
+        except READ_ERRORS as exc:
+            raise _BadRow(k, exc) from exc
+    raise AssertionError(f"{check.__name__} passes every value its column stage fails")
+
+
+# json.loads without its per-call checks: the decoder's scanner, which
+# returns a value and where it ends, or raises StopIteration
+_SCAN = json.JSONDecoder().scan_once
+
+
+def _json_rows(texts) -> list:
+    """``json.loads`` of every text.
+
+    Each text goes to the scanner alone, from its first character; where one
+    fails or ends early (whitespace around the value, extra data, a bad value),
+    every text goes to ``json.loads``.
+    """
+    # a StopIteration ends the map early
+    scanned = list(map(_SCAN, texts, repeat(0)))
+    if len(scanned) == len(texts) and [end for _, end in scanned] == list(map(len, texts)):
+        return [row for row, _ in scanned]
+    return list(map(json.loads, texts))
+
+
+def _floats(values, width: int):
+    """``values``, lists of ``width`` JSON numbers each, as an ``(n, width)`` array."""
+    if not (_LIST.issuperset(map(type, values)) and set(map(len, values)) <= {width}
+            and _NUMBER.issuperset(map(type, chain.from_iterable(values)))):
+        return False
+    return np.fromiter(chain.from_iterable(values), float, width * len(values)).reshape(-1, width)
+
+
+def _boxes(boxes):
+    boxes = _floats(boxes, 4)
+    if boxes is False:
+        return False
+    valid = (boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])
+    return boxes if valid.all() else False
+
+
+def _vp_column(values):
+    """The ``(n, 2)`` column of one vanishing-point field, NaN where not given."""
+    given = np.array([value is not None for value in values], dtype=bool)
+    points = _floats([value for value in values if value is not None], 2)
+    if points is False or not np.isfinite(points).all():
+        return False
+    column = np.full((len(values), 2), np.nan)
+    column[given] = points
+    return column
+
+
+def _frame_column(frames):
+    frames = np.fromiter(frames, np.int64, len(frames))
+    return frames if (frames >= 0).all() else False
+
+
+def _read_table(texts) -> DetectionTable:
+    """The table of the JSON lines ``texts``; a line that fails a check raises
+    :class:`_BadRow` for the first stage it fails that no earlier line fails."""
+    rows = _stage(texts, _json_rows, json.loads)
+    frames = _stage(rows, lambda rows: list(map(_FRAME, rows)), _FRAME)
+    boxes = _stage(rows, lambda rows: list(map(_BOX, rows)), _BOX)
+    confidence = [row.get("confidence", 1.0) for row in rows]
+    _stage(frames, lambda frames: _INT.issuperset(map(type, frames)), _check_frame_type)
+    _stage(boxes, lambda boxes: _LIST.issuperset(map(type, boxes))
+           and _NUMBER.issuperset(map(type, chain.from_iterable(boxes))), _check_box_type)
+    _stage(confidence, lambda c: _NUMBER.issuperset(map(type, c)), _check_confidence_type)
+    boxes = _stage(boxes, _boxes, _check_box)
+    confidence = _stage(confidence, lambda c: np.fromiter(c, float, len(c)), float)
+    vps = np.empty((len(VP_FIELDS), len(rows), 2))
+    for j, name in enumerate(VP_FIELDS):
+        vps[j] = _stage([row.get(name) for row in rows], _vp_column, _opt_vec)
+    refs = [row.get("heatmap") for row in rows]
+    frames = _stage(frames, _frame_column, _check_frame_index)
+    _stage(confidence.tolist(), lambda _: bool(((0.0 <= confidence) & (confidence <= 1.0)).all()),
+           _check_confidence)
+    given = ~np.isnan(vps[..., 0])
+    inline = (given[0] | given[2]) & (given[1] | given[3])
+    mapped = np.array([ref is not None for ref in refs], dtype=bool)
+    _stage(list(zip(inline.tolist(), refs)),
+           lambda _: bool((inline | mapped).all())
+           and _STR.issuperset(map(type, compress(refs, mapped))),
+           lambda payload: _check_payload(*payload))
+    return DetectionTable(frames, boxes, confidence, vps, given, refs)
+
+
+# Lines read into one table at a time: few enough that the JSON objects of
+# one part stay small next to the columns of a long file
+_LINES = 4096
+
+
+def _read_lines(texts) -> DetectionTable:
+    """The table of the JSON lines ``texts``, or :class:`_BadRow` for the
+    first bad line and the first check it fails.
+
+    A failing stage names the first line it fails, but an earlier line may
+    fail a later stage; so the lines before are read again until they pass.
+    """
+    bad, end = None, len(texts)
+    while True:
+        try:
+            table = _read_table(texts[:end])
+        except _BadRow as exc:
+            bad, end = exc, exc.row
+            continue
+        if bad is not None:
+            raise bad
+        return table
+
+
+def parse_detections(path) -> DetectionTable:
+    """Read a JSON-lines detections file, sorted input required, into a :class:`DetectionTable`.
+
+    Each stage of reading (JSON, field types, box, confidence and
+    vanishing-point values, payload) runs on a whole column of up to
+    ``_LINES`` lines at once. A bad line is reported as ``InputFormatError``
+    naming its line and the first check it fails, as a line-by-line reader
+    would report it.
+    """
     with reading(f"detections {path}"):
         lines = Path(path).read_text().splitlines()
-    records = []
-    for idx, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        # a plain handler: a ``reading`` block per line costs ~3% of a calibration
+    numbers = [idx for idx, line in enumerate(lines, start=1) if line.strip()]
+    parts = []
+    for start in range(0, max(len(numbers), 1), _LINES):
+        part = numbers[start : start + _LINES]
         try:
-            records.append(_parse_record(json.loads(line)))
-        except READ_ERRORS as exc:
-            raise InputFormatError(f"detections {path} line {idx}: {exc}") from exc
-    if any(b.frame_index < a.frame_index for a, b in zip(records, records[1:])):
+            parts.append(_read_lines([lines[idx - 1] for idx in part]))
+        except _BadRow as bad:
+            raise InputFormatError(
+                f"detections {path} line {part[bad.row]}: {bad.cause}"
+            ) from bad.cause
+    # the VP columns and their masks stack rows along their second axis
+    table = DetectionTable(*(
+        np.concatenate([getattr(part, name) for part in parts], axis=int(name.startswith("vp")))
+        for name in DetectionTable.__slots__
+    ))
+    if (table.frame_index[1:] < table.frame_index[:-1]).any():
         raise InputFormatError("detections must be sorted by frame index")
-    return records
+    return table
 
 
-def filter_detections(records, config: PipelineConfig) -> list[DetectionRecord]:
+# Pairs of (current, previous-frame) boxes compared at once by the static
+# filter: enough to make one pass of a whole inline scene, few enough to
+# bound the memory of crowded frames under a large max_boxes_per_frame
+_PAIRS = 1 << 18
+
+
+def _sampled_top(frames, confidence, config: PipelineConfig) -> np.ndarray:
+    """Rows on the frame stride below ``max_frames``, at most
+    ``max_boxes_per_frame`` of the highest confidence per frame, ties in
+    input order; in (frame, input) order."""
+    stride = config.frame_stride
+    # every frame is below 2**63, so a larger stride leaves frame 0 alone
+    on_stride = frames % stride == 0 if stride < _FRAME_LIMIT else frames == 0
+    rows = np.flatnonzero(on_stride & (frames < config.max_frames))
+    rows = rows[np.lexsort((rows, -confidence[rows], frames[rows]))]
+    starts = np.flatnonzero(np.diff(frames[rows], prepend=-1))
+    rank = np.arange(len(rows)) - np.repeat(starts, np.diff(np.append(starts, len(rows))))
+    rows = rows[rank < config.max_boxes_per_frame]
+    return rows[np.lexsort((rows, frames[rows]))]
+
+
+def _ious_above(current, previous, threshold) -> np.ndarray:
+    """Where ``BBox.iou`` of rows of two ``(P, 4)`` box arrays exceeds ``threshold``,
+    by its float operations."""
+    ix = np.minimum(current[:, 2], previous[:, 2]) - np.maximum(current[:, 0], previous[:, 0])
+    iy = np.minimum(current[:, 3], previous[:, 3]) - np.maximum(current[:, 1], previous[:, 1])
+    inter = ix * iy
+    area = (current[:, 2] - current[:, 0]) * (current[:, 3] - current[:, 1])
+    area_o = (previous[:, 2] - previous[:, 0]) * (previous[:, 3] - previous[:, 1])
+    # boxes of infinite or underflowing area give NaN here, and no match
+    with np.errstate(all="ignore"):
+        return (ix > 0) & (iy > 0) & (inter / (area + area_o - inter) > threshold)
+
+
+def _static_kept(boxes, frames, config: PipelineConfig) -> np.ndarray:
+    """Mask of the rows that static suppression keeps, rows in (frame, input) order.
+
+    A row's track is that of the first row of the previous frame whose box
+    overlaps its own by IoU above ``static_iou``, or a new one; a row is
+    dropped once its track has more than ``static_min_hits`` rows.
+    """
+    n = len(frames)
+    new = np.diff(frames, prepend=-1) != 0
+    group = np.cumsum(new) - 1
+    # the rows of the previous frame are [lo, lo + count) of each row; none
+    # for the first frame
+    bounds = np.append(0, np.flatnonzero(new))
+    lo = bounds[group]
+    count = bounds[group + 1] - lo
+    ends = np.cumsum(count)
+    track = np.full(n, -1)
+    a = 0
+    while a < n:
+        base = ends[a] - count[a]
+        b = max(a + 1, int(np.searchsorted(ends, base + _PAIRS, side="right")))
+        cur = np.repeat(np.arange(a, b), count[a:b])
+        prev = np.arange(base, ends[b - 1]) - np.repeat(ends[a:b] - count[a:b] - lo[a:b], count[a:b])
+        hit = np.flatnonzero(_ious_above(boxes[cur], boxes[prev], config.static_iou))
+        first = np.diff(cur[hit], prepend=-1) != 0
+        track[cur[hit[first]]] = prev[hit[first]]
+        a = b
+    hits = [1] * n
+    matched = np.flatnonzero(track >= 0)
+    for row, prev in zip(matched.tolist(), track[matched].tolist()):
+        hits[row] = hits[prev] + 1
+    return np.array(hits) <= config.static_min_hits
+
+
+def filter_detections(records, config: PipelineConfig):
     """Frame sampling, per-frame top-k, and static-vehicle suppression.
 
     Keeps frames divisible by the stride below ``max_frames`` and at most
     ``max_boxes_per_frame`` highest-confidence boxes per frame. A box that
     keeps overlapping (IoU above ``static_iou``) with a box of the previous
     sampled frame is tracked; once it has appeared ``static_min_hits`` times
-    it counts as a parked vehicle and later appearances are dropped. Output
-    is a subsequence of the input.
-    """
-    by_frame: dict[int, list[DetectionRecord]] = {}
-    for rec in records:
-        if rec.frame_index % config.frame_stride != 0:
-            continue
-        if rec.frame_index >= config.max_frames:
-            continue
-        by_frame.setdefault(rec.frame_index, []).append(rec)
+    it counts as a parked vehicle and later appearances are dropped.
 
-    kept: list[DetectionRecord] = []
-    # tracks of the previous sampled frame: list of (box, consecutive hits)
-    previous: list[tuple[BBox, int]] = []
-    for frame in sorted(by_frame):
-        frame_records = by_frame[frame]
-        if len(frame_records) > config.max_boxes_per_frame:
-            order = sorted(
-                range(len(frame_records)),
-                key=lambda k: (-frame_records[k].confidence, k),
-            )[: config.max_boxes_per_frame]
-            frame_records = [frame_records[k] for k in sorted(order)]
-        current: list[tuple[BBox, int]] = []
-        for rec in frame_records:
-            hits = 1
-            for prev_box, prev_hits in previous:
-                if rec.box.iou(prev_box) > config.static_iou:
-                    hits = prev_hits + 1
-                    break
-            current.append((rec.box, hits))
-            if hits <= config.static_min_hits:
-                kept.append(rec)
-        previous = current
-    return kept
+    Works on the columns of a :class:`DetectionTable`: sampling and top-k are
+    array operations, and static suppression compares every kept box with the
+    kept boxes of the previous sampled frame in one pass. Returns a table of
+    the kept rows for a table, and a list of the kept records for a list,
+    in (frame, input) order: a subsequence of sorted input.
+    """
+    if not isinstance(records, DetectionTable):
+        records = list(records)
+    table = DetectionTable.of(records)
+    rows = _sampled_top(table.frame_index, table.confidence, config)
+    rows = rows[_static_kept(table.boxes[rows], table.frame_index[rows], config)]
+    return table.take(rows) if records is table else [records[k] for k in rows]
 
 
 # Records read and decoded together: enough to spread the fixed cost of a
@@ -250,40 +563,37 @@ def filter_detections(records, config: PipelineConfig) -> list[DetectionRecord]:
 _CHUNK = 64
 
 
-def _read_stack(records, config: PipelineConfig, base_dir) -> np.ndarray:
-    """Channel-major ``(2, N, S, R, R)`` grids of the records' heatmap files.
+def _read_stack(refs, config: PipelineConfig, base_dir) -> np.ndarray:
+    """Channel-major ``(2, N, S, R, R)`` grids of the heatmap files ``refs``.
 
     float32 as DVP files store them, float64 once a JSON file needs it.
     """
     stack = None
-    for k, rec in enumerate(records):
-        scales, values = read_heatmap_arrays(Path(base_dir) / rec.heatmap_ref)
+    for k, ref in enumerate(refs):
+        scales, values = read_heatmap_arrays(Path(base_dir) / ref)
         if len(values) != 2:
-            raise InputFormatError(
-                f"heatmap file {rec.heatmap_ref} has {len(values)} channels, expected 2"
-            )
+            raise InputFormatError(f"heatmap file {ref} has {len(values)} channels, expected 2")
         if scales != config.scales:
             raise InputFormatError(
-                f"heatmap file {rec.heatmap_ref} uses scales {scales}, "
-                f"config expects {config.scales}"
+                f"heatmap file {ref} uses scales {scales}, config expects {config.scales}"
             )
         if values.shape[-1] != config.resolution:
             raise InputFormatError(
-                f"heatmap file {rec.heatmap_ref} has resolution "
+                f"heatmap file {ref} has resolution "
                 f"{values.shape[-1]}, config expects {config.resolution}"
             )
         if stack is None:
-            stack = np.empty((2, len(records)) + values.shape[1:], dtype=values.dtype)
+            stack = np.empty((2, len(refs)) + values.shape[1:], dtype=values.dtype)
         elif not np.can_cast(values.dtype, stack.dtype):
             stack = stack.astype(values.dtype)
         stack[:, k] = values
     return stack
 
 
-def _decode_chunk(records, config: PipelineConfig, base_dir, sample_cells) -> list:
+def _decode_chunk(refs, config: PipelineConfig, base_dir, sample_cells) -> list:
     """Per channel, the record indices, box-coordinate points and direction
-    masks decoded from the records' heatmap files; their stack dies on return."""
-    stack = _read_stack(records, config, base_dir)
+    masks decoded from the heatmap files ``refs``; their stack dies on return."""
+    stack = _read_stack(refs, config, base_dir)
     return [
         _decode_stack(maps, config.scales, config.peak_ratio, sample_cells)[:3] for maps in stack
     ]
@@ -292,9 +602,12 @@ def _decode_chunk(records, config: PipelineConfig, base_dir, sample_cells) -> li
 def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSet:
     """Decode every record into a vanishing-point pair, dropping failures.
 
-    Both routes fill box-coordinate columns, and one
-    :func:`~vpcalib.heatmap.box_to_frame` call per channel takes them to
-    frame pixels. Heatmap records go in chunks of ``_CHUNK``: the chunk's
+    ``records`` is a :class:`DetectionTable` or a list of
+    :class:`DetectionRecord`, which is converted once. Both routes fill
+    box-coordinate columns, and one :func:`~vpcalib.heatmap.box_to_frame`
+    call per channel takes them to frame pixels. Inline records take the
+    table's point column of a channel where given, else its direction
+    column. Heatmap records go in chunks of ``_CHUNK``: the chunk's
     files are read into one stack per channel, each decoded in one batch as by
     :func:`~vpcalib.heatmap.decode_stack`. The batches share one table of
     where the sub-pixel samples of the chosen peak cells land, which lives
@@ -305,31 +618,23 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
     two vanishing points coincide, are dropped. The result keeps the input
     order; ``config.parallel`` has no effect on it.
     """
-    n = len(records)
+    table = DetectionTable.of(records)
+    mapped = np.not_equal(table.heatmap_ref, None)
     # per channel, (n, 2) box-coordinate points and directions; NaN where a
     # channel decodes to nothing
-    ends = np.full((2, n, 2), np.nan)
-    is_direction = np.zeros((2, n), dtype=bool)
-    mapped = np.array([rec.heatmap_ref is not None for rec in records], dtype=bool)
-    inline = [records[k] for k in np.flatnonzero(~mapped)]
-    for c, names in enumerate((("vp_first", "vp_first_direction"),
-                               ("vp_second", "vp_second_direction"))):
-        points, directions = (list(map(attrgetter(name), inline)) for name in names)
-        is_direction[c, ~mapped] = [p is None for p in points]
-        ends[c, ~mapped] = np.reshape([d if p is None else p for p, d in zip(points, directions)],
-                                      (-1, 2))
+    ends = np.where(table.vp_given[:2, :, None], table.vps[:2], table.vps[2:])
+    ends[:, mapped] = np.nan
+    is_direction = ~table.vp_given[:2] & ~mapped
     mapped = np.flatnonzero(mapped)
     sample_cells = _SampleCells()
     for start in range(0, len(mapped), _CHUNK):
         rows = mapped[start : start + _CHUNK]
-        chunk = _decode_chunk([records[k] for k in rows], config, base_dir, sample_cells)
+        chunk = _decode_chunk(table.heatmap_ref[rows], config, base_dir, sample_cells)
         for c, (decoded, points, directions) in enumerate(chunk):
             ends[c, rows[decoded]] = points
             is_direction[c, rows[decoded]] = directions
-    corners = chain.from_iterable(rec.box.as_tuple() for rec in records)
-    boxes = np.fromiter(corners, float, 4 * n).reshape(n, 4)
     for c in range(2):
-        ends[c] = box_to_frame(ends[c], is_direction[c], boxes)
+        ends[c] = box_to_frame(ends[c], is_direction[c], table.boxes)
     return PairSet.valid_rows(*ends, *is_direction)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_float_array, check_image_size, check_positive
+from ._validation import as_float_array, check_image_size, check_integer, check_positive
 from .calibration import CameraCalibration, CameraIntrinsics, PairSet, VPPair
 from .errors import DegenerateHomography, InputFormatError, InsufficientMeasurements
 from .evaluation import DistanceMeasurement
@@ -194,9 +194,7 @@ class SceneSpec:
                 raise ValueError(f"{name} must be a number, got {value!r}")
         check_image_size(self.image_size)
         for name, low in (("seed", 0), ("n_vehicles", 1), ("n_measurements", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            setattr(self, name, check_integer(getattr(self, name), name, low))
         check_positive(self.f, "f")
         check_positive(self.camera_height, "camera_height")
         as_float_array([self.tilt_deg, self.roll_deg], "tilt_deg and roll_deg")

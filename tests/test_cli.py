@@ -184,6 +184,48 @@ class TestCalibrate:
                      "--image-size", "1920", "1080"]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MIXED_GOLDEN
 
+    # SHA-256 of the calibration file of an inline scene that every filter
+    # rule acts on, as the per-frame filter loop kept it: frames of 15 boxes
+    # with tied confidences (top-10), three parked cars in most sampled frames
+    # (one still, one jittered to an IoU just above static_iou, one just
+    # below) and off-stride frames
+    FILTERED_GOLDEN = "f291a66a798820be020487752a09344bdc1d38addeeb87e0a58386026897c214"
+
+    def test_golden_bytes_of_a_filtered_scene(self, tmp_path):
+        spec = tmp_path / "scene.json"
+        spec.write_text(json.dumps(
+            {"seed": 37, "n_vehicles": 300, "noise_sigma_px": 2.0, "outlier_fraction": 0.1}
+        ))
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "detections.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines if "vp_first" in line and "vp_second" in line]
+        parked, moving = records[:3], records[3:]
+        # widths that make the IoU of a 0/dx/0/... shift just above or below 0.9
+        shift = [0.0, 0.999, 1.001]
+        rng = np.random.default_rng(37)
+        out_lines = []
+        for g in range(24):
+            frame = 10 * g + (3 if g % 7 == 5 else 0)
+            group = [dict(rec) for rec in moving[12 * g : 12 * g + 12]]
+            for rec in group:
+                rec["confidence"] = float(rng.choice([0.7, 0.8, 0.9, 1.0]))
+            for k, rec in enumerate(parked):
+                if g % 9 == 8 and k == 0:  # the still car leaves one frame out
+                    continue
+                x0, y0, x1, y1 = rec["box"]
+                dx = (x1 - x0) * 0.1 / 1.9 * shift[k] * (g % 2)
+                group.insert(4 * k + 1, {**rec, "box": [x0 + dx, y0, x1 + dx, y1],
+                                         "confidence": 0.9})
+            for rec in group:
+                rec["frame"] = frame
+                out_lines.append(json.dumps(rec))
+        det = tmp_path / "filtered.jsonl"
+        det.write_text("\n".join(out_lines) + "\n")
+        out = tmp_path / "cal.json"
+        assert main(["calibrate", "--detections", str(det), "--out", str(out),
+                     "--image-size", "1920", "1080"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.FILTERED_GOLDEN
+
     @staticmethod
     def _used_with_five_good_records(tmp_path, scene_dir, capsys, record):
         good = (scene_dir / "detections.jsonl").read_text().splitlines()[:5]
@@ -479,6 +521,21 @@ class TestErrorPaths:
             ("noise_sigma_px", '"1"'), ("outlier_fraction", "false"), ("camera_height", '"10"'),
             ("image_size", '["1920", 1080]'), ("image_size", "[1920, true]"),
         ]
+    })
+
+    # JSON booleans where a count or a ratio belongs: isinstance(True, int)
+    # holds and 0 < True <= 1, so each would run as 1
+    BAD_INPUTS.update({
+        f"config-{field}-bool": (
+            "calibrate", ["--config", "cfg.json"], {"cfg.json": '{"%s": true}' % field},
+            "InputFormatError", "cfg.json")
+        for field in ("frame_stride", "peak_ratio", "min_pairs")
+    })
+    BAD_INPUTS.update({
+        f"scene-{field}-bool": (
+            "synth", [], {"spec.json": json.dumps({"seed": 1, "n_vehicles": 5, field: True})},
+            "InputFormatError", "spec.json")
+        for field in ("seed", "n_vehicles")
     })
 
     # detection fields of the wrong JSON type, which int() and float() would

@@ -25,6 +25,7 @@ from vpcalib.heatmap import (
     _decode_stack,
     _directions,
     _nearest_cells,
+    _run_means,
     accuracy_measure,
     bbox_denormalize,
     bbox_denormalize_direction,
@@ -285,6 +286,16 @@ class TestAccuracyMeasure:
         peak, cands = decode_heatmap(h)
         with pytest.raises(DegeneratePeak):
             accuracy_measure(h, peak, cands)
+
+    def test_run_means_are_np_mean_bit_for_bit(self, rng):
+        # runs of one length are averaged together; numpy sums a run in an
+        # order that depends on its length, so each must equal np.mean alone
+        lengths = np.repeat(np.arange(1, 300), 20)
+        rng.shuffle(lengths)
+        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        values = rng.uniform(0, 3, lengths.sum()) * 10.0 ** rng.integers(-3, 4, lengths.sum())
+        expected = [np.mean(values[s : s + n]) for s, n in zip(starts, lengths)]
+        assert _run_means(values, starts).tobytes() == np.array(expected).tobytes()
 
     def test_far_vp_spread_grows_with_scale(self):
         # blurrier targets make the near-maximum set non-trivial
