@@ -411,9 +411,11 @@ def _read_table(texts) -> DetectionTable:
     return DetectionTable(frames, boxes, confidence, vps, given, refs)
 
 
-# Lines read into one table at a time: few enough that the JSON objects of
-# one part stay small next to the columns of a long file
-_LINES = 4096
+# Lines read into one table at a time. A part's JSON objects take about
+# 1 KB a line while it is read, and what they leave in the allocator's
+# arenas adds to the peak of the decode that follows; more lines a part
+# save little time.
+_LINES = 1024
 
 
 def _read_lines(texts) -> DetectionTable:
@@ -467,9 +469,10 @@ def parse_detections(path) -> DetectionTable:
 
 
 # Pairs of (current, previous-frame) boxes compared at once by the static
-# filter: enough to make one pass of a whole inline scene, few enough to
-# bound the memory of crowded frames under a large max_boxes_per_frame
-_PAIRS = 1 << 18
+# filter. A block's temporaries take about 150 bytes a pair, so this keeps
+# them near 0.6 MB, under crowded frames and a large max_boxes_per_frame
+# too; a block costs a few numpy calls.
+_PAIRS = 1 << 12
 
 
 def _sampled_top(frames, confidence, config: PipelineConfig) -> np.ndarray:
@@ -544,8 +547,9 @@ def filter_detections(records, config: PipelineConfig):
     it counts as a parked vehicle and later appearances are dropped.
 
     Works on the columns of a :class:`DetectionTable`: sampling and top-k are
-    array operations, and static suppression compares every kept box with the
-    kept boxes of the previous sampled frame in one pass. Returns a table of
+    array operations, and static suppression compares every box left by
+    top-k with those of the previous sampled frame, dropped ones included,
+    in one pass. Returns a table of
     the kept rows for a table, and a list of the kept records for a list,
     in (frame, input) order: a subsequence of sorted input.
     """

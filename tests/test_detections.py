@@ -76,7 +76,7 @@ class TestParse:
     ])
     @pytest.mark.parametrize("n_lines, line", [(1000, 517), (9000, 5117)])
     def test_malformed_line_in_the_middle_is_named(self, tmp_path, bad, n_lines, line):
-        # 9000 lines are read in three parts, and the bad line is in the second
+        # 9000 lines are read in several parts, and the bad line is in a middle one
         lines = [json.dumps({**GOOD, "frame": 10 * k}) for k in range(n_lines)]
         lines[line - 1] = bad
         lines[-1] = "not json"
