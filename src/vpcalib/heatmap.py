@@ -12,9 +12,11 @@ array operations, taking what it needs to know about a grid cell from
 per-grid tables that persist for the process: the cells' points are tabled
 whole the first time a grid is used, their quantization radius the first
 time a decode needs it. Where the sub-pixel samples of a chosen peak cell
-land at every scale goes into a table that lives for one run instead
-(:class:`_SampleCells`, 1.8 KB per distinct cell at four 64 x 64 scales):
-its owner passes it to every decode of the run and drops it afterwards.
+land at every scale, and which way they point, goes into a table that
+lives for one run instead (:class:`_SampleCells`, 5.4 KB per distinct cell
+at four 64 x 64 scales): its owner passes it to every decode of the run and
+drops it afterwards. The near-maximum cells of a grid are found in the
+stack's own precision, float32 as DVP files store it.
 The decode works in box coordinates; :func:`box_to_frame` and its inverse
 :func:`frame_to_box` are the one array form of the box <-> frame convention.
 
@@ -117,7 +119,9 @@ class BBox:
         inter = ix * iy
         area = (self.x_max - self.x_min) * (self.y_max - self.y_min)
         area_o = (other.x_max - other.x_min) * (other.y_max - other.y_min)
-        return inter / (area + area_o - inter)
+        union = area + area_o - inter
+        # areas that underflow to zero or overflow leave no usable union
+        return inter / union if union > 0 else 0.0
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
@@ -282,7 +286,10 @@ def _nearest_cells(vph: np.ndarray, scales, resolution: int) -> np.ndarray:
     ``vph`` holds homogeneous box-coordinate point(s); the result has shape
     ``(len(scales),) + vph.shape[:-1] + (2,)``, one cell per scale.
     """
-    vph = vph / np.max(np.abs(vph), axis=-1, keepdims=True)
+    # the largest |coordinate| of each point: np.max over the last axis, in
+    # two elementwise passes rather than one slow reduction over three values
+    size = np.abs(vph)
+    vph = vph / np.maximum(np.maximum(size[..., 0], size[..., 1]), size[..., 2])[..., None]
     scaled = np.stack([pj.scale_point(vph, s) for s in scales])
     xy = pj.dehomogenize(pj.to_diamond(scaled))
     return _round_half_up(diamond_to_pixel(xy, resolution))
@@ -324,17 +331,25 @@ def _check_peak_ratio(peak_ratio: float) -> None:
 def _rasterize(i0: int, j0: int, resolution: int, sigma: float) -> np.ndarray:
     """The grid of :func:`encode_vp` with its peak at cell ``(i0, j0)``."""
     values = np.zeros((resolution, resolution))
-    reach = int(np.ceil(3.0 * sigma))
+    patch = _gaussian_patch(sigma)
+    reach = len(patch) // 2
     lo_i, hi_i = max(0, i0 - reach), min(resolution, i0 + reach + 1)
     lo_j, hi_j = max(0, j0 - reach), min(resolution, j0 + reach + 1)
-    ii = np.arange(lo_i, hi_i)
-    jj = np.arange(lo_j, hi_j)
-    di2 = (ii - i0) ** 2
-    dj2 = (jj - j0) ** 2
-    patch = np.exp(-(di2[:, None] + dj2[None, :]) / (2.0 * sigma * sigma))
-    patch[patch < 1e-4] = 0.0
-    values[lo_i:hi_i, lo_j:hi_j] = patch
+    values[lo_i:hi_i, lo_j:hi_j] = patch[lo_i - i0 + reach : hi_i - i0 + reach,
+                                         lo_j - j0 + reach : hi_j - j0 + reach]
     return values
+
+
+@functools.lru_cache(maxsize=8)
+def _gaussian_patch(sigma: float) -> np.ndarray:
+    """The read-only peak :func:`_rasterize` slices: the Gaussian at integer
+    offsets up to three standard deviations, values below 1e-4 zeroed."""
+    reach = int(np.ceil(3.0 * sigma))
+    d2 = np.arange(-reach, reach + 1) ** 2
+    patch = np.exp(-(d2[:, None] + d2[None, :]) / (2.0 * sigma * sigma))
+    patch[patch < 1e-4] = 0.0
+    patch.setflags(write=False)
+    return patch
 
 
 def decode_heatmap(
@@ -589,15 +604,24 @@ def _spreads(tables: _CellTables, near, usable, row, col, ideal, norm) -> np.nda
     return spread
 
 
+# Cells per block of a _SampleCells table: it grows a block at a time, so no
+# entry is ever copied and at most one block is partly unused.
+_BLOCK = 256
+
+
 class _SampleCells:
-    """Where the sub-pixel samples of chosen peak cells land at every scale.
+    """Where the sub-pixel samples of chosen peak cells land at every scale,
+    and which way they point.
 
     One entry per distinct chosen cell ``(scale index, row, col)`` that a
     decode has met. For each of the cell's :data:`_SUBPIXEL` samples it
     holds, at every scale, the flat index ``row * R + col`` of the cell
-    where :func:`_nearest_cells` puts the sample. The indices take the
-    narrowest unsigned dtype that holds ``R * R - 1``: uint16 at 64 x 64,
-    1.8 KB per cell at four scales. The values depend on the grid alone, but
+    where :func:`_nearest_cells` puts the sample, and the sample's unit
+    direction from the box centre (:func:`_directions` of its point). The
+    indices take the narrowest unsigned dtype that holds ``R * R - 1``:
+    uint16 at 64 x 64, so a cell takes 1.8 KB of indices at four scales and
+    3.6 KB of float64 directions, 5.4 KB in all. The entries are stored in
+    blocks of :data:`_BLOCK` cells. The values depend on the grid alone, but
     a table lives for one run: whoever runs the decodes creates it and
     passes it to each of them, so nothing is left resident afterwards. A
     decode on another grid starts the table afresh.
@@ -606,36 +630,47 @@ class _SampleCells:
     def __init__(self):
         self._grid = None
 
-    def lookup(self, scales, resolution, chosen, row, col) -> np.ndarray:
-        """``(M, S, samples)`` flat cell indices of the chosen cells, filling
-        the missing ones in one pass."""
+    def lookup(self, scales, resolution, chosen, row, col) -> tuple[np.ndarray, np.ndarray]:
+        """``(M, S, samples)`` flat cell indices and ``(M, samples, 2)`` sample
+        directions of the chosen cells, filling the missing ones in one pass."""
         if self._grid != (scales, resolution):
             self._grid = (scales, resolution)
             self._slot = {}
-            dtype = np.min_scalar_type(resolution * resolution - 1)
-            self._cells = np.empty((0, len(scales), len(_SUBPIXEL)), dtype=dtype)
+            self._dtype = np.min_scalar_type(resolution * resolution - 1)
+            self._cells, self._dirs = [], []
         key = ((chosen * resolution + row) * resolution + col).tolist()
         missing = sorted(set(key).difference(self._slot))
         if missing:
             self._fill(missing)
-        return self._cells[[self._slot[k] for k in key]]
+        block, at = np.divmod(np.array([self._slot[k] for k in key], dtype=int), _BLOCK)
+        cells = np.empty((len(key), len(scales), len(_SUBPIXEL)), dtype=self._dtype)
+        dirs = np.empty((len(key), len(_SUBPIXEL), 2))
+        for b in np.unique(block).tolist():
+            here = block == b
+            cells[here] = self._cells[b][at[here]]
+            dirs[here] = self._dirs[b][at[here]]
+        return cells, dirs
 
     def _fill(self, key: list[int]) -> None:
         scales, resolution = self._grid
-        size = len(self._slot)
-        if size + len(key) > len(self._cells):
-            grown = np.empty((max(2 * size, size + len(key)),) + self._cells.shape[1:],
-                             dtype=self._cells.dtype)
-            grown[:size] = self._cells[:size]
-            self._cells = grown
         chosen, row, col = np.unravel_index(key, (len(scales), resolution, resolution))
         rc = np.stack([row, col], axis=-1)[:, None, :] + _SUBPIXEL
         samples = _vp_by_scale(scales, chosen, rc[..., 0], rc[..., 1], resolution)
         cells = _nearest_cells(samples, scales, resolution)
-        self._cells[size : size + len(key)] = np.moveaxis(
-            cells[..., 0] * resolution + cells[..., 1], 0, 1
-        )
+        cells = np.moveaxis(cells[..., 0] * resolution + cells[..., 1], 0, 1)
+        dirs = _directions(samples.reshape(-1, 3)).reshape(samples.shape[:-1] + (2,))
+        size = len(self._slot)
         self._slot.update(zip(key, range(size, size + len(key))))
+        done = 0
+        while done < len(key):
+            block, at = divmod(size + done, _BLOCK)
+            if block == len(self._cells):
+                self._cells.append(np.empty((_BLOCK,) + cells.shape[1:], dtype=self._dtype))
+                self._dirs.append(np.empty((_BLOCK,) + dirs.shape[1:]))
+            n = min(_BLOCK - at, len(key) - done)
+            self._cells[block][at : at + n] = cells[done : done + n]
+            self._dirs[block][at : at + n] = dirs[done : done + n]
+            done += n
 
 
 def _fuse(tables: _CellTables, sample_cells: _SampleCells, near, records, chosen, row, col,
@@ -647,17 +682,17 @@ def _fuse(tables: _CellTables, sample_cells: _SampleCells, near, records, chosen
     that cell and ``others`` marks the other non-empty scales. Each chosen
     cell is sampled on a sub-pixel grid; a sample is kept when, at every
     other scale, it falls into a near-maximum cell (by the rounding of
-    :func:`encode_vp`). Where each sample falls comes from ``sample_cells``,
-    so a run maps the samples of each distinct chosen cell once; the points
-    and directions of the samples are computed for the kept ones only. The
-    result is the point at the mean position of the kept samples, or
-    ``centre`` when no sample is kept or when that point is farther from
+    :func:`encode_vp`). Where each sample falls and which way it points
+    come from ``sample_cells``, so a run maps the samples of each distinct
+    chosen cell once; only the points at the mean positions are computed
+    here. The result is the point at the mean position of the kept samples,
+    or ``centre`` when no sample is kept or when that point is farther from
     some kept sample than ``centre`` is. The mean never reaches the grid
     diagonal, where points lie at infinity, unless the chosen cell is on it.
     """
     scales, resolution = tables.scales, tables.resolution
     n_scales = len(scales)
-    cells = sample_cells.lookup(scales, resolution, chosen, row, col)
+    cells, sample_dirs = sample_cells.lookup(scales, resolution, chosen, row, col)
     hit = near.reshape(len(near), n_scales, -1)[
         records[:, None, None], np.arange(n_scales)[:, None], cells
     ]
@@ -668,19 +703,11 @@ def _fuse(tables: _CellTables, sample_cells: _SampleCells, near, records, chosen
     some = count > 0
     # rc[keep].mean(axis=0) adds the kept rows in order; skipped rows add zero
     mean = np.where(keep[..., None], rc, 0.0).sum(axis=1)[some] / count[some, None]
-    # the points at the means and at the kept samples, in one pass
-    at = np.concatenate([np.flatnonzero(some), np.nonzero(keep)[0]])
-    positions = np.concatenate([mean, rc[keep]])
-    points = _vp_by_scale(scales, chosen[at], positions[:, 0], positions[:, 1], resolution)
-    fused[some] = points[: len(mean)]
+    fused[some] = _vp_by_scale(scales, chosen[some], mean[:, 0], mean[:, 1], resolution)
     # a direction at infinity stays one, oriented like the centre's
     flip = ideal & (np.sum(fused[:, :2] * centre[:, :2], axis=1) < 0.0)
     fused[flip, :2] *= -1.0
     fused[ideal, 2] = 0.0
-
-    # the kept samples' directions; the others stay zero and are masked below
-    sample_dirs = np.zeros(keep.shape + (2,))
-    sample_dirs[keep] = _directions(points[len(mean) :])
 
     def worst_angle(direction):
         # the stacked matmul gives each sample what ``dirs @ direction`` gives
@@ -723,6 +750,16 @@ def decode_stack(
     return out
 
 
+def _round_up(threshold: np.ndarray, dtype) -> np.ndarray:
+    """The smallest value of the float ``dtype`` at or above each float64
+    ``threshold`` (finite, and within the dtype's range): a value of that
+    dtype is at least the threshold exactly when it is at least this."""
+    out = threshold.astype(dtype)
+    below = out < threshold
+    out[below] = np.nextafter(out[below], np.inf, dtype=dtype)
+    return out
+
+
 def _decode_stack(values, scales, peak_ratio, sample_cells: _SampleCells):
     """:func:`decode_stack` in box coordinates, with the caller's sample-cell table.
 
@@ -744,14 +781,14 @@ def _decode_stack(values, scales, peak_ratio, sample_cells: _SampleCells):
     tables = _cell_tables(tuple(float(s) for s in scales), resolution)
     scale_index = np.broadcast_to(np.arange(n_scales), (n, n_scales))
 
-    # argmax and near-maximum cells of every grid (decode_heatmap), compared
-    # in float64 whatever the stack's precision; negative responses count as
-    # zero, so all of them reach a zero threshold
+    # argmax and near-maximum cells of every grid (decode_heatmap): the cells
+    # at or above the float64 threshold, found in the stack's own precision;
+    # negative responses count as zero, so all of them reach a zero threshold
     flat = values.reshape(n, n_scales, -1)
     top = np.maximum(flat.max(axis=2), 0.0).astype(float)
     row, col = np.divmod(flat.argmax(axis=2), resolution)
     threshold = peak_ratio * top
-    near = values >= threshold[:, :, None, None]
+    near = values >= _round_up(threshold, values.dtype)[:, :, None, None]
     near[threshold == 0.0] = True
     nonempty = top > 0.0
 
@@ -855,18 +892,25 @@ class HeatmapCodec:
     def encode(self, vp) -> list[Heatmap]:
         """One heatmap per scale for a box-coordinate vanishing point: what
         :func:`encode_vp` gives at each scale."""
-        cells = _nearest_cells(_as_vp_homogeneous(vp), self.scales, self.resolution)
+        return self._rasterized(
+            _nearest_cells(_as_vp_homogeneous(vp), self.scales, self.resolution)
+        )
+
+    def _rasterized(self, cells: np.ndarray) -> list[Heatmap]:
         return [
             Heatmap(_rasterize(i0, j0, self.resolution, self.sigma), s)
-            for (i0, j0), s in zip(cells, self.scales)
+            for (i0, j0), s in zip(cells.tolist(), self.scales)
         ]
 
     def decode(self, heatmaps, box: BBox) -> VPDetection:
         return select_vp(heatmaps, box, self.peak_ratio)
 
     def encode_pair(self, first_vp, second_vp) -> list[list[Heatmap]]:
-        """Channel-major heatmaps for a (first, second) vanishing-point pair."""
-        return [self.encode(first_vp), self.encode(second_vp)]
+        """Channel-major heatmaps for a (first, second) vanishing-point pair:
+        :meth:`encode` of each, with both points mapped in one pass."""
+        vph = np.stack([_as_vp_homogeneous(first_vp), _as_vp_homogeneous(second_vp)])
+        cells = _nearest_cells(vph, self.scales, self.resolution)
+        return [self._rasterized(cells[:, c]) for c in range(2)]
 
     def decode_pair(self, channel_maps, box: BBox) -> tuple[VPDetection, VPDetection]:
         first, second = channel_maps

@@ -16,7 +16,10 @@ paths ending in ``.json``.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +27,11 @@ import numpy as np
 from .errors import reading
 from .heatmap import Heatmap, check_scales
 
-__all__ = ["write_heatmap_file", "read_heatmap_file", "read_heatmap_arrays"]
+__all__ = ["write_heatmap_file", "read_heatmap_file", "read_heatmap_arrays", "check_finite"]
 
 MAGIC = b"DVP1"
+# how a DVP file stores its grid values
+_GRID = np.dtype("<f4")
 
 
 def _validate_channels(channel_maps) -> tuple[int, tuple[float, ...]]:
@@ -60,14 +65,15 @@ def write_heatmap_file(path, channel_maps) -> None:
         }
         path.write_text(json.dumps(payload))
         return
+    header = struct.pack(f"<4sII{len(scales)}dI", MAGIC, resolution, len(scales), *scales,
+                         len(channel_maps))
+    blob = bytearray(len(header) + 4 * len(channel_maps) * len(scales) * resolution * resolution)
+    blob[: len(header)] = header
+    grids = np.frombuffer(blob, dtype=_GRID, offset=len(header)).reshape(-1, resolution, resolution)
+    for grid, h in zip(grids, chain.from_iterable(channel_maps)):
+        grid[...] = h.values
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", resolution, len(scales)))
-        fh.write(struct.pack(f"<{len(scales)}d", *scales))
-        fh.write(struct.pack("<I", len(channel_maps)))
-        for channel in channel_maps:
-            for h in channel:
-                fh.write(np.ascontiguousarray(h.values, dtype="<f4").tobytes())
+        fh.write(blob)
 
 
 def read_heatmap_file(path) -> list[list[Heatmap]]:
@@ -76,23 +82,53 @@ def read_heatmap_file(path) -> list[list[Heatmap]]:
     return [[Heatmap(grid, scale) for grid, scale in zip(channel, scales)] for channel in values]
 
 
-def read_heatmap_arrays(path) -> tuple[tuple[float, ...], np.ndarray]:
+def read_heatmap_arrays(path, out=None) -> tuple[tuple[float, ...], np.ndarray]:
     """Read a heatmap observation as ``(scales, values)``.
 
     ``values`` has shape ``(channels, len(scales), R, R)`` and the precision
     of the file: float32 from DVP files, float64 from JSON. Every defect of
     the file (unreadable, malformed, truncated, scales that are not
-    positive, values that are not finite) raises :class:`InputFormatError`.
+    positive, values that are not finite) raises :class:`InputFormatError`,
+    in that order.
+
+    ``out`` is an optional little-endian float32 array whose channels are
+    each contiguous. A DVP file whose grids have its shape is read straight
+    into it and ``values`` is ``out``; whether those values are finite is
+    then left to the caller, who checks many files in one
+    :func:`check_finite` pass. Any other file is read as without ``out``.
     """
     path = Path(path)
     with reading(f"heatmap file {path}"):
-        blob = path.read_bytes()
-        scales, values = (_parse_json if path.suffix == ".json" else _parse_binary)(blob)
-        if not all(np.isfinite(s) and s > 0 for s in scales):
-            raise ValueError(f"heatmap scales must be positive, got {scales}")
-        if not np.isfinite(values).all():
-            raise ValueError("heatmap values must be finite")
+        if path.suffix == ".json":
+            scales, values = _parse_json(path.read_bytes())
+            _check_positive(scales)
+        else:
+            with open(path, "rb", buffering=0) as fh:
+                resolution, scales, n_channels = _read_header(fh)
+                _check_positive(scales)
+                shape = (n_channels, len(scales), resolution, resolution)
+                into = out is not None and out.shape == shape and out.dtype == _GRID
+                values = out if into else np.empty(shape, dtype=_GRID)
+                for grids in values:
+                    if fh.readinto(grids) != grids.nbytes:
+                        raise ValueError("heatmap file changed while it was read")
+            if into:
+                return scales, values
+    check_finite(path, values)
     return scales, values
+
+
+def check_finite(path, values) -> None:
+    """The error :func:`read_heatmap_arrays` raises for the file ``path``
+    when ``values`` are not all finite."""
+    if not np.isfinite(values).all():
+        with reading(f"heatmap file {path}"):
+            raise ValueError("heatmap values must be finite")
+
+
+def _check_positive(scales) -> None:
+    if not all(math.isfinite(s) and s > 0 for s in scales):
+        raise ValueError(f"heatmap scales must be positive, got {scales}")
 
 
 def _parse_json(blob: bytes) -> tuple[tuple[float, ...], np.ndarray]:
@@ -112,23 +148,26 @@ def _parse_json(blob: bytes) -> tuple[tuple[float, ...], np.ndarray]:
     return scales, values
 
 
-def _parse_binary(blob: bytes) -> tuple[tuple[float, ...], np.ndarray]:
-    if blob[:4] != MAGIC:
-        raise ValueError(f"bad magic {blob[:4]!r}")
+def _read_header(fh) -> tuple[int, tuple[float, ...], int]:
+    """Resolution, scales and channel count of the open DVP file ``fh``,
+    which is left at its first grid once the file's size is checked to be
+    exactly that of the header and the grids.
+
+    A header cut short reads the whole file, so its ``struct.error`` names
+    the file's size.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if head[:4] != MAGIC:
+        raise ValueError(f"bad magic {head[:4]!r}")
     try:
-        offset = 4
-        resolution, n_scales = struct.unpack_from("<II", blob, offset)
-        offset += 8
-        scales = struct.unpack_from(f"<{n_scales}d", blob, offset)
-        offset += 8 * n_scales
-        (n_channels,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
+        resolution, n_scales = struct.unpack_from("<II", head, 4)
+        head += fh.read(min(8 * n_scales + 4, size))
+        scales = struct.unpack_from(f"<{n_scales}d", head, 12)
+        (n_channels,) = struct.unpack_from("<I", head, 12 + 8 * n_scales)
     except struct.error as exc:
         raise ValueError(f"truncated heatmap file: {exc}") from exc
-    shape = (n_channels, n_scales, resolution, resolution)
-    count = n_channels * n_scales * resolution * resolution
-    expected = offset + 4 * count
-    if len(blob) != expected:
-        raise ValueError(f"expected {expected} bytes, found {len(blob)}")
-    grids = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-    return scales, grids.reshape(shape)
+    expected = len(head) + 4 * n_channels * n_scales * resolution * resolution
+    if size != expected:
+        raise ValueError(f"expected {expected} bytes, found {size}")
+    return resolution, scales, n_channels

@@ -53,7 +53,8 @@ from .heatmap import (
     check_scales,
     select_vp,  # noqa: F401  (kept importable from here: perfbench/tracing.py wraps it)
 )
-from .heatmap_io import read_heatmap_arrays, read_heatmap_file  # noqa: F401  (likewise)
+from .heatmap_io import check_finite, read_heatmap_arrays
+from .heatmap_io import read_heatmap_file  # noqa: F401  (likewise)
 
 __all__ = [
     "PipelineConfig",
@@ -493,13 +494,13 @@ def _sampled_top(frames, confidence, config: PipelineConfig) -> np.ndarray:
 def _ious_above(current, previous, threshold) -> np.ndarray:
     """Where ``BBox.iou`` of rows of two ``(P, 4)`` box arrays exceeds ``threshold``,
     by its float operations."""
-    ix = np.minimum(current[:, 2], previous[:, 2]) - np.maximum(current[:, 0], previous[:, 0])
-    iy = np.minimum(current[:, 3], previous[:, 3]) - np.maximum(current[:, 1], previous[:, 1])
-    inter = ix * iy
-    area = (current[:, 2] - current[:, 0]) * (current[:, 3] - current[:, 1])
-    area_o = (previous[:, 2] - previous[:, 0]) * (previous[:, 3] - previous[:, 1])
     # boxes of infinite or underflowing area give NaN here, and no match
     with np.errstate(all="ignore"):
+        ix = np.minimum(current[:, 2], previous[:, 2]) - np.maximum(current[:, 0], previous[:, 0])
+        iy = np.minimum(current[:, 3], previous[:, 3]) - np.maximum(current[:, 1], previous[:, 1])
+        inter = ix * iy
+        area = (current[:, 2] - current[:, 0]) * (current[:, 3] - current[:, 1])
+        area_o = (previous[:, 2] - previous[:, 0]) * (previous[:, 3] - previous[:, 1])
         return (ix > 0) & (iy > 0) & (inter / (area + area_o - inter) > threshold)
 
 
@@ -567,37 +568,61 @@ def filter_detections(records, config: PipelineConfig):
 _CHUNK = 64
 
 
-def _read_stack(refs, config: PipelineConfig, base_dir) -> np.ndarray:
+def _read_stack(refs, config: PipelineConfig, base_dir, buffer) -> np.ndarray:
     """Channel-major ``(2, N, S, R, R)`` grids of the heatmap files ``refs``.
 
-    float32 as DVP files store them, float64 once a JSON file needs it.
+    DVP files are read straight into ``buffer``, a little-endian float32
+    ``(2, _CHUNK, S, R, R)`` array that a run reuses for each chunk and that
+    holds only finite values: zeros, or an earlier chunk's checked grids.
+    A JSON file turns the stack into a float64 copy, which the rest of the
+    chunk is copied into. The first bad file in record order is the one
+    reported: the grids read into the buffer are checked for finiteness in
+    one pass per chunk, or when a later file fails.
     """
-    stack = None
-    for k, ref in enumerate(refs):
-        scales, values = read_heatmap_arrays(Path(base_dir) / ref)
-        if len(values) != 2:
-            raise InputFormatError(f"heatmap file {ref} has {len(values)} channels, expected 2")
-        if scales != config.scales:
-            raise InputFormatError(
-                f"heatmap file {ref} uses scales {scales}, config expects {config.scales}"
-            )
-        if values.shape[-1] != config.resolution:
-            raise InputFormatError(
-                f"heatmap file {ref} has resolution "
-                f"{values.shape[-1]}, config expects {config.resolution}"
-            )
-        if stack is None:
-            stack = np.empty((2, len(refs)) + values.shape[1:], dtype=values.dtype)
-        elif not np.can_cast(values.dtype, stack.dtype):
-            stack = stack.astype(values.dtype)
-        stack[:, k] = values
+    stack = buffer[:, : len(refs)]
+    base_dir = Path(base_dir)
+    paths = [base_dir / ref for ref in refs]
+    for k, (ref, path) in enumerate(zip(refs, paths)):
+        slot = stack[:, k] if stack.dtype == buffer.dtype else None
+        try:
+            scales, values = read_heatmap_arrays(path, slot)
+            if len(values) != 2:
+                raise InputFormatError(f"heatmap file {ref} has {len(values)} channels, expected 2")
+            if scales != config.scales:
+                raise InputFormatError(
+                    f"heatmap file {ref} uses scales {scales}, config expects {config.scales}"
+                )
+            if values.shape[-1] != config.resolution:
+                raise InputFormatError(
+                    f"heatmap file {ref} has resolution "
+                    f"{values.shape[-1]}, config expects {config.resolution}"
+                )
+        except InputFormatError:
+            # an earlier file, or this one, may hold a non-finite value that
+            # the chunk's pass has not seen yet
+            _check_finite(stack[:, : k + 1], paths)
+            raise
+        if values is not slot:
+            if not np.can_cast(values.dtype, stack.dtype):
+                stack = stack.astype(values.dtype)
+            stack[:, k] = values
+    _check_finite(stack, paths)
     return stack
 
 
-def _decode_chunk(refs, config: PipelineConfig, base_dir, sample_cells) -> list:
+def _check_finite(stack, paths) -> None:
+    """:func:`~vpcalib.heatmap_io.check_finite` of the first record of
+    ``stack`` whose grids are not all finite."""
+    if not np.isfinite(stack).all():
+        bad = ~np.isfinite(stack).all(axis=(0, 2, 3, 4))
+        k = int(bad.argmax())
+        check_finite(paths[k], stack[:, k])
+
+
+def _decode_chunk(refs, config: PipelineConfig, base_dir, buffer, sample_cells) -> list:
     """Per channel, the record indices, box-coordinate points and direction
-    masks decoded from the heatmap files ``refs``; their stack dies on return."""
-    stack = _read_stack(refs, config, base_dir)
+    masks decoded from the heatmap files ``refs``, read into ``buffer``."""
+    stack = _read_stack(refs, config, base_dir, buffer)
     return [
         _decode_stack(maps, config.scales, config.peak_ratio, sample_cells)[:3] for maps in stack
     ]
@@ -612,10 +637,11 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
     call per channel takes them to frame pixels. Inline records take the
     table's point column of a channel where given, else its direction
     column. Heatmap records go in chunks of ``_CHUNK``: the chunk's
-    files are read into one stack per channel, each decoded in one batch as by
+    files are read into one stack, whose buffer every chunk reuses, and
+    each channel of it is decoded in one batch as by
     :func:`~vpcalib.heatmap.decode_stack`. The batches share one table of
-    where the sub-pixel samples of the chosen peak cells land, which lives
-    for this call only.
+    where the sub-pixel samples of the chosen peak cells land and which way
+    they point, and the table and the buffer live for this call only.
     Records whose channel has only degenerate scales, whose inline values
     are a zero-length direction, overflow or exceed
     :data:`~vpcalib.calibration.MAX_COORDINATE` in frame pixels, or whose
@@ -631,9 +657,11 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
     is_direction = ~table.vp_given[:2] & ~mapped
     mapped = np.flatnonzero(mapped)
     sample_cells = _SampleCells()
+    buffer = np.zeros((2, min(len(mapped), _CHUNK), len(config.scales))
+                      + 2 * (config.resolution,), dtype="<f4")
     for start in range(0, len(mapped), _CHUNK):
         rows = mapped[start : start + _CHUNK]
-        chunk = _decode_chunk(table.heatmap_ref[rows], config, base_dir, sample_cells)
+        chunk = _decode_chunk(table.heatmap_ref[rows], config, base_dir, buffer, sample_cells)
         for c, (decoded, points, directions) in enumerate(chunk):
             ends[c, rows[decoded]] = points
             is_direction[c, rows[decoded]] = directions

@@ -1,0 +1,74 @@
+"""The whole-file heatmap reader and the file-by-file chunk stack, kept as references.
+
+``read_arrays`` reads a heatmap file with one ``read_bytes`` and checks it
+whole; ``read_stack`` copies each file's grids into the chunk's stack after
+checking them, one file at a time. :mod:`vpcalib` now reads DVP files
+straight into the stack and checks the chunk's values in one pass. The
+tests require it to give the same stack, and the same first error with the
+same message.
+"""
+
+import struct
+from pathlib import Path
+
+import numpy as np
+
+from vpcalib.errors import InputFormatError, reading
+from vpcalib.heatmap_io import MAGIC, _parse_json
+
+
+def _parse_binary(blob: bytes):
+    if blob[:4] != MAGIC:
+        raise ValueError(f"bad magic {blob[:4]!r}")
+    try:
+        offset = 4
+        resolution, n_scales = struct.unpack_from("<II", blob, offset)
+        offset += 8
+        scales = struct.unpack_from(f"<{n_scales}d", blob, offset)
+        offset += 8 * n_scales
+        (n_channels,) = struct.unpack_from("<I", blob, offset)
+        offset += 4
+    except struct.error as exc:
+        raise ValueError(f"truncated heatmap file: {exc}") from exc
+    shape = (n_channels, n_scales, resolution, resolution)
+    count = n_channels * n_scales * resolution * resolution
+    expected = offset + 4 * count
+    if len(blob) != expected:
+        raise ValueError(f"expected {expected} bytes, found {len(blob)}")
+    grids = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+    return scales, grids.reshape(shape)
+
+
+def read_arrays(path):
+    path = Path(path)
+    with reading(f"heatmap file {path}"):
+        blob = path.read_bytes()
+        scales, values = (_parse_json if path.suffix == ".json" else _parse_binary)(blob)
+        if not all(np.isfinite(s) and s > 0 for s in scales):
+            raise ValueError(f"heatmap scales must be positive, got {scales}")
+        if not np.isfinite(values).all():
+            raise ValueError("heatmap values must be finite")
+    return scales, values
+
+
+def read_stack(refs, config, base_dir):
+    stack = None
+    for k, ref in enumerate(refs):
+        scales, values = read_arrays(Path(base_dir) / ref)
+        if len(values) != 2:
+            raise InputFormatError(f"heatmap file {ref} has {len(values)} channels, expected 2")
+        if scales != config.scales:
+            raise InputFormatError(
+                f"heatmap file {ref} uses scales {scales}, config expects {config.scales}"
+            )
+        if values.shape[-1] != config.resolution:
+            raise InputFormatError(
+                f"heatmap file {ref} has resolution "
+                f"{values.shape[-1]}, config expects {config.resolution}"
+            )
+        if stack is None:
+            stack = np.empty((2, len(refs)) + values.shape[1:], dtype=values.dtype)
+        elif not np.can_cast(values.dtype, stack.dtype):
+            stack = stack.astype(values.dtype)
+        stack[:, k] = values
+    return stack

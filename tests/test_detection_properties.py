@@ -1,5 +1,6 @@
 """Property tests: the columnar detections reader and filter against the
-record-by-record ones in ``detections_reference``.
+record-by-record ones in ``detections_reference``, and ``BBox.iou`` against
+the filter's array comparison.
 
 Needs Hypothesis (the ``test`` extra) and is skipped without it. The examples
 are derandomized and bounded, so the suite stays deterministic and quick.
@@ -7,6 +8,7 @@ are derandomized and bounded, so the suite stays deterministic and quick.
 
 import json
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -15,7 +17,13 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from detections_reference import GOOD, filter_loop, record, same_as_line_parser  # noqa: E402
-from vpcalib.pipeline import DetectionTable, PipelineConfig, filter_detections  # noqa: E402
+from vpcalib.heatmap import BBox  # noqa: E402
+from vpcalib.pipeline import (  # noqa: E402
+    DetectionTable,
+    PipelineConfig,
+    _ious_above,
+    filter_detections,
+)
 
 BOUNDED = settings(max_examples=200, derandomize=True, deadline=None, database=None)
 
@@ -110,3 +118,28 @@ def test_parse_gives_the_records_or_message_of_the_line_parser(tmp_path_factory,
     path = tmp_path_factory.mktemp("detections", numbered=True) / "det.jsonl"
     path.write_text(content, encoding="utf-8")
     same_as_line_parser(path)
+
+
+# Box corners from small to huge: equal boxes, overlaps whose areas
+# underflow to zero and extents whose areas overflow to infinity.
+CORNERS = (st.floats(-1e3, 1e3) | st.floats(-1e-150, 1e-150) | st.floats(-1e200, 1e200)
+           | st.sampled_from([0.0, 1e-200, 2e-200, 1e-320, 1e154, 1e308, -1e308]))
+
+
+@st.composite
+def boxes(draw):
+    x0, x1 = sorted(draw(st.lists(CORNERS, min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(CORNERS, min_size=2, max_size=2, unique=True)))
+    return BBox(x0, y0, x1, y1)
+
+
+@BOUNDED
+@given(a=boxes(), b=boxes() | st.just(None), threshold=st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+@example(a=BBox(0, 0, 1e-200, 1e-200), b=None, threshold=0.0)
+@example(a=BBox(-1e308, -1e308, 1e308, 1e308), b=None, threshold=0.5)
+def test_iou_above_a_threshold_is_the_filters_comparison(a, b, threshold):
+    b = a if b is None else b
+    iou = a.iou(b)
+    assert 0.0 <= iou <= 1.0
+    rows = (np.array([a.as_tuple()]), np.array([b.as_tuple()]))
+    assert _ious_above(*rows, threshold).tolist() == [iou > threshold]

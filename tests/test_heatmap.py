@@ -128,6 +128,15 @@ class TestBBoxCoordinates:
         assert a.iou(BBox(5, 0, 15, 10)) == pytest.approx(1 / 3)
         assert a.iou(BBox(20, 20, 30, 30)) == 0.0
 
+    def test_iou_of_boxes_whose_areas_underflow_or_overflow_is_zero(self):
+        # the overlap is positive along both axes, but no area is usable
+        tiny = BBox(0, 0, 1e-200, 1e-200)
+        assert tiny.iou(tiny) == 0.0
+        assert tiny.iou(BBox(0, 0, 2e-200, 1e-200)) == 0.0
+        huge = BBox(-1e308, -1e308, 1e308, 1e308)
+        assert huge.iou(huge) == 0.0
+        assert huge.iou(BBox(0, 0, 10, 10)) == 0.0
+
 
 class TestGridMapping:
     def test_center_of_diamond_maps_to_grid_center(self):
@@ -566,21 +575,36 @@ class TestSampleCells:
     def test_every_entry_equals_nearest_cells_of_the_samples(self):
         table = _SampleCells()
         s, r, c = np.indices((len(DEFAULT_SCALES), 16, 16)).reshape(3, -1)
-        cells = table.lookup(DEFAULT_SCALES, 16, s, r, c)
+        cells, directions = table.lookup(DEFAULT_SCALES, 16, s, r, c)
         assert cells.dtype == np.uint8
         assert cells.shape == (len(s), len(DEFAULT_SCALES), len(_SUBPIXEL))
-        for k, i, j, got in zip(s, r, c, cells):
+        assert directions.shape == (len(s), len(_SUBPIXEL), 2)
+        for k, i, j, got, got_dirs in zip(s, r, c, cells, directions):
             rc = np.array([i, j]) + _SUBPIXEL
             samples = vp_of_pixel(rc[:, 0], rc[:, 1], DEFAULT_SCALES[k], 16)
             expected = _nearest_cells(samples, DEFAULT_SCALES, 16)
             assert np.array_equal(got, expected[..., 0] * 16 + expected[..., 1])
+            # bit for bit the direction of each sample's own point
+            assert got_dirs.tobytes() == _directions(samples).tobytes()
+
+    def test_lookups_in_any_order_return_the_stored_entries(self, rng):
+        table = _SampleCells()
+        s, r, c = np.indices((len(DEFAULT_SCALES), 16, 16)).reshape(3, -1)
+        whole = table.lookup(DEFAULT_SCALES, 16, s, r, c)
+        # repeated and shuffled cells, partly from a table that fills as it goes
+        order = rng.integers(0, len(s), 300)
+        fresh = _SampleCells()
+        for part in np.array_split(order, 7):
+            for got, stored in zip(fresh.lookup(DEFAULT_SCALES, 16, s[part], r[part], c[part]),
+                                   (whole[0][part], whole[1][part])):
+                assert got.dtype == stored.dtype and np.array_equal(got, stored)
 
     def test_indices_take_the_narrowest_dtype_that_holds_the_grid(self):
         for resolution, dtype in ((16, np.uint8), (17, np.uint16), (64, np.uint16),
                                   (256, np.uint16), (257, np.uint32)):
             one = np.array([0])
-            cells = _SampleCells().lookup((1.0,), resolution, one, one, one)
-            assert cells.dtype == dtype
+            cells, directions = _SampleCells().lookup((1.0,), resolution, one, one, one)
+            assert cells.dtype == dtype and directions.dtype == np.float64
 
     def test_a_warm_table_decodes_like_a_cold_one(self, rng):
         warm_up, _ = _mixed_chunk(rng)
@@ -640,7 +664,7 @@ class TestSampleCells:
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a table kept past the run would hold about 1.8 KB for each of the
+        # a table kept past the run would hold about 5.4 KB for each of the
         # few hundred distinct cells met here
         assert kept < 64 * 1024
 

@@ -1,9 +1,26 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from heatmap_io_reference import read_stack
 from vpcalib.errors import InputFormatError
-from vpcalib.heatmap import HeatmapCodec
-from vpcalib.heatmap_io import MAGIC, read_heatmap_arrays, read_heatmap_file, write_heatmap_file
+from vpcalib.heatmap import BBox, HeatmapCodec
+from vpcalib.heatmap_io import (
+    MAGIC,
+    check_finite,
+    read_heatmap_arrays,
+    read_heatmap_file,
+    write_heatmap_file,
+)
+from vpcalib.pipeline import (
+    _CHUNK,
+    DetectionRecord,
+    PipelineConfig,
+    _read_stack,
+    detections_to_pairs,
+)
 
 
 @pytest.fixture
@@ -111,3 +128,211 @@ def test_non_positive_scale_rejected(tmp_path, observation):
     path.write_bytes(bytes(blob))
     with pytest.raises(InputFormatError, match="positive"):
         read_heatmap_arrays(path)
+
+
+# -- reading a chunk of files straight into its stack --------------------------
+
+CONFIG = PipelineConfig()
+BOX = BBox(100.0, 200.0, 300.0, 260.0)
+
+
+def _chunk(tmp_path, n, suffixes=()):
+    """``n`` good heatmap files, DVP unless ``suffixes`` says otherwise."""
+    codec = HeatmapCodec()
+    rng = np.random.default_rng(11)
+    refs = []
+    for k in range(n):
+        ref = f"v{k}{suffixes[k] if k < len(suffixes) else '.dvp'}"
+        write_heatmap_file(tmp_path / ref, codec.encode_pair(*rng.uniform(-40.0, 40.0, (2, 2))))
+        refs.append(ref)
+    return refs
+
+
+def _buffer(n=_CHUNK, fill=0.0):
+    return np.full((2, n, len(CONFIG.scales), CONFIG.resolution, CONFIG.resolution), fill,
+                   dtype="<f4")
+
+
+def _records(refs):
+    return [DetectionRecord(frame_index=0, box=BOX, confidence=1.0, heatmap_ref=ref)
+            for ref in refs]
+
+
+def _edit(path, at, data):
+    blob = bytearray(path.read_bytes())
+    blob[at : at + len(data)] = data
+    path.write_bytes(bytes(blob))
+
+
+def _missing(path):
+    path.unlink()
+
+
+def _bad_magic(path):
+    _edit(path, 0, b"NOPE")
+
+
+def _truncated(path):
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+def _cut_in_the_scales(path):
+    path.write_bytes(path.read_bytes()[:30])
+
+
+def _cut_in_the_magic(path):
+    path.write_bytes(path.read_bytes()[:2])
+
+
+def _trailing_bytes(path):
+    path.write_bytes(path.read_bytes() + b"\x00\x00\x00")
+
+
+def _non_positive_scale(path):
+    _edit(path, 12, np.float64(-1.0).tobytes())
+
+
+def _nan(path):
+    _edit(path, path.stat().st_size - 4, np.float32(np.nan).tobytes())
+
+
+def _negative_infinity(path):
+    _edit(path, 60_000, np.float32(-np.inf).tobytes())
+
+
+def _three_channels(path):
+    codec = HeatmapCodec()
+    write_heatmap_file(path, codec.encode_pair([1.0, 2.0], [3.0, -4.0]) + [codec.encode([5.0, 1.0])])
+
+
+def _other_scales(path):
+    codec = HeatmapCodec(scales=(0.05, 0.1, 0.3, 1.0))
+    write_heatmap_file(path, codec.encode_pair([1.0, 2.0], [3.0, -4.0]))
+
+
+def _fewer_scales(path):
+    codec = HeatmapCodec(scales=(0.05, 0.5))
+    write_heatmap_file(path, codec.encode_pair([1.0, 2.0], [3.0, -4.0]))
+
+
+def _other_resolution(path):
+    codec = HeatmapCodec(resolution=32)
+    write_heatmap_file(path, codec.encode_pair([1.0, 2.0], [3.0, -4.0]))
+
+
+# (record index, defect) per case; the first listed is the file to report
+BAD_CHUNKS = {
+    "missing": [(3, _missing)],
+    "bad magic": [(3, _bad_magic)],
+    "truncated": [(3, _truncated)],
+    "cut in the scales": [(3, _cut_in_the_scales)],
+    "cut in the magic": [(3, _cut_in_the_magic)],
+    "trailing bytes": [(3, _trailing_bytes)],
+    "non-positive scale": [(3, _non_positive_scale)],
+    "NaN": [(3, _nan)],
+    "negative infinity": [(3, _negative_infinity)],
+    "three channels": [(3, _three_channels)],
+    "other scales": [(3, _other_scales)],
+    "fewer scales": [(3, _fewer_scales)],
+    "other resolution": [(3, _other_resolution)],
+    "NaN before a missing file": [(2, _nan), (5, _missing)],
+    "NaN before bad magic": [(1, _nan), (4, _bad_magic)],
+    "NaN before other scales": [(2, _nan), (4, _other_scales)],
+    "NaN in a file of other scales": [(3, _other_scales), (3, _nan)],
+    "NaN in a file of three channels": [(3, _three_channels), (3, _nan)],
+    "two NaN files": [(2, _negative_infinity), (5, _nan)],
+    "first file missing": [(0, _missing), (4, _nan)],
+    "last file NaN": [(6, _nan)],
+}
+
+
+def _spoil(tmp_path, refs, defects):
+    for k, defect in defects:
+        defect(tmp_path / refs[k])
+    return refs[defects[0][0]]
+
+
+def _first_error(read, *args) -> str:
+    with pytest.raises(InputFormatError) as err:
+        read(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("case", BAD_CHUNKS)
+def test_a_bad_file_in_a_chunk_gives_the_whole_file_readers_first_error(tmp_path, case):
+    refs = _chunk(tmp_path, 7)
+    bad = _spoil(tmp_path, refs, BAD_CHUNKS[case])
+    message = _first_error(read_stack, refs, CONFIG, tmp_path)
+    assert bad in message
+    # with a zeroed buffer, and with one that holds an earlier chunk's grids
+    assert _first_error(_read_stack, refs, CONFIG, tmp_path, _buffer()) == message
+    assert _first_error(_read_stack, refs, CONFIG, tmp_path, _buffer(fill=0.5)) == message
+    assert _first_error(detections_to_pairs, _records(refs), CONFIG, tmp_path) == message
+
+
+def test_a_bad_file_in_a_later_chunk_is_reported(tmp_path):
+    refs = _chunk(tmp_path, 7)
+    _spoil(tmp_path, refs, BAD_CHUNKS["NaN before a missing file"])
+    # the first chunk reads only good files, some of them many times
+    good = [refs[k] for k in (0, 1, 3, 4, 6)]
+    later = good * 13 + refs
+    message = _first_error(read_stack, refs, CONFIG, tmp_path)
+    assert refs[2] in message and "finite" in message
+    assert _first_error(detections_to_pairs, _records(later), CONFIG, tmp_path) == message
+
+
+@pytest.mark.parametrize("suffixes", [(), (".json",), (".dvp", ".dvp", ".json", ".dvp"),
+                                      (".dvp",) * 4 + (".json",), (".json",) * 5])
+def test_a_chunk_reads_the_whole_file_readers_stack(tmp_path, suffixes):
+    refs = _chunk(tmp_path, 5, suffixes)
+    expected = read_stack(refs, CONFIG, tmp_path)
+    for buffer in (_buffer(), _buffer(5, fill=0.5)):
+        stack = _read_stack(refs, CONFIG, tmp_path, buffer)
+        assert stack.dtype == expected.dtype and stack.shape == expected.shape
+        assert stack.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", ["NaN", "other scales", "missing"])
+def test_a_bad_file_after_a_json_file_gives_the_first_error(tmp_path, case):
+    refs = _chunk(tmp_path, 6, (".dvp", ".json"))
+    bad = _spoil(tmp_path, refs, BAD_CHUNKS[case])
+    message = _first_error(read_stack, refs, CONFIG, tmp_path)
+    assert bad in message
+    assert _first_error(_read_stack, refs, CONFIG, tmp_path, _buffer()) == message
+
+
+def test_a_non_finite_json_file_after_a_non_finite_dvp_file_is_not_the_one_reported(tmp_path):
+    refs = _chunk(tmp_path, 5, (".dvp", ".dvp", ".dvp", ".json"))
+    _nan(tmp_path / refs[1])
+    payload = json.loads((tmp_path / refs[3]).read_text())
+    payload["data"][1][2][5][5] = float("nan")
+    (tmp_path / refs[3]).write_text(json.dumps(payload))
+    message = _first_error(read_stack, refs, CONFIG, tmp_path)
+    assert refs[1] in message and "finite" in message
+    assert _first_error(_read_stack, refs, CONFIG, tmp_path, _buffer()) == message
+
+
+def test_arrays_read_into_a_fitting_buffer_are_left_unchecked(tmp_path, observation):
+    path = tmp_path / "obs.dvp"
+    write_heatmap_file(path, observation)
+    _nan(path)
+    out = np.zeros((2, 4, 64, 64), dtype="<f4")
+    scales, values = read_heatmap_arrays(path, out)
+    assert values is out and np.isnan(out[1, 3, 63, 63])
+    with pytest.raises(InputFormatError, match="finite"):
+        check_finite(path, values)
+    # a buffer of another shape or precision is not used, and the read checks
+    for other in (np.zeros((2, 3, 64, 64), dtype="<f4"), np.zeros((2, 4, 64, 64))):
+        with pytest.raises(InputFormatError, match="finite"):
+            read_heatmap_arrays(path, other)
+        assert not other.any()
+
+
+def test_the_written_bytes_are_the_header_then_the_float32_grids(tmp_path, observation):
+    path = tmp_path / "obs.dvp"
+    write_heatmap_file(path, observation)
+    scales = [h.scale for h in observation[0]]
+    header = MAGIC + struct.pack(f"<II{len(scales)}dI", 64, len(scales), *scales, 2)
+    grids = b"".join(np.ascontiguousarray(h.values, dtype="<f4").tobytes()
+                     for channel in observation for h in channel)
+    assert path.read_bytes() == header + grids
