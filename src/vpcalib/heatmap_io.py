@@ -72,8 +72,19 @@ def write_heatmap_file(path, channel_maps) -> None:
     grids = np.frombuffer(blob, dtype=_GRID, offset=len(header)).reshape(-1, resolution, resolution)
     for grid, h in zip(grids, chain.from_iterable(channel_maps)):
         grid[...] = h.values
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    # An existing file is overwritten in place and then cut to length, never
+    # emptied first: ext4 flushes a file that was truncated to zero and
+    # rewritten to disk when it is closed (auto_da_alloc), so rewriting a
+    # directory of DVP files would wait on the disk once per file.
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as fh:
+        try:
+            view = memoryview(blob)
+            while view:
+                view = view[fh.write(view) :]
+            fh.truncate(len(blob))
+        except BaseException:
+            fh.truncate(0)  # a part-written file must not read as a whole one
+            raise
 
 
 def read_heatmap_file(path) -> list[list[Heatmap]]:

@@ -1,3 +1,4 @@
+import io
 import json
 import struct
 
@@ -6,6 +7,7 @@ import pytest
 
 from heatmap_io_reference import read_stack
 from vpcalib.errors import InputFormatError
+from vpcalib import heatmap_io
 from vpcalib.heatmap import BBox, HeatmapCodec
 from vpcalib.heatmap_io import (
     MAGIC,
@@ -39,6 +41,32 @@ def test_binary_round_trip(tmp_path, observation):
             assert h_out.scale == h_in.scale
             assert h_out.resolution == h_in.resolution
             np.testing.assert_allclose(h_out.values, h_in.values, atol=1e-6)
+
+
+def test_rewrite_gives_the_bytes_of_a_fresh_write(tmp_path, observation):
+    fresh, rewritten = tmp_path / "fresh.dvp", tmp_path / "rewritten.dvp"
+    write_heatmap_file(fresh, observation)
+    # a longer file of other content: the rewrite must replace and cut it
+    rewritten.write_bytes(b"\xff" * (2 * fresh.stat().st_size))
+    write_heatmap_file(rewritten, observation)
+    assert rewritten.read_bytes() == fresh.read_bytes()
+
+
+def test_failed_rewrite_leaves_no_file_that_reads_whole(tmp_path, observation, monkeypatch):
+    path = tmp_path / "obs.dvp"
+    write_heatmap_file(path, observation)
+
+    class Full(io.FileIO):
+        def write(self, data):
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(heatmap_io, "open", lambda fd, mode, buffering: Full(fd, mode), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write_heatmap_file(path, observation)
+    monkeypatch.undo()
+    assert path.stat().st_size == 0
+    with pytest.raises(InputFormatError):
+        read_heatmap_file(path)
 
 
 def test_json_round_trip(tmp_path, observation):
