@@ -5,6 +5,26 @@ from __future__ import annotations
 import numpy as np
 
 
+# The types json.loads gives a JSON number. A bool is not one, though
+# isinstance would take it for an int, and int() and float() would take
+# True, "0" and 10.5 too.
+JSON_NUMBER = frozenset((int, float))
+
+
+def check_number(value, name: str) -> float:
+    """``value`` as a float, if it is a JSON number."""
+    if type(value) not in JSON_NUMBER:
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def check_numbers(values, name: str) -> list:
+    """``values``, if it is a JSON list of numbers."""
+    if type(values) is not list or not JSON_NUMBER.issuperset(map(type, values)):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    return values
+
+
 def as_float_array(a, name: str, shape_suffix: tuple[int, ...] | None = None) -> np.ndarray:
     """Coerce to a float64 ndarray and require finite entries.
 

@@ -24,7 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_float_array, as_points_2d, check_fitted, check_image_size
+from ._validation import (
+    as_float_array,
+    as_points_2d,
+    check_fitted,
+    check_image_size,
+    check_integer,
+    check_number,
+    check_numbers,
+)
 from .errors import (
     DegenerateInput,
     DegenerateNormal,
@@ -252,13 +260,18 @@ class CameraCalibration:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CameraCalibration":
+        """The calibration of a :meth:`to_dict` dict as read from JSON: JSON
+        numbers where it has numbers, JSON integers for the pair counts."""
+        principal_point, horizon, normal = (
+            check_numbers(data[key], key) for key in ("principal_point", "horizon", "normal")
+        )
         return cls(
-            intrinsics=CameraIntrinsics(float(data["f"]), data["principal_point"]),
-            horizon=data["horizon"],
-            plane_normal=data["normal"],
-            delta=float(data.get("delta", 1.0)),
-            n_pairs_used=int(data.get("n_pairs_used", 0)),
-            n_pairs_rejected=int(data.get("n_pairs_rejected", 0)),
+            intrinsics=CameraIntrinsics(check_number(data["f"], "f"), principal_point),
+            horizon=horizon,
+            plane_normal=normal,
+            delta=check_number(data.get("delta", 1.0), "delta"),
+            n_pairs_used=check_integer(data.get("n_pairs_used", 0), "n_pairs_used", 0),
+            n_pairs_rejected=check_integer(data.get("n_pairs_rejected", 0), "n_pairs_rejected", 0),
         )
 
 

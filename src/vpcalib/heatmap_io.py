@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._validation import JSON_NUMBER, check_integer, check_numbers
 from .errors import reading
 from .heatmap import Heatmap, check_scales
 
@@ -147,14 +148,18 @@ def _parse_json(blob: bytes) -> tuple[tuple[float, ...], np.ndarray]:
     magic = payload.get("magic") if isinstance(payload, dict) else None
     if magic != MAGIC.decode():
         raise ValueError(f"bad magic {magic!r}")
-    resolution = int(payload["resolution"])
-    scales = tuple(float(s) for s in payload["scales"])
+    resolution = check_integer(payload["resolution"], "resolution", 0)
+    scales = tuple(map(float, check_numbers(payload["scales"], "scales")))
     data = payload["data"]
     shape = (len(data), len(scales), resolution, resolution)
     values = np.array(data, dtype=float) if data else np.zeros(shape)
     if values.shape != shape:
         raise ValueError(f"heatmap data shape {values.shape} != {shape}")
-    if int(payload.get("channels", len(data))) != len(data):
+    # the shape holds, so data is channels of scales of rows of values
+    rows = chain.from_iterable(chain.from_iterable(data))
+    if not JSON_NUMBER.issuperset(map(type, chain.from_iterable(rows))):
+        raise ValueError("heatmap data must be JSON numbers")
+    if check_integer(payload.get("channels", len(data)), "channels", 0) != len(data):
         raise ValueError("channel count mismatch")
     return scales, values
 

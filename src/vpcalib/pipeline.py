@@ -20,7 +20,8 @@ boxes, confidence, the four vanishing-point columns with their presence
 masks and the heatmap references. :func:`parse_detections` builds it,
 :func:`filter_detections` selects its rows and :func:`detections_to_pairs`
 reads its columns, each in array passes. :class:`DetectionRecord` is the
-view of one row.
+view of one row, and the reader of a line that the column checks reject:
+its checks name the bad line and its first failing check.
 
 All numeric output is printed with 17 significant digits and fixed key
 order, so repeated runs are byte-identical. On failure nothing is written;
@@ -39,7 +40,14 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CameraCalibration, PairSet, calibrate
-from ._validation import as_float_array, check_image_size, check_integer
+from ._validation import (
+    JSON_NUMBER,
+    as_float_array,
+    check_image_size,
+    check_integer,
+    check_number,
+    check_numbers,
+)
 from .errors import READ_ERRORS, InputFormatError, reading
 from .evaluation import PAIR_MODES, DistanceMeasurement, evaluate
 from .heatmap import (
@@ -128,6 +136,10 @@ class PipelineConfig:
             return cls(**data)
 
 
+# frame indices are an int64 column
+_FRAME_LIMIT = 2**63
+
+
 @dataclass(frozen=True)
 class DetectionRecord:
     """One detected vehicle; each vanishing point is an ``(x, y)`` pair of numbers.
@@ -145,12 +157,19 @@ class DetectionRecord:
     heatmap_ref: str | None = None
 
     def __post_init__(self):
-        _check_frame_index(self.frame_index)
-        _check_confidence(self.confidence)
+        if self.frame_index < 0:
+            raise ValueError("frame_index must be >= 0")
+        if self.frame_index >= _FRAME_LIMIT:
+            raise ValueError(f"frame_index must be below 2**63, got {self.frame_index}")
+        if not (0.0 <= self.confidence <= 1.0):
+            raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
         has_inline = (self.vp_first is not None or self.vp_first_direction is not None) and (
             self.vp_second is not None or self.vp_second_direction is not None
         )
-        _check_payload(has_inline, self.heatmap_ref)
+        if not has_inline and self.heatmap_ref is None:
+            raise ValueError("record needs either inline vanishing points or a heatmap reference")
+        if self.heatmap_ref is not None and not isinstance(self.heatmap_ref, str):
+            raise TypeError(f"heatmap must be a path, got {self.heatmap_ref!r}")
 
 
 # The vanishing-point fields of a record, in the order of DetectionTable.vps:
@@ -240,95 +259,40 @@ class DetectionTable:
         return map(self.__getitem__, range(len(self)))
 
 
-# The types json.loads gives a JSON number. A bool is not one, though
-# isinstance would take it for an int, and int() and float() would take
-# True, "0" and 10.5 too.
-_NUMBER = frozenset((int, float))
 _INT, _LIST, _STR = frozenset((int,)), frozenset((list,)), frozenset((str,))
-# frame indices are an int64 column
-_FRAME_LIMIT = 2**63
 _FRAME, _BOX = itemgetter("frame"), itemgetter("box")
-
-
-# One check per stage of reading a record, in the order the stages run: a
-# record is reported for the first check it fails.
-
-
-def _check_frame_type(frame):
-    if type(frame) is not int:
-        raise ValueError(f"frame must be an integer, got {frame!r}")
-
-
-def _check_box_type(box):
-    if type(box) is not list or not _NUMBER.issuperset(map(type, box)):
-        raise ValueError(f"box must be a list of numbers, got {box!r}")
-
-
-def _check_confidence_type(confidence):
-    if type(confidence) not in _NUMBER:
-        raise ValueError(f"confidence must be a number, got {confidence!r}")
-
-
-def _check_box(box):
-    BBox(*map(float, box))
 
 
 def _opt_vec(value) -> tuple[float, float] | None:
     if value is None:
         return None
-    if type(value) is list and len(value) == 2 and _NUMBER.issuperset(map(type, value)):
+    if type(value) is list and len(value) == 2 and JSON_NUMBER.issuperset(map(type, value)):
         x, y = float(value[0]), float(value[1])
         if math.isfinite(x) and math.isfinite(y):
             return x, y
     raise ValueError(f"expected a finite [x, y] pair of numbers, got {value!r}")
 
 
-def _check_frame_index(frame):
-    if frame < 0:
-        raise ValueError("frame_index must be >= 0")
-    if frame >= _FRAME_LIMIT:
-        raise ValueError(f"frame_index must be below 2**63, got {frame}")
-
-
-def _check_confidence(confidence):
-    if not (0.0 <= confidence <= 1.0):
-        raise ValueError(f"confidence must lie in [0, 1], got {confidence}")
-
-
-def _check_payload(has_inline, heatmap_ref):
-    if not has_inline and heatmap_ref is None:
-        raise ValueError("record needs either inline vanishing points or a heatmap reference")
-    if heatmap_ref is not None and not isinstance(heatmap_ref, str):
-        raise TypeError(f"heatmap must be a path, got {heatmap_ref!r}")
-
-
-class _BadRow(Exception):
-    """Row ``row`` of a column failed its check with ``cause``."""
-
-    def __init__(self, row: int, cause: Exception):
-        super().__init__(row, cause)
-        self.row, self.cause = row, cause
-
-
-def _stage(values, fast, check):
-    """``fast(values)``: one stage of reading, done on a whole column.
-
-    ``fast`` fails by raising one of :data:`READ_ERRORS` or by returning
-    False. Then ``check``, the same stage for one value, runs on the values
-    in order, and the first it raises for is raised as :class:`_BadRow`.
-    """
-    try:
-        result = fast(values)
-    except READ_ERRORS:
-        result = False
-    if result is not False:
-        return result
-    for k, value in enumerate(values):
-        try:
-            check(value)
-        except READ_ERRORS as exc:
-            raise _BadRow(k, exc) from exc
-    raise AssertionError(f"{check.__name__} passes every value its column stage fails")
+def _record(text) -> DetectionRecord:
+    """The record of one JSON line. A bad line raises one of
+    :data:`READ_ERRORS` for the first check it fails, in reading order:
+    JSON, the fields' types, box, confidence, vanishing points, then the
+    record's own checks of frame, confidence and payload."""
+    data = json.loads(text)
+    frame, box, confidence = data["frame"], data["box"], data.get("confidence", 1.0)
+    if type(frame) is not int:
+        raise ValueError(f"frame must be an integer, got {frame!r}")
+    if type(box) is not list or not JSON_NUMBER.issuperset(map(type, box)):
+        raise ValueError(f"box must be a list of numbers, got {box!r}")
+    if type(confidence) not in JSON_NUMBER:
+        raise ValueError(f"confidence must be a number, got {confidence!r}")
+    return DetectionRecord(
+        frame_index=frame,
+        box=BBox(*map(float, box)),
+        confidence=float(confidence),
+        heatmap_ref=data.get("heatmap"),
+        **{name: _opt_vec(data.get(name)) for name in VP_FIELDS},
+    )
 
 
 # json.loads without its per-call checks: the decoder's scanner, which
@@ -350,65 +314,49 @@ def _json_rows(texts) -> list:
     return list(map(json.loads, texts))
 
 
-def _floats(values, width: int):
+def _floats(values, width: int) -> np.ndarray:
     """``values``, lists of ``width`` JSON numbers each, as an ``(n, width)`` array."""
     if not (_LIST.issuperset(map(type, values)) and set(map(len, values)) <= {width}
-            and _NUMBER.issuperset(map(type, chain.from_iterable(values)))):
-        return False
+            and JSON_NUMBER.issuperset(map(type, chain.from_iterable(values)))):
+        raise ValueError(f"not all lists of {width} numbers")
     return np.fromiter(chain.from_iterable(values), float, width * len(values)).reshape(-1, width)
 
 
-def _boxes(boxes):
-    boxes = _floats(boxes, 4)
-    if boxes is False:
-        return False
-    valid = (boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])
-    return boxes if valid.all() else False
-
-
-def _vp_column(values):
+def _vp_column(values) -> np.ndarray:
     """The ``(n, 2)`` column of one vanishing-point field, NaN where not given."""
     given = np.array([value is not None for value in values], dtype=bool)
     points = _floats([value for value in values if value is not None], 2)
-    if points is False or not np.isfinite(points).all():
-        return False
+    if not np.isfinite(points).all():
+        raise ValueError("vanishing points must be finite")
     column = np.full((len(values), 2), np.nan)
     column[given] = points
     return column
 
 
-def _frame_column(frames):
-    frames = np.fromiter(frames, np.int64, len(frames))
-    return frames if (frames >= 0).all() else False
-
-
 def _read_table(texts) -> DetectionTable:
-    """The table of the JSON lines ``texts``; a line that fails a check raises
-    :class:`_BadRow` for the first stage it fails that no earlier line fails."""
-    rows = _stage(texts, _json_rows, json.loads)
-    frames = _stage(rows, lambda rows: list(map(_FRAME, rows)), _FRAME)
-    boxes = _stage(rows, lambda rows: list(map(_BOX, rows)), _BOX)
+    """The table of the JSON lines ``texts``, every check run on whole columns.
+
+    A bad line raises one of :data:`READ_ERRORS` that does not name it;
+    :func:`_record` finds it and its cause.
+    """
+    rows = _json_rows(texts)
+    frames = list(map(_FRAME, rows))
+    boxes = _floats(list(map(_BOX, rows)), 4)
     confidence = [row.get("confidence", 1.0) for row in rows]
-    _stage(frames, lambda frames: _INT.issuperset(map(type, frames)), _check_frame_type)
-    _stage(boxes, lambda boxes: _LIST.issuperset(map(type, boxes))
-           and _NUMBER.issuperset(map(type, chain.from_iterable(boxes))), _check_box_type)
-    _stage(confidence, lambda c: _NUMBER.issuperset(map(type, c)), _check_confidence_type)
-    boxes = _stage(boxes, _boxes, _check_box)
-    confidence = _stage(confidence, lambda c: np.fromiter(c, float, len(c)), float)
-    vps = np.empty((len(VP_FIELDS), len(rows), 2))
-    for j, name in enumerate(VP_FIELDS):
-        vps[j] = _stage([row.get(name) for row in rows], _vp_column, _opt_vec)
+    if not (_INT.issuperset(map(type, frames)) and JSON_NUMBER.issuperset(map(type, confidence))):
+        raise ValueError("a frame or a confidence of the wrong type")
+    # past int64, fromiter raises OverflowError
+    frames = np.fromiter(frames, np.int64, len(frames))
+    confidence = np.fromiter(confidence, float, len(confidence))
+    vps = np.stack([_vp_column([row.get(name) for row in rows]) for name in VP_FIELDS])
     refs = [row.get("heatmap") for row in rows]
-    frames = _stage(frames, _frame_column, _check_frame_index)
-    _stage(confidence.tolist(), lambda _: bool(((0.0 <= confidence) & (confidence <= 1.0)).all()),
-           _check_confidence)
     given = ~np.isnan(vps[..., 0])
     inline = (given[0] | given[2]) & (given[1] | given[3])
     mapped = np.array([ref is not None for ref in refs], dtype=bool)
-    _stage(list(zip(inline.tolist(), refs)),
-           lambda _: bool((inline | mapped).all())
-           and _STR.issuperset(map(type, compress(refs, mapped))),
-           lambda payload: _check_payload(*payload))
+    if not ((boxes[:, 0] < boxes[:, 2]).all() and (boxes[:, 1] < boxes[:, 3]).all()
+            and (frames >= 0).all() and ((0.0 <= confidence) & (confidence <= 1.0)).all()
+            and (inline | mapped).all() and _STR.issuperset(map(type, compress(refs, mapped)))):
+        raise ValueError("a box, frame, confidence or payload out of range")
     return DetectionTable(frames, boxes, confidence, vps, given, refs)
 
 
@@ -419,46 +367,30 @@ def _read_table(texts) -> DetectionTable:
 _LINES = 1024
 
 
-def _read_lines(texts) -> DetectionTable:
-    """The table of the JSON lines ``texts``, or :class:`_BadRow` for the
-    first bad line and the first check it fails.
-
-    A failing stage names the first line it fails, but an earlier line may
-    fail a later stage; so the lines before are read again until they pass.
-    """
-    bad, end = None, len(texts)
-    while True:
-        try:
-            table = _read_table(texts[:end])
-        except _BadRow as exc:
-            bad, end = exc, exc.row
-            continue
-        if bad is not None:
-            raise bad
-        return table
-
-
 def parse_detections(path) -> DetectionTable:
     """Read a JSON-lines detections file, sorted input required, into a :class:`DetectionTable`.
 
-    Each stage of reading (JSON, field types, box, confidence and
-    vanishing-point values, payload) runs on a whole column of up to
-    ``_LINES`` lines at once. A bad line is reported as ``InputFormatError``
-    naming its line and the first check it fails, as a line-by-line reader
-    would report it.
+    Up to ``_LINES`` lines at a time are read by :func:`_read_table`, which
+    runs every check on whole columns. Only a part that fails is read again
+    line by line with :func:`_record`, and the first line that fails is
+    reported as ``InputFormatError`` naming it and the first check it fails.
     """
     with reading(f"detections {path}"):
         lines = Path(path).read_text().splitlines()
     numbers = [idx for idx, line in enumerate(lines, start=1) if line.strip()]
     parts = []
     for start in range(0, max(len(numbers), 1), _LINES):
-        part = numbers[start : start + _LINES]
+        texts = [lines[idx - 1] for idx in numbers[start : start + _LINES]]
         try:
-            parts.append(_read_lines([lines[idx - 1] for idx in part]))
-        except _BadRow as bad:
-            raise InputFormatError(
-                f"detections {path} line {part[bad.row]}: {bad.cause}"
-            ) from bad.cause
+            parts.append(_read_table(texts))
+        except READ_ERRORS:
+            for idx, text in zip(numbers[start:], texts):
+                try:
+                    _record(text)
+                except READ_ERRORS as exc:
+                    raise InputFormatError(f"detections {path} line {idx}: {exc}") from exc
+            raise AssertionError(f"the columns of lines {numbers[start]} to {idx} fail, "
+                                 "but each line passes on its own")
     # the VP columns and their masks stack rows along their second axis
     table = DetectionTable(*(
         np.concatenate([getattr(part, name) for part in parts], axis=int(name.startswith("vp")))
@@ -681,9 +613,9 @@ def load_measurements(path) -> list[DistanceMeasurement]:
         with reading(f"measurement {idx} of {path}"):
             out.append(
                 DistanceMeasurement(
-                    a=np.asarray(item["a"], dtype=float),
-                    b=np.asarray(item["b"], dtype=float),
-                    ground_truth=float(item["distance"]),
+                    a=check_numbers(item["a"], "a"),
+                    b=check_numbers(item["b"], "b"),
+                    ground_truth=check_number(item["distance"], "distance"),
                 )
             )
     return out

@@ -12,6 +12,10 @@ from vpcalib.heatmap_io import write_heatmap_file
 from vpcalib.synthetic import SceneSpec, generate_observations
 
 SCENE = {"seed": 202, "n_vehicles": 20, "f": 1100.0, "tilt_deg": 22.0, "roll_deg": 1.5}
+# an evaluate input that loads, all its numbers JSON integers
+MEASUREMENT = {"a": [100, 800], "b": [300, 900], "distance": 5}
+CALIBRATION = {"f": 1000, "principal_point": [960, 540], "horizon": [0.01, -1, 300],
+               "normal": [0.01, 0.9, 0.4], "delta": 1, "n_pairs_used": 7, "n_pairs_rejected": 0}
 
 
 @pytest.fixture
@@ -559,6 +563,30 @@ class TestErrorPaths:
         ]
     })
 
+    # evaluate's inputs with a string or a boolean where a number belongs,
+    # or a fraction where a count belongs, which float() and int() would take
+    BAD_INPUTS.update({
+        f"measurement-{field}-{kind}": (
+            "evaluate", ["--measurements", "m.json"],
+            {"m.json": json.dumps([{**MEASUREMENT, field: value}])},
+            "InputFormatError", f"{field} must be a ")
+        for field, kind, value in [
+            ("a", "string", ["1", "2"]), ("b", "bool", [True, 5]), ("distance", "string", "5"),
+            ("distance", "bool", True),
+        ]
+    })
+    BAD_INPUTS.update({
+        f"calibration-{field}-{kind}": (
+            "evaluate", ["--calibration", "in.json"],
+            {"in.json": json.dumps({**CALIBRATION, field: value})},
+            "InputFormatError", f"{field} must be a")
+        for field, kind, value in [
+            ("f", "string", "1000"), ("delta", "bool", True), ("n_pairs_used", "fractional", 7.9),
+            ("n_pairs_rejected", "bool", False), ("principal_point", "string", ["960", 540]),
+            ("horizon", "bool", [0.01, -1, True]),
+        ]
+    })
+
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_bad_input(self, tmp_path, scene_dir, capsys, case):
         command, options, files, error, named = self.BAD_INPUTS[case]
@@ -576,6 +604,19 @@ class TestErrorPaths:
             assert main([str(a) for a in self._calibrate(scene_dir, tmp_path / "cal.json")]) == 0
         argv = defaults[command] + [tmp_path / o if o in files else o for o in options]
         assert named in self._fails(argv, capsys, error, tmp_path)
+
+    def test_integral_numbers_load(self, tmp_path, scene_dir):
+        # %.17g prints delta = 1.0 as 1, which JSON reads as an integer; the
+        # bases of the evaluate cases above load too
+        cal, measurements = tmp_path / "cal.json", tmp_path / "m.json"
+        assert main([str(a) for a in self._calibrate(scene_dir, cal)]) == 0
+        assert type(json.loads(cal.read_text())["delta"]) is int
+        evaluate = ["evaluate", "--calibration", cal, "--measurements", measurements,
+                    "--out", tmp_path / "report.json"]
+        measurements.write_text(json.dumps([MEASUREMENT, {**MEASUREMENT, "b": [900, 1000]}]))
+        assert main([str(a) for a in evaluate]) == 0
+        cal.write_text(json.dumps(CALIBRATION))
+        assert main([str(a) for a in evaluate]) == 0
 
     @pytest.mark.parametrize("reference", ["a,b,c,d,e", "1,2,1,2,5"])
     def test_bad_scale_reference(self, tmp_path, scene_dir, capsys, reference):

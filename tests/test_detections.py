@@ -74,15 +74,21 @@ class TestParse:
         '{"frame": 5160, "box": [10, 0, 5, 50], "vp_first": [3, 1], "vp_second": [1, 2]}',
         '{"frame": 5160, "box": [0, 0, 100, 50], "confidence": 2, "heatmap": "a.dvp"}',
     ])
-    @pytest.mark.parametrize("n_lines, line", [(1000, 517), (9000, 5117)])
-    def test_malformed_line_in_the_middle_is_named(self, tmp_path, bad, n_lines, line):
-        # 9000 lines are read in several parts, and the bad line is in a middle one
+    # the bad line is the line-th of n_lines non-blank lines, after blanks blank ones
+    @pytest.mark.parametrize("n_lines, line, blanks", [
+        pytest.param(1000, 517, 0, id="1000-517"), pytest.param(9000, 5117, 0, id="9000-5117"),
+        (2000, 1024, 3), (2000, 1025, 3),
+    ])
+    def test_malformed_line_in_the_middle_is_named(self, tmp_path, bad, n_lines, line, blanks):
+        # 9000 lines are read in several parts, and the bad line is in a middle
+        # one; the 1024th and the 1025th end the first part and start the next
         lines = [json.dumps({**GOOD, "frame": 10 * k}) for k in range(n_lines)]
         lines[line - 1] = bad
         lines[-1] = "not json"
+        lines[10:10] = [""] * blanks
         path = tmp_path / "det.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        assert f"line {line}: " in same_as_line_parser(path)
+        assert f"line {line + blanks}: " in same_as_line_parser(path)
 
     def test_first_bad_line_is_named_for_its_first_failing_check(self, tmp_path):
         # each stage finds a different first bad line: the file's first is named

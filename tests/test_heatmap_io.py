@@ -114,6 +114,24 @@ def test_json_shape_mismatch_rejected(tmp_path):
         read_heatmap_file(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("resolution", "2"), ("resolution", 2.9), ("resolution", True), ("scales", ["0.5", 1.0]),
+    ("scales", [0.5, True]), ("channels", 1.5), ("channels", "1"),
+    ("data", [[[[0, 0], [0, 1]], [["1", 0], [0, 0]]]]),
+    ("data", [[[[0, 0], [0, True]], [[1, 0], [0, 0]]]]),
+])
+def test_json_fields_of_the_wrong_type_rejected(tmp_path, field, value):
+    # int() and float() would take each of these
+    payload = {"magic": "DVP1", "resolution": 2, "scales": [0.5, 1.0], "channels": 1,
+               "data": [[[[0, 0], [0, 1]], [[1, 0], [0, 0]]]]}
+    path = tmp_path / "obs.json"
+    path.write_text(json.dumps(payload))
+    assert read_heatmap_arrays(path)[1].shape == (1, 2, 2, 2)
+    path.write_text(json.dumps({**payload, field: value}))
+    with pytest.raises(InputFormatError, match=field):
+        read_heatmap_arrays(path)
+
+
 def test_mismatched_channel_scales_rejected(tmp_path, observation):
     bad = [observation[0], observation[1][::-1]]
     with pytest.raises(ValueError):
