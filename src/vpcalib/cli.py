@@ -24,7 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CameraCalibration
-from ._validation import as_float_array, check_image_size
+from ._validation import (
+    as_float_array,
+    check_image_size,
+    check_integer,
+    check_number,
+    check_numbers,
+)
 from .errors import OutputError, VPCalibError, reading
 from .evaluation import DistanceMeasurement, measured_distance
 from .heatmap import frame_to_box
@@ -168,13 +174,17 @@ def cmd_synth(args) -> int:
 def cmd_augment(args) -> int:
     with reading(f"augment spec {args.spec}"):
         data = json.loads(Path(args.spec).read_text())
-        image_size = check_image_size(data["image_size"])
-        box_points = as_float_array(data["bbox_3d"], "bbox_3d", (8, 2))
+        if not isinstance(data, dict):
+            raise ValueError("an augment spec must hold a JSON object")
+        image_size = check_image_size(check_numbers(data["image_size"], "image_size"))
+        box_points = as_float_array(
+            [check_numbers(row, "bbox_3d row") for row in data["bbox_3d"]], "bbox_3d", (8, 2)
+        )
         params = AugmentationParams(
-            corner_sigma=float(data.get("corner_sigma", 12.5)),
-            bbox_jitter=float(data.get("bbox_jitter", 5.0)),
-            flip_prob=float(data.get("flip_prob", 0.5)),
-            rng_seed=int(data.get("rng_seed", 0)),
+            corner_sigma=check_number(data.get("corner_sigma", 12.5), "corner_sigma"),
+            bbox_jitter=check_number(data.get("bbox_jitter", 5.0), "bbox_jitter"),
+            flip_prob=check_number(data.get("flip_prob", 0.5), "flip_prob"),
+            rng_seed=check_integer(data.get("rng_seed", 0), "rng_seed", 0),
         )
     H, box, flipped = augment(image_size, box_points, params)
     result = {

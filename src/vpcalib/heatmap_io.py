@@ -28,7 +28,7 @@ from ._validation import JSON_NUMBER, check_integer, check_numbers
 from .errors import reading
 from .heatmap import Heatmap, check_scales
 
-__all__ = ["write_heatmap_file", "read_heatmap_file", "read_heatmap_arrays", "check_finite"]
+__all__ = ["write_heatmap_file", "read_heatmap_file", "read_heatmap_arrays"]
 
 MAGIC = b"DVP1"
 # how a DVP file stores its grid values
@@ -105,9 +105,9 @@ def read_heatmap_arrays(path, out=None) -> tuple[tuple[float, ...], np.ndarray]:
 
     ``out`` is an optional little-endian float32 array whose channels are
     each contiguous. A DVP file whose grids have its shape is read straight
-    into it and ``values`` is ``out``; whether those values are finite is
-    then left to the caller, who checks many files in one
-    :func:`check_finite` pass. Any other file is read as without ``out``.
+    into it and ``values`` is ``out``, checked as any other read; a read
+    that raises may leave part of the file in ``out``. Any other file is
+    read as without ``out``.
     """
     path = Path(path)
     with reading(f"heatmap file {path}"):
@@ -124,18 +124,9 @@ def read_heatmap_arrays(path, out=None) -> tuple[tuple[float, ...], np.ndarray]:
                 for grids in values:
                     if fh.readinto(grids) != grids.nbytes:
                         raise ValueError("heatmap file changed while it was read")
-            if into:
-                return scales, values
-    check_finite(path, values)
-    return scales, values
-
-
-def check_finite(path, values) -> None:
-    """The error :func:`read_heatmap_arrays` raises for the file ``path``
-    when ``values`` are not all finite."""
-    if not np.isfinite(values).all():
-        with reading(f"heatmap file {path}"):
+        if not np.isfinite(values).all():
             raise ValueError("heatmap values must be finite")
+    return scales, values
 
 
 def _check_positive(scales) -> None:

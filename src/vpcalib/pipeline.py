@@ -61,7 +61,7 @@ from .heatmap import (
     check_scales,
     select_vp,  # noqa: F401  (kept importable from here: perfbench/tracing.py wraps it)
 )
-from .heatmap_io import check_finite, read_heatmap_arrays
+from .heatmap_io import read_heatmap_arrays
 from .heatmap_io import read_heatmap_file  # noqa: F401  (likewise)
 
 __all__ = [
@@ -132,7 +132,7 @@ class PipelineConfig:
                 raise ValueError("a config must hold a JSON object")
             for key in ("scales", "principal_point", "image_size"):
                 if data.get(key) is not None:
-                    data[key] = tuple(data[key])
+                    data[key] = tuple(check_numbers(data[key], key))
             return cls(**data)
 
 
@@ -504,60 +504,32 @@ def _read_stack(refs, config: PipelineConfig, base_dir, buffer) -> np.ndarray:
     """Channel-major ``(2, N, S, R, R)`` grids of the heatmap files ``refs``.
 
     DVP files are read straight into ``buffer``, a little-endian float32
-    ``(2, _CHUNK, S, R, R)`` array that a run reuses for each chunk and that
-    holds only finite values: zeros, or an earlier chunk's checked grids.
-    A JSON file turns the stack into a float64 copy, which the rest of the
-    chunk is copied into. The first bad file in record order is the one
-    reported: the grids read into the buffer are checked for finiteness in
-    one pass per chunk, or when a later file fails.
+    ``(2, _CHUNK, S, R, R)`` array that a run reuses for each chunk. A JSON
+    file turns the stack into a float64 copy, which the rest of the chunk
+    is copied into. Each file is checked as it is read, so the first bad
+    file in record order is the one reported.
     """
     stack = buffer[:, : len(refs)]
     base_dir = Path(base_dir)
-    paths = [base_dir / ref for ref in refs]
-    for k, (ref, path) in enumerate(zip(refs, paths)):
+    for k, ref in enumerate(refs):
         slot = stack[:, k] if stack.dtype == buffer.dtype else None
-        try:
-            scales, values = read_heatmap_arrays(path, slot)
-            if len(values) != 2:
-                raise InputFormatError(f"heatmap file {ref} has {len(values)} channels, expected 2")
-            if scales != config.scales:
-                raise InputFormatError(
-                    f"heatmap file {ref} uses scales {scales}, config expects {config.scales}"
-                )
-            if values.shape[-1] != config.resolution:
-                raise InputFormatError(
-                    f"heatmap file {ref} has resolution "
-                    f"{values.shape[-1]}, config expects {config.resolution}"
-                )
-        except InputFormatError:
-            # an earlier file, or this one, may hold a non-finite value that
-            # the chunk's pass has not seen yet
-            _check_finite(stack[:, : k + 1], paths)
-            raise
+        scales, values = read_heatmap_arrays(base_dir / ref, slot)
+        if len(values) != 2:
+            raise InputFormatError(f"heatmap file {ref} has {len(values)} channels, expected 2")
+        if scales != config.scales:
+            raise InputFormatError(
+                f"heatmap file {ref} uses scales {scales}, config expects {config.scales}"
+            )
+        if values.shape[-1] != config.resolution:
+            raise InputFormatError(
+                f"heatmap file {ref} has resolution "
+                f"{values.shape[-1]}, config expects {config.resolution}"
+            )
         if values is not slot:
             if not np.can_cast(values.dtype, stack.dtype):
                 stack = stack.astype(values.dtype)
             stack[:, k] = values
-    _check_finite(stack, paths)
     return stack
-
-
-def _check_finite(stack, paths) -> None:
-    """:func:`~vpcalib.heatmap_io.check_finite` of the first record of
-    ``stack`` whose grids are not all finite."""
-    if not np.isfinite(stack).all():
-        bad = ~np.isfinite(stack).all(axis=(0, 2, 3, 4))
-        k = int(bad.argmax())
-        check_finite(paths[k], stack[:, k])
-
-
-def _decode_chunk(refs, config: PipelineConfig, base_dir, buffer, sample_cells) -> list:
-    """Per channel, the record indices, box-coordinate points and direction
-    masks decoded from the heatmap files ``refs``, read into ``buffer``."""
-    stack = _read_stack(refs, config, base_dir, buffer)
-    return [
-        _decode_stack(maps, config.scales, config.peak_ratio, sample_cells)[:3] for maps in stack
-    ]
 
 
 def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSet:
@@ -569,11 +541,13 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
     call per channel takes them to frame pixels. Inline records take the
     table's point column of a channel where given, else its direction
     column. Heatmap records go in chunks of ``_CHUNK``: the chunk's
-    files are read into one stack, whose buffer every chunk reuses, and
-    each channel of it is decoded in one batch as by
-    :func:`~vpcalib.heatmap.decode_stack`. The batches share one table of
-    where the sub-pixel samples of the chosen peak cells land and which way
-    they point, and the table and the buffer live for this call only.
+    files are read into one stack, whose buffer every chunk reuses, each
+    file checked as it is read, and each channel of the stack is decoded
+    in one batch as by :func:`~vpcalib.heatmap.decode_stack`. The first
+    bad file in record order raises its :class:`InputFormatError`. The
+    batches share one table of where the sub-pixel samples of the chosen
+    peak cells land and which way they point, and the table and the
+    buffer live for this call only.
     Records whose channel has only degenerate scales, whose inline values
     are a zero-length direction, overflow or exceed
     :data:`~vpcalib.calibration.MAX_COORDINATE` in frame pixels, or whose
@@ -593,8 +567,11 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
                       + 2 * (config.resolution,), dtype="<f4")
     for start in range(0, len(mapped), _CHUNK):
         rows = mapped[start : start + _CHUNK]
-        chunk = _decode_chunk(table.heatmap_ref[rows], config, base_dir, buffer, sample_cells)
-        for c, (decoded, points, directions) in enumerate(chunk):
+        stack = _read_stack(table.heatmap_ref[rows], config, base_dir, buffer)
+        for c, maps in enumerate(stack):
+            decoded, points, directions = _decode_stack(
+                maps, config.scales, config.peak_ratio, sample_cells
+            )[:3]
             ends[c, rows[decoded]] = points
             is_direction[c, rows[decoded]] = directions
     for c in range(2):

@@ -206,6 +206,8 @@ class SceneSpec:
     @classmethod
     def from_json(cls, text: str) -> "SceneSpec":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("a scene spec must hold a JSON object")
         unknown = sorted(set(data) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown scene spec keys: {unknown}")

@@ -421,6 +421,8 @@ class TestErrorPaths:
             '{"scales": "abc"}', '{"frame_stride": 0}', "[1, 2]", '{"resolution": -3}',
             '{"frame_stride": 2.5}', '{"max_frames": 1e999}',
             '{"max_boxes_per_frame": 2.5}', '{"static_min_hits": 1e999}',
+            '{"principal_point": ["960", true]}', '{"image_size": ["1920", "1080"]}',
+            '{"scales": ["0.5", "1", "2", "4"]}',
         ],
     )
     def test_bad_config(self, tmp_path, scene_dir, capsys, config):
@@ -525,6 +527,31 @@ class TestErrorPaths:
             ("noise_sigma_px", '"1"'), ("outlier_fraction", "false"), ("camera_height", '"10"'),
             ("image_size", '["1920", 1080]'), ("image_size", "[1920, true]"),
         ]
+    })
+
+    # augment spec values of the wrong JSON type, which float() and int()
+    # would take: rng_seed 7.9 would run as 7
+    BAD_INPUTS.update({
+        f"augment-{name}": ("augment", [], {"aug.json": spec}, "InputFormatError", named)
+        for name, spec, named in [
+            ("image-size-string", AUGMENT % '"image_size": ["128", "128"]', "image_size must"),
+            ("box-row-bool", AUGMENT.replace("[20, 20]", "[20, true]") % '"image_size": [128, 128]',
+             "bbox_3d row must"),
+            ("corner-sigma-string", AUGMENT % '"image_size": [128, 128], "corner_sigma": "0.5"',
+             "corner_sigma must"),
+            ("flip-prob-bool", AUGMENT % '"image_size": [128, 128], "flip_prob": true',
+             "flip_prob must"),
+            ("rng-seed-fractional", AUGMENT % '"image_size": [128, 128], "rng_seed": 7.9',
+             "rng_seed must"),
+        ]
+    })
+
+    # specs that are not JSON objects
+    BAD_INPUTS.update({
+        "scene-spec-not-an-object": (
+            "synth", [], {"spec.json": '"abc"'}, "InputFormatError", "must hold a JSON object"),
+        "augment-spec-not-an-object": (
+            "augment", [], {"aug.json": "[1, 2]"}, "InputFormatError", "must hold a JSON object"),
     })
 
     # JSON booleans where a count or a ratio belongs: isinstance(True, int)

@@ -11,7 +11,6 @@ from vpcalib import heatmap_io
 from vpcalib.heatmap import BBox, HeatmapCodec
 from vpcalib.heatmap_io import (
     MAGIC,
-    check_finite,
     read_heatmap_arrays,
     read_heatmap_file,
     write_heatmap_file,
@@ -358,19 +357,18 @@ def test_a_non_finite_json_file_after_a_non_finite_dvp_file_is_not_the_one_repor
     assert _first_error(_read_stack, refs, CONFIG, tmp_path, _buffer()) == message
 
 
-def test_arrays_read_into_a_fitting_buffer_are_left_unchecked(tmp_path, observation):
+def test_arrays_read_into_a_fitting_buffer_are_checked(tmp_path, observation):
     path = tmp_path / "obs.dvp"
     write_heatmap_file(path, observation)
     _nan(path)
+    message = _first_error(read_heatmap_arrays, path)
+    assert "finite" in message
     out = np.zeros((2, 4, 64, 64), dtype="<f4")
-    scales, values = read_heatmap_arrays(path, out)
-    assert values is out and np.isnan(out[1, 3, 63, 63])
-    with pytest.raises(InputFormatError, match="finite"):
-        check_finite(path, values)
+    assert _first_error(read_heatmap_arrays, path, out) == message
+    assert np.isnan(out[1, 3, 63, 63])  # the file was read into the buffer
     # a buffer of another shape or precision is not used, and the read checks
     for other in (np.zeros((2, 3, 64, 64), dtype="<f4"), np.zeros((2, 4, 64, 64))):
-        with pytest.raises(InputFormatError, match="finite"):
-            read_heatmap_arrays(path, other)
+        assert _first_error(read_heatmap_arrays, path, other) == message
         assert not other.any()
 
 
