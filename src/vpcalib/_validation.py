@@ -11,6 +11,18 @@ import numpy as np
 JSON_NUMBER = frozenset((int, float))
 
 
+def is_real(value) -> bool:
+    """True for a Python or numpy real number; a bool and a string are not one."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def check_real(value, name: str):
+    """``value``, if it is a real number (:func:`is_real`)."""
+    if not is_real(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def check_number(value, name: str) -> float:
     """``value`` as a float, if it is a JSON number."""
     if type(value) not in JSON_NUMBER:

@@ -86,14 +86,16 @@ READ_ERRORS = (OSError, ValueError, TypeError, LookupError, OverflowError, Recur
 
 
 @contextlib.contextmanager
-def reading(source: str):
+def reading(*source):
     """Raise the block's :data:`READ_ERRORS` as ``InputFormatError("cannot read <source>: ...")``.
 
-    Keep only reading and checking inside, so a program fault is never reported as bad input.
+    The parts of ``source`` are joined by spaces when an error is raised,
+    so a path among them is formatted only then. Keep only reading and
+    checking inside, so a program fault is never reported as bad input.
     """
     try:
         yield
     except InputFormatError:
         raise
     except READ_ERRORS as exc:
-        raise InputFormatError(f"cannot read {source}: {exc}") from exc
+        raise InputFormatError(f"cannot read {' '.join(map(str, source))}: {exc}") from exc

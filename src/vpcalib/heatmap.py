@@ -15,8 +15,11 @@ time a decode needs it. Where the sub-pixel samples of a chosen peak cell
 land at every scale, and which way they point, goes into a table that
 lives for one run instead (:class:`_SampleCells`, 5.4 KB per distinct cell
 at four 64 x 64 scales): its owner passes it to every decode of the run and
-drops it afterwards. The near-maximum cells of a grid are found in the
-stack's own precision, float32 as DVP files store it.
+drops it afterwards. Points go between the plane, the diamond and the
+grid as separate ``x``, ``y`` and ``w`` arrays (the column form of
+:mod:`~vpcalib.projective`), every scale at once along a leading axis.
+The near-maximum cells of a grid are found in the stack's own precision,
+float32 as DVP files store it.
 The decode works in box coordinates; :func:`box_to_frame` and its inverse
 :func:`frame_to_box` are the one array form of the box <-> frame convention.
 
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import projective as pj
+from ._validation import is_real
 from .errors import (
     AllScalesDegenerate,
     DegeneratePeak,
@@ -78,6 +82,10 @@ CENTER_EPS = 1e-9
 
 def check_scales(scales) -> tuple[float, ...]:
     """Validate a scale set: strictly increasing positive reals."""
+    scales = tuple(scales)
+    # float() would take "0.5" and True
+    if not all(map(is_real, scales)):
+        raise ValueError(f"scales must be numbers, got {scales!r}")
     out = tuple(float(s) for s in scales)
     if not out:
         raise ValueError("scale set must not be empty")
@@ -241,29 +249,37 @@ def diamond_to_pixel(xy, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     ``v = Y - X``, then [-1, 1] is spread across the pixel centres.
     """
     xy = np.asarray(xy, dtype=float)
-    absum = np.abs(xy[..., 0]) + np.abs(xy[..., 1])
+    return np.stack(_pixel_of(xy[..., 0], xy[..., 1], resolution), axis=-1)
+
+
+def _pixel_of(X, Y, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`diamond_to_pixel` of the columns ``X`` and ``Y``: ``(row, col)``."""
+    absum = np.abs(X) + np.abs(Y)
     if np.any(absum > 1.0 + 1e-9):
         raise OutOfDiamond(f"|X| + |Y| = {float(np.max(absum))} exceeds 1")
-    u = xy[..., 0] + xy[..., 1]
-    v = xy[..., 1] - xy[..., 0]
-    col = (u + 1.0) / 2.0 * (resolution - 1)
-    row = (v + 1.0) / 2.0 * (resolution - 1)
-    return np.stack([row, col], axis=-1)
+    # t + 1 (t = u, v) is never subnormal, so halving it is exact and one
+    # product by (R - 1) / 2 rounds as (t + 1) / 2 * (R - 1) does
+    half_span = 0.5 * (resolution - 1)
+    u = X + Y
+    u += 1.0
+    u *= half_span
+    v = Y - X
+    v += 1.0
+    v *= half_span
+    return v, u
 
 
 def pixel_to_diamond(rowcol, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     """Fractional (row, col) -> diamond Cartesian (X, Y). Exact inverse on its range."""
     rc = np.asarray(rowcol, dtype=float)
-    u = 2.0 * rc[..., 1] / (resolution - 1) - 1.0
-    v = 2.0 * rc[..., 0] / (resolution - 1) - 1.0
-    return np.stack([(u - v) / 2.0, (u + v) / 2.0], axis=-1)
+    return np.stack(_diamond_of(rc[..., 0], rc[..., 1], resolution), axis=-1)
 
 
-def _clamp_to_diamond(xy: np.ndarray) -> np.ndarray:
-    """Radially shrink points with |X| + |Y| > 1 onto the diamond boundary."""
-    absum = np.abs(xy[..., 0]) + np.abs(xy[..., 1])
-    factor = np.where(absum > 1.0, 1.0 / np.maximum(absum, 1e-300), 1.0)
-    return xy * factor[..., None]
+def _diamond_of(row, col, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pixel_to_diamond` of the float columns ``row`` and ``col``: ``(X, Y)``."""
+    u = 2.0 * col / (resolution - 1) - 1.0
+    v = 2.0 * row / (resolution - 1) - 1.0
+    return (u - v) / 2.0, (u + v) / 2.0
 
 
 def _as_vp_homogeneous(vp) -> np.ndarray:
@@ -275,24 +291,32 @@ def _as_vp_homogeneous(vp) -> np.ndarray:
     raise ValueError(f"vanishing point must be (2,) or homogeneous (3,), got {vp.shape}")
 
 
-def _round_half_up(x) -> np.ndarray:
-    # ties go toward +inf so encode/decode share one deterministic grid
-    return np.floor(np.asarray(x) + 0.5).astype(int)
+def _round_half_up(x: np.ndarray) -> np.ndarray:
+    # ties go toward +inf so encode/decode share one deterministic grid;
+    # the float array x is overwritten
+    x += 0.5
+    return np.floor(x, out=x).astype(int)
 
 
-def _nearest_cells(vph: np.ndarray, scales, resolution: int) -> np.ndarray:
-    """Integer (row, col) of the cell where :func:`encode_vp` puts the peak.
+def _nearest_cells(x, y, w, scales, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer ``(row, col)`` of the cells where :func:`encode_vp` puts the peak.
 
-    ``vph`` holds homogeneous box-coordinate point(s); the result has shape
-    ``(len(scales),) + vph.shape[:-1] + (2,)``, one cell per scale.
+    ``(x, y, w)`` are the coordinate arrays of homogeneous box-coordinate
+    points. Each point is divided by its largest ``|coordinate|``, then
+    mapped at every scale at once, the scales along a new leading axis:
+    ``row`` and ``col`` have shape ``(len(scales),) + x.shape``.
     """
-    # the largest |coordinate| of each point: np.max over the last axis, in
-    # two elementwise passes rather than one slow reduction over three values
-    size = np.abs(vph)
-    vph = vph / np.maximum(np.maximum(size[..., 0], size[..., 1]), size[..., 2])[..., None]
-    scaled = np.stack([pj.scale_point(vph, s) for s in scales])
-    xy = pj.dehomogenize(pj.to_diamond(scaled))
-    return _round_half_up(diamond_to_pixel(xy, resolution))
+    for s in scales:
+        pj.check_scale(s)
+    size = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(w))
+    if not size.all():
+        raise ValueError("(0, 0, 0) is not a projective point")
+    x, y, w = x / size, y / size, w / size
+    s = np.asarray(scales, dtype=float).reshape((-1,) + (1,) * np.ndim(x))
+    # the mapping tests the signs of the scaled coordinates, scale by scale:
+    # y * 0.03 can round a subnormal y to zero
+    row, col = _pixel_of(*pj.diamond_xy(x * s, y * s, w), resolution)
+    return _round_half_up(row), _round_half_up(col)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +338,8 @@ def encode_vp(
     sparse without moving the argmax.
     """
     _check_sigma(sigma)
-    ((i0, j0),) = _nearest_cells(_as_vp_homogeneous(vp), [scale], resolution)
-    return Heatmap(_rasterize(i0, j0, resolution, sigma), scale)
+    ((i0,), (j0,)) = _nearest_cells(*_as_vp_homogeneous(vp), [scale], resolution)
+    return Heatmap(_rasterize(int(i0), int(j0), resolution, sigma), scale)
 
 
 def _check_sigma(sigma: float) -> None:
@@ -385,23 +409,41 @@ def vp_of_pixel(
     The returned triple may have ``w ~ 0`` for cells on the diamond boundary:
     those decode to directions rather than finite points.
     """
-    return pj.scale_point(_unscaled_vp_of_pixel(row, col, resolution), 1.0 / scale)
+    return pj.scale_point(np.stack(_unscaled_vp_of_pixel(row, col, resolution), axis=-1),
+                          1.0 / scale)
 
 
-def _unscaled_vp_of_pixel(row, col, resolution: int) -> np.ndarray:
-    """:func:`vp_of_pixel` before the division by the scale."""
-    rc = np.stack([np.asarray(row, dtype=float), np.asarray(col, dtype=float)], axis=-1)
-    xy = _clamp_to_diamond(pixel_to_diamond(rc, resolution))
-    return pj.from_diamond(np.concatenate([xy, np.ones(xy.shape[:-1] + (1,))], axis=-1))
+def _unscaled_vp_of_pixel(row, col, resolution: int) -> tuple[np.ndarray, ...]:
+    """:func:`vp_of_pixel` before the division by the scale, as ``(x, y, w)``.
+
+    A position outside the diamond is first shrunk radially onto its
+    boundary (multiplied by ``1 / (|X| + |Y|)``).
+    """
+    X, Y = _diamond_of(np.asarray(row, dtype=float), np.asarray(col, dtype=float), resolution)
+    absum = np.abs(X) + np.abs(Y)
+    outside = absum > 1.0
+    if np.any(outside):
+        factor = np.where(outside, 1.0 / np.maximum(absum, 1e-300), 1.0)
+        X, Y = X * factor, Y * factor
+    return pj.from_diamond_columns(X, Y, 1.0)
 
 
-def _directions(vph: np.ndarray) -> np.ndarray:
-    """Unit direction from the box centre for finite or infinite homogeneous points."""
-    vph = np.atleast_2d(vph)
-    ideal = pj.is_ideal(vph, IDEAL_EPS)
-    xy = np.where(ideal[:, None], vph[:, :2], vph[:, :2] / np.where(ideal, 1.0, vph[:, 2])[:, None])
-    norms = np.linalg.norm(xy, axis=1)
-    return xy / np.maximum(norms, 1e-300)[:, None]
+def _finite_xy(x, y, w) -> tuple[np.ndarray, np.ndarray]:
+    """``(x / w, y / w)`` of homogeneous points, or ``(x, y)`` where the point
+    is at infinity (``projective.is_ideal`` at :data:`IDEAL_EPS`); a division
+    by 1.0 is exact."""
+    ideal = np.abs(w) <= IDEAL_EPS * np.hypot(x, y)
+    w = np.where(ideal, 1.0, w)
+    return x / w, y / w
+
+
+def _directions(x, y, w) -> np.ndarray:
+    """Unit direction from the box centre of finite or infinite homogeneous
+    points given as coordinate arrays: shape ``x.shape + (2,)``."""
+    x, y = _finite_xy(x, y, w)
+    # np.linalg.norm of the (x, y) rows, bit for bit
+    norm = np.maximum(np.sqrt(x * x + y * y), 1e-300)
+    return np.stack([x / norm, y / norm], axis=-1)
 
 
 def accuracy_measure(heatmap: Heatmap, peak: tuple[int, int], candidates: np.ndarray) -> float:
@@ -421,8 +463,8 @@ def accuracy_measure(heatmap: Heatmap, peak: tuple[int, int], candidates: np.nda
     peak_vph = vp_of_pixel(float(peak[0]), float(peak[1]), heatmap.scale, heatmap.resolution)
 
     if pj.is_ideal(peak_vph, IDEAL_EPS):
-        dirs = _directions(vph)
-        peak_dir = _directions(peak_vph)[0]
+        dirs = _directions(*vph.T)
+        peak_dir = _directions(*peak_vph)
         return float(np.mean(np.linalg.norm(dirs - peak_dir, axis=1)))
 
     peak_xy = pj.dehomogenize(peak_vph)
@@ -454,13 +496,10 @@ def quantization_radius(
     rows = np.concatenate([row - half, row + half, row + ts, row + ts])
     cols = np.concatenate([col + ts, col + ts, col - half, col + half])
     center = vp_of_pixel(float(row), float(col), scale, resolution)
-    c_dir = _directions(center)[0]
+    c_dir = _directions(*center)
     if not np.isfinite(c_dir).all():
         return np.inf
-    boundary = vp_of_pixel(rows, cols, scale, resolution)
-    xy = boundary[:, :2].copy()
-    finite = ~pj.is_ideal(boundary, IDEAL_EPS)
-    xy[finite] /= boundary[finite, 2][:, None]
+    xy = np.stack(_finite_xy(*vp_of_pixel(rows, cols, scale, resolution).T), axis=-1)
     norms = np.linalg.norm(xy, axis=1)
     if np.any(norms < 1e-300):
         return np.inf
@@ -468,16 +507,17 @@ def quantization_radius(
     return float(np.max(np.arccos(cosines)))
 
 
-def _vp_by_scale(scales, index, rows, cols, resolution: int) -> np.ndarray:
-    """:func:`vp_of_pixel` at ``(rows, cols)`` on the grid ``scales[index]``.
+def _vp_by_scale(scales, index, rows, cols, resolution: int) -> tuple[np.ndarray, ...]:
+    """:func:`vp_of_pixel` at ``(rows, cols)`` on the grid ``scales[index]``,
+    as ``(x, y, w)``.
 
     ``index`` runs along the first axis of ``rows`` and ``cols``; the
     product with the same ``1.0 / scale`` gives the same bits.
     """
-    vph = _unscaled_vp_of_pixel(rows, cols, resolution)
+    x, y, w = _unscaled_vp_of_pixel(rows, cols, resolution)
     inverse = (1.0 / np.asarray(scales, dtype=float))[index]
-    vph[..., :2] *= inverse.reshape(inverse.shape + (1,) * (vph.ndim - inverse.ndim))
-    return vph
+    inverse = inverse.reshape(inverse.shape + (1,) * (x.ndim - inverse.ndim))
+    return x * inverse, y * inverse, w
 
 
 class _CellTables:
@@ -505,14 +545,13 @@ class _CellTables:
         self.scales = scales
         self.resolution = resolution
         shape = (len(scales), resolution, resolution)
-        vph = _vp_by_scale(scales, *np.indices(shape).reshape(3, -1), resolution)
-        ideal = pj.is_ideal(vph, IDEAL_EPS)
-        norm = np.full(len(vph), np.nan)
-        norm[~ideal] = pj.row_norms(pj.dehomogenize(vph[~ideal]))
-        self.vp = vph.reshape(shape + (3,))
-        self.ideal = ideal.reshape(shape)
-        self.direction = _directions(vph).reshape(shape + (2,))
-        self.norm = norm.reshape(shape)
+        x, y, w = _vp_by_scale(scales, *np.indices(shape), resolution)
+        self.vp = np.stack([x, y, w], axis=-1)
+        self.ideal = pj.is_ideal(self.vp, IDEAL_EPS)
+        self.norm = np.full(shape, np.nan)
+        finite = self.vp[~self.ideal]
+        self.norm[~self.ideal] = pj.row_norms(pj.dehomogenize(finite))
+        self.direction = _directions(x, y, w)
         self.radius = np.zeros(shape)
         self._has_radius = np.zeros(shape, dtype=bool)
 
@@ -532,10 +571,8 @@ class _CellTables:
         row, col = r[:, None], c[:, None]
         rows = np.concatenate([row - half, row + half, row + ts, row + ts], axis=1)
         cols = np.concatenate([col + ts, col + ts, col - half, col + half], axis=1)
-        boundary = _vp_by_scale(self.scales, s, rows, cols, self.resolution)
-        xy = boundary[..., :2].copy()
-        finite = ~pj.is_ideal(boundary, IDEAL_EPS)
-        xy[finite] /= boundary[finite][:, 2:3]
+        xy = np.stack(_finite_xy(*_vp_by_scale(self.scales, s, rows, cols, self.resolution)),
+                      axis=-1)
         norms = np.linalg.norm(xy, axis=-1)
         c_dir = self.direction[s, r, c]
         ok = np.isfinite(c_dir).all(axis=1) & ~np.any(norms < 1e-300, axis=1)
@@ -654,11 +691,11 @@ class _SampleCells:
     def _fill(self, key: list[int]) -> None:
         scales, resolution = self._grid
         chosen, row, col = np.unravel_index(key, (len(scales), resolution, resolution))
-        rc = np.stack([row, col], axis=-1)[:, None, :] + _SUBPIXEL
-        samples = _vp_by_scale(scales, chosen, rc[..., 0], rc[..., 1], resolution)
-        cells = _nearest_cells(samples, scales, resolution)
-        cells = np.moveaxis(cells[..., 0] * resolution + cells[..., 1], 0, 1)
-        dirs = _directions(samples.reshape(-1, 3)).reshape(samples.shape[:-1] + (2,))
+        samples = _vp_by_scale(scales, chosen, row[:, None] + _SUBPIXEL[:, 0],
+                               col[:, None] + _SUBPIXEL[:, 1], resolution)
+        row, col = _nearest_cells(*samples, scales, resolution)
+        cells = np.moveaxis(row * resolution + col, 0, 1)
+        dirs = _directions(*samples)
         size = len(self._slot)
         self._slot.update(zip(key, range(size, size + len(key))))
         done = 0
@@ -693,17 +730,22 @@ def _fuse(tables: _CellTables, sample_cells: _SampleCells, near, records, chosen
     scales, resolution = tables.scales, tables.resolution
     n_scales = len(scales)
     cells, sample_dirs = sample_cells.lookup(scales, resolution, chosen, row, col)
-    hit = near.reshape(len(near), n_scales, -1)[
-        records[:, None, None], np.arange(n_scales)[:, None], cells
-    ]
-    keep = np.all(hit | ~others[:, :, None], axis=1)
+    # each sample's cell as a flat index into the C-ordered near, for one take
+    grids = (records[:, None] * n_scales + np.arange(n_scales)) * (resolution * resolution)
+    keep = np.take(near, grids[:, :, None] + cells)
+    keep |= ~others[:, :, None]
+    keep = keep.all(axis=1)
     count = keep.sum(axis=1)
-    rc = np.stack([row, col], axis=-1)[:, None, :] + _SUBPIXEL
     fused = centre.copy()
     some = count > 0
-    # rc[keep].mean(axis=0) adds the kept rows in order; skipped rows add zero
-    mean = np.where(keep[..., None], rc, 0.0).sum(axis=1)[some] / count[some, None]
-    fused[some] = _vp_by_scale(scales, chosen[some], mean[:, 0], mean[:, 1], resolution)
+    # sample-major positions: rc[keep].mean(axis=0) adds the kept (row, col)
+    # pairs in order, and so does a sum over the leading axis with (M, 2)
+    # behind it, in one pass per sample; a skipped sample adds a zero
+    rc = np.stack([row, col], axis=-1) + _SUBPIXEL[:, None, :]
+    mean = (rc * keep.T[..., None]).sum(axis=0)[some] / count[some, None]
+    fused[some] = np.stack(
+        _vp_by_scale(scales, chosen[some], mean[:, 0], mean[:, 1], resolution), axis=-1
+    )
     # a direction at infinity stays one, oriented like the centre's
     flip = ideal & (np.sum(fused[:, :2] * centre[:, :2], axis=1) < 0.0)
     fused[flip, :2] *= -1.0
@@ -713,11 +755,11 @@ def _fuse(tables: _CellTables, sample_cells: _SampleCells, near, records, chosen
         # the stacked matmul gives each sample what ``dirs @ direction`` gives
         # it; for a point at infinity both signs of a direction are one point
         cosines = np.matmul(sample_dirs, direction[:, :, None])[..., 0]
-        cosines = np.where(ideal[:, None], np.abs(cosines), cosines)
+        cosines[ideal] = np.abs(cosines[ideal])
         angles = np.arccos(np.clip(cosines, -1.0, 1.0))
-        return np.max(np.where(keep, angles, -np.inf), axis=1)
+        return np.max(angles, axis=1, where=keep, initial=-np.inf)
 
-    closer = ~(worst_angle(_directions(fused)) > worst_angle(_directions(centre)))
+    closer = ~(worst_angle(_directions(*fused.T)) > worst_angle(_directions(*centre.T)))
     return np.where((some & closer)[:, None], fused, centre)
 
 
@@ -760,6 +802,19 @@ def _round_up(threshold: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def _peaks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maximum of each grid of an ``(N, S, R, R)`` stack, as float64 and
+    at least zero, and the ``(row, col)`` of its first cell in row-major order.
+
+    The maximum is read at the argmax rather than found in a second pass;
+    ``np.maximum`` with ``0.0`` turns a maximum of -0.0 into +0.0 either way.
+    """
+    flat = values.reshape(values.shape[:2] + (values.shape[2] * values.shape[3],))
+    peak = flat.argmax(axis=2)
+    top = np.take_along_axis(flat, peak[..., None], axis=2)[..., 0]
+    return (np.maximum(top, 0.0).astype(float),) + np.divmod(peak, values.shape[-1])
+
+
 def _decode_stack(values, scales, peak_ratio, sample_cells: _SampleCells):
     """:func:`decode_stack` in box coordinates, with the caller's sample-cell table.
 
@@ -784,9 +839,7 @@ def _decode_stack(values, scales, peak_ratio, sample_cells: _SampleCells):
     # argmax and near-maximum cells of every grid (decode_heatmap): the cells
     # at or above the float64 threshold, found in the stack's own precision;
     # negative responses count as zero, so all of them reach a zero threshold
-    flat = values.reshape(n, n_scales, -1)
-    top = np.maximum(flat.max(axis=2), 0.0).astype(float)
-    row, col = np.divmod(flat.argmax(axis=2), resolution)
+    top, row, col = _peaks(values)
     threshold = peak_ratio * top
     near = values >= _round_up(threshold, values.dtype)[:, :, None, None]
     near[threshold == 0.0] = True
@@ -893,13 +946,13 @@ class HeatmapCodec:
         """One heatmap per scale for a box-coordinate vanishing point: what
         :func:`encode_vp` gives at each scale."""
         return self._rasterized(
-            _nearest_cells(_as_vp_homogeneous(vp), self.scales, self.resolution)
+            *_nearest_cells(*_as_vp_homogeneous(vp), self.scales, self.resolution)
         )
 
-    def _rasterized(self, cells: np.ndarray) -> list[Heatmap]:
+    def _rasterized(self, rows: np.ndarray, cols: np.ndarray) -> list[Heatmap]:
         return [
             Heatmap(_rasterize(i0, j0, self.resolution, self.sigma), s)
-            for (i0, j0), s in zip(cells.tolist(), self.scales)
+            for i0, j0, s in zip(rows.tolist(), cols.tolist(), self.scales)
         ]
 
     def decode(self, heatmaps, box: BBox) -> VPDetection:
@@ -909,8 +962,8 @@ class HeatmapCodec:
         """Channel-major heatmaps for a (first, second) vanishing-point pair:
         :meth:`encode` of each, with both points mapped in one pass."""
         vph = np.stack([_as_vp_homogeneous(first_vp), _as_vp_homogeneous(second_vp)])
-        cells = _nearest_cells(vph, self.scales, self.resolution)
-        return [self._rasterized(cells[:, c]) for c in range(2)]
+        rows, cols = _nearest_cells(*vph.T, self.scales, self.resolution)
+        return [self._rasterized(rows[:, c], cols[:, c]) for c in range(2)]
 
     def decode_pair(self, channel_maps, box: BBox) -> tuple[VPDetection, VPDetection]:
         first, second = channel_maps

@@ -109,8 +109,9 @@ def read_heatmap_arrays(path, out=None) -> tuple[tuple[float, ...], np.ndarray]:
     that raises may leave part of the file in ``out``. Any other file is
     read as without ``out``.
     """
-    path = Path(path)
-    with reading(f"heatmap file {path}"):
+    if not isinstance(path, Path):
+        path = Path(path)
+    with reading("heatmap file", path):
         if path.suffix == ".json":
             scales, values = _parse_json(path.read_bytes())
             _check_positive(scales)

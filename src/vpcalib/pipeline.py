@@ -47,6 +47,7 @@ from ._validation import (
     check_integer,
     check_number,
     check_numbers,
+    is_real,
 )
 from .errors import READ_ERRORS, InputFormatError, reading
 from .evaluation import PAIR_MODES, DistanceMeasurement, evaluate
@@ -112,14 +113,18 @@ class PipelineConfig:
         for name in ("peak_ratio", "static_iou"):
             value = getattr(self, name)
             # 0 < True <= 1 holds, but a JSON boolean is not a ratio
-            if isinstance(value, bool) or not (0.0 < value <= 1.0):
+            if not (is_real(value) and 0.0 < value <= 1.0):
                 raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
         if self.pair_mode not in PAIR_MODES:
             raise ValueError(f"pair_mode must be one of {PAIR_MODES}")
         for name in ("image_size", "principal_point"):
             value = getattr(self, name)
-            if value is not None and as_float_array(value, name).shape != (2,):
+            if value is None:
+                continue
+            # float() would take "1920" and True
+            if not (np.shape(value) == (2,) and all(map(is_real, value))):
                 raise ValueError(f"{name} must be two numbers, got {value!r}")
+            as_float_array(value, name)
         if self.image_size is not None:
             check_image_size(self.image_size)
         object.__setattr__(self, "scales", check_scales(self.scales))

@@ -15,7 +15,11 @@ significant coordinate positive), which keeps the mapping total, bounded and
 exactly invertible; points on the coordinate axes land on one deterministic
 branch, with no continuity claim across axes.
 
-All functions are pure, accept ``(..., 3)`` batches, and are thread-safe.
+All functions are pure and thread-safe. Most accept ``(..., 3)`` batches;
+the diamond mapping also has a column form (:func:`to_diamond_columns`,
+:func:`diamond_xy`, :func:`from_diamond_columns`) that takes the
+coordinates ``x``, ``y`` and ``w`` as separate arrays broadcast together,
+and :func:`canonical`, :func:`to_diamond` and :func:`from_diamond` wrap it.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ __all__ = [
     "canonical",
     "to_diamond",
     "from_diamond",
+    "to_diamond_columns",
+    "diamond_xy",
+    "from_diamond_columns",
+    "check_scale",
     "line_through",
     "scale_point",
     "dehomogenize",
@@ -60,10 +68,46 @@ def canonical(p) -> np.ndarray:
     """
     p = _as_homogeneous(p)
     x, y, w = p[..., 0], p[..., 1], p[..., 2]
-    if np.any((x == 0) & (y == 0) & (w == 0)):
+    _check_point(x, y, w)
+    return p * _flip(x, y, w)[..., None]
+
+
+def _check_point(x, y, w) -> None:
+    zero = np.equal(w, 0)
+    if zero.any() and (zero & np.equal(y, 0) & np.equal(x, 0)).any():
         raise ValueError("(0, 0, 0) is not a projective point")
-    flip = np.where(w != 0, np.sign(w), np.where(y != 0, np.sign(y), np.sign(x)))
-    return p * flip[..., None]
+
+
+def _flip(x, y, w):
+    """The sign that :func:`canonical` multiplies ``(x, y, w)`` by: that of
+    ``w``, or of ``y`` where ``w`` is zero, or of ``x`` where both are."""
+    flip = np.sign(w)
+    if not flip.all():
+        flip = np.where(np.equal(w, 0), np.where(np.not_equal(y, 0), np.sign(y), np.sign(x)),
+                        flip)
+    return flip
+
+
+def _divisor(x, y, w):
+    """``D`` with ``to_diamond`` of ``(x, y, w)`` equal to ``-flip * (w, x, D)``
+    (``flip`` of :func:`_flip`), so the diamond point is ``(w / D, x / D)``.
+
+    The canonical ``c = flip * (x, y, w)`` maps to ``(-c_w, -c_x, t)`` with
+    ``t = sgn(c_x) * sgn(c_y) * c_x + c_y + sgn(c_y) * c_w``. All three terms
+    carry the sign ``sgn(c_y)`` and rounding is symmetric, so ``t`` is
+    ``sgn(c_y) * (|x| + |y| + |w|)``, summed in that order, bit for bit.
+    Off the axis ``y = 0`` that makes ``D = -flip * t`` equal to
+    ``-sgn(y) * (|x| + |y| + |w|)``; on it, ``sgn(c_y) = +1``. A product
+    with +-1 is exact, so ``w / D`` and ``x / D`` have the bits of
+    ``-c_w / t`` and ``-c_x / t``.
+    """
+    size = np.abs(x) + np.abs(y) + np.abs(w)
+    d = -np.copysign(size, y)
+    on_axis = np.equal(y, 0)
+    if on_axis.any():
+        # sgn(0) = +1 for the canonical y, whatever the sign of this zero
+        d = np.where(on_axis, -_flip(x, y, w) * size, d)
+    return d
 
 
 def to_diamond(p) -> np.ndarray:
@@ -74,10 +118,24 @@ def to_diamond(p) -> np.ndarray:
     always satisfies ``|X| + |Y| <= 1``: the whole plane lands inside the
     diamond, points at infinity included.
     """
-    c = canonical(p)
-    x, y, w = c[..., 0], c[..., 1], c[..., 2]
-    third = sgn(x) * sgn(y) * x + y + sgn(y) * w
-    return np.stack([-w, -x, third], axis=-1)
+    p = _as_homogeneous(p)
+    return np.stack(to_diamond_columns(p[..., 0], p[..., 1], p[..., 2]), axis=-1)
+
+
+def to_diamond_columns(x, y, w):
+    """:func:`to_diamond` of the points ``(x, y, w)``, given as arrays that
+    broadcast together: the three coordinates of the diamond point."""
+    _check_point(x, y, w)
+    sign = -_flip(x, y, w)
+    return sign * w, sign * x, sign * _divisor(x, y, w)
+
+
+def diamond_xy(x, y, w):
+    """The dehomogenized ``(X, Y)`` of :func:`to_diamond_columns`, bit for bit
+    ``dehomogenize(to_diamond(p))``: inside the diamond ``|X| + |Y| <= 1``."""
+    _check_point(x, y, w)
+    d = _divisor(x, y, w)
+    return w / d, x / d
 
 
 def from_diamond(d) -> np.ndarray:
@@ -85,10 +143,17 @@ def from_diamond(d) -> np.ndarray:
 
     Inverse of :func:`to_diamond` up to projective scale.
     """
-    c = canonical(d)
-    x, y, w = c[..., 0], c[..., 1], c[..., 2]
-    mid = np.abs(x) + np.abs(y) - w
-    return np.stack([y, mid, x], axis=-1)
+    d = _as_homogeneous(d)
+    return np.stack(from_diamond_columns(d[..., 0], d[..., 1], d[..., 2]), axis=-1)
+
+
+def from_diamond_columns(x, y, w):
+    """:func:`from_diamond` of diamond points given as arrays that broadcast
+    together; ``w`` may be the number 1, for a dehomogenized ``(x, y)``."""
+    _check_point(x, y, w)
+    flip = _flip(x, y, w)
+    x, y, w = x * flip, y * flip, w * flip
+    return y, np.abs(x) + np.abs(y) - w, x
 
 
 def line_through(p, q) -> np.ndarray:
@@ -108,13 +173,18 @@ def scale_point(p, s: float) -> np.ndarray:
 
     Points at infinity are fixed points of this map.
     """
-    if not np.isfinite(s) or s <= 0:
-        raise InvalidScale(f"scale must be positive and finite, got {s!r}")
+    check_scale(s)
     p = _as_homogeneous(p)
     out = p.copy()
     out[..., 0] *= s
     out[..., 1] *= s
     return out
+
+
+def check_scale(s) -> None:
+    """Raise :class:`InvalidScale` unless ``s`` is a positive finite number."""
+    if not np.isfinite(s) or s <= 0:
+        raise InvalidScale(f"scale must be positive and finite, got {s!r}")
 
 
 def is_ideal(p, rel_eps: float = 1e-9) -> np.ndarray:

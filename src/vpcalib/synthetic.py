@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_float_array, check_image_size, check_integer, check_positive
+from ._validation import (
+    as_float_array,
+    check_image_size,
+    check_integer,
+    check_positive,
+    check_real,
+)
 from .calibration import CameraCalibration, CameraIntrinsics, PairSet, VPPair
 from .errors import DegenerateHomography, InputFormatError, InsufficientMeasurements
 from .evaluation import DistanceMeasurement
@@ -190,8 +196,7 @@ class SceneSpec:
         numbers += [("image_size", value) for value in self.image_size]
         for name, value in numbers:
             # float() would take "1200" and True, which generation then trips over
-            if isinstance(value, (str, bool)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            check_real(value, name)
         check_image_size(self.image_size)
         for name, low in (("seed", 0), ("n_vehicles", 1), ("n_measurements", 0)):
             setattr(self, name, check_integer(getattr(self, name), name, low))
@@ -577,12 +582,13 @@ class AugmentationParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("corner_sigma", "bbox_jitter", "flip_prob"):
+            check_real(getattr(self, name), name)
         if not (0.0 <= self.corner_sigma < np.inf and 0.0 <= self.bbox_jitter < np.inf):
             raise ValueError("corner_sigma and bbox_jitter must be finite and >= 0")
         if not (0.0 <= self.flip_prob <= 1.0):
             raise ValueError("flip_prob must lie in [0, 1]")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        object.__setattr__(self, "rng_seed", check_integer(self.rng_seed, "rng_seed", 0))
 
 
 def homography_from_corners(src, dst) -> np.ndarray:

@@ -1,0 +1,130 @@
+"""The ``(..., 3)`` diamond-space kernels, kept as references.
+
+:mod:`vpcalib.projective` and :mod:`vpcalib.heatmap` map points between the
+projective plane, the diamond and the grid on separate ``x``, ``y`` and
+``w`` arrays, with the scales on a leading axis. These are the forms they
+replaced: each point a trailing triple, each scale a stacked copy. The
+tests require the column kernels to give the same bits, and the same
+errors, as these.
+"""
+
+import numpy as np
+
+from vpcalib.errors import InvalidScale, OutOfDiamond
+from vpcalib.heatmap import IDEAL_EPS
+
+
+def columns(p):
+    """The coordinate arrays ``x, y, w`` of ``(..., 3)`` points."""
+    return p[..., 0], p[..., 1], p[..., 2]
+
+
+def same_bits(got, expected) -> bool:
+    """Same shape, dtype and bytes: signed zeros and NaN payloads included."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    return (got.shape == expected.shape and got.dtype == expected.dtype
+            and got.tobytes() == expected.tobytes())
+
+
+def sgn(t):
+    return np.where(np.asarray(t, dtype=float) >= 0.0, 1.0, -1.0)
+
+
+def canonical(p):
+    p = np.asarray(p, dtype=float)
+    x, y, w = p[..., 0], p[..., 1], p[..., 2]
+    if np.any((x == 0) & (y == 0) & (w == 0)):
+        raise ValueError("(0, 0, 0) is not a projective point")
+    flip = np.where(w != 0, np.sign(w), np.where(y != 0, np.sign(y), np.sign(x)))
+    return p * flip[..., None]
+
+
+def to_diamond(p):
+    c = canonical(p)
+    x, y, w = c[..., 0], c[..., 1], c[..., 2]
+    third = sgn(x) * sgn(y) * x + y + sgn(y) * w
+    return np.stack([-w, -x, third], axis=-1)
+
+
+def from_diamond(d):
+    c = canonical(d)
+    x, y, w = c[..., 0], c[..., 1], c[..., 2]
+    mid = np.abs(x) + np.abs(y) - w
+    return np.stack([y, mid, x], axis=-1)
+
+
+def dehomogenize(p):
+    return p[..., :2] / p[..., 2:3]
+
+
+def is_ideal(p, rel_eps=IDEAL_EPS):
+    return np.abs(p[..., 2]) <= rel_eps * np.hypot(p[..., 0], p[..., 1])
+
+
+def scale_point(p, s):
+    if not np.isfinite(s) or s <= 0:
+        raise InvalidScale(f"scale must be positive and finite, got {s!r}")
+    out = np.asarray(p, dtype=float).copy()
+    out[..., 0] *= s
+    out[..., 1] *= s
+    return out
+
+
+def diamond_to_pixel(xy, resolution):
+    xy = np.asarray(xy, dtype=float)
+    absum = np.abs(xy[..., 0]) + np.abs(xy[..., 1])
+    if np.any(absum > 1.0 + 1e-9):
+        raise OutOfDiamond(f"|X| + |Y| = {float(np.max(absum))} exceeds 1")
+    u = xy[..., 0] + xy[..., 1]
+    v = xy[..., 1] - xy[..., 0]
+    col = (u + 1.0) / 2.0 * (resolution - 1)
+    row = (v + 1.0) / 2.0 * (resolution - 1)
+    return np.stack([row, col], axis=-1)
+
+
+def pixel_to_diamond(rowcol, resolution):
+    rc = np.asarray(rowcol, dtype=float)
+    u = 2.0 * rc[..., 1] / (resolution - 1) - 1.0
+    v = 2.0 * rc[..., 0] / (resolution - 1) - 1.0
+    return np.stack([(u - v) / 2.0, (u + v) / 2.0], axis=-1)
+
+
+def _clamp_to_diamond(xy):
+    absum = np.abs(xy[..., 0]) + np.abs(xy[..., 1])
+    factor = np.where(absum > 1.0, 1.0 / np.maximum(absum, 1e-300), 1.0)
+    return xy * factor[..., None]
+
+
+def nearest_cells(vph, scales, resolution):
+    """``(len(scales),) + vph.shape[:-1] + (2,)`` integer ``(row, col)`` cells."""
+    size = np.abs(vph)
+    vph = vph / np.maximum(np.maximum(size[..., 0], size[..., 1]), size[..., 2])[..., None]
+    scaled = np.stack([scale_point(vph, s) for s in scales])
+    xy = dehomogenize(to_diamond(scaled))
+    return np.floor(diamond_to_pixel(xy, resolution) + 0.5).astype(int)
+
+
+def unscaled_vp_of_pixel(row, col, resolution):
+    rc = np.stack([np.asarray(row, dtype=float), np.asarray(col, dtype=float)], axis=-1)
+    xy = _clamp_to_diamond(pixel_to_diamond(rc, resolution))
+    return from_diamond(np.concatenate([xy, np.ones(xy.shape[:-1] + (1,))], axis=-1))
+
+
+def vp_of_pixel(row, col, scale, resolution):
+    return scale_point(unscaled_vp_of_pixel(row, col, resolution), 1.0 / scale)
+
+
+def vp_by_scale(scales, index, rows, cols, resolution):
+    vph = unscaled_vp_of_pixel(rows, cols, resolution)
+    inverse = (1.0 / np.asarray(scales, dtype=float))[index]
+    vph[..., :2] *= inverse.reshape(inverse.shape + (1,) * (vph.ndim - inverse.ndim))
+    return vph
+
+
+def directions(vph):
+    """``(N, 2)`` unit directions of ``(N, 3)`` homogeneous points."""
+    vph = np.atleast_2d(vph)
+    ideal = is_ideal(vph)
+    xy = np.where(ideal[:, None], vph[:, :2], vph[:, :2] / np.where(ideal, 1.0, vph[:, 2])[:, None])
+    norms = np.linalg.norm(xy, axis=1)
+    return xy / np.maximum(norms, 1e-300)[:, None]

@@ -116,3 +116,20 @@ class TestAugment:
             AugmentationParams(corner_sigma=-1.0)
         with pytest.raises(ValueError):
             AugmentationParams(flip_prob=1.5)
+
+    # what the augment command rejects in a spec file, the constructor
+    # rejects in Python: rng_seed 7.9 would run as 7, True as 1
+    @pytest.mark.parametrize("field, value", [
+        ("rng_seed", 7.9), ("rng_seed", True), ("rng_seed", "7"), ("rng_seed", -1),
+        ("flip_prob", True), ("flip_prob", "0.5"),
+        ("corner_sigma", True), ("corner_sigma", "12.5"),
+        ("bbox_jitter", False), ("bbox_jitter", "5"),
+    ])
+    def test_param_types(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must"):
+            AugmentationParams(**{field: value})
+
+    def test_params_take_numpy_numbers(self):
+        params = AugmentationParams(corner_sigma=np.float64(1.0), bbox_jitter=np.int64(2),
+                                    flip_prob=np.float32(0.5), rng_seed=np.int64(3))
+        assert params.rng_seed == 3 and type(params.rng_seed) is int

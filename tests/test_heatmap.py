@@ -23,8 +23,7 @@ from vpcalib.heatmap import (
     _SUBPIXEL,
     _cell_tables,
     _decode_stack,
-    _directions,
-    _nearest_cells,
+    _peaks,
     _run_means,
     accuracy_measure,
     bbox_denormalize,
@@ -44,6 +43,8 @@ from vpcalib.heatmap import (
 from vpcalib.heatmap_io import write_heatmap_file
 from vpcalib.pipeline import DetectionRecord, PipelineConfig, detections_to_pairs
 from vpcalib.projective import dehomogenize, is_ideal, scale_point, to_diamond
+
+import diamond_reference as ref
 
 
 @pytest.fixture
@@ -426,7 +427,7 @@ class TestCellTables:
         ideal = is_ideal(vp)
         assert np.array_equal(tables.vp.reshape(-1, 3), vp)
         assert np.array_equal(tables.ideal.ravel(), ideal)
-        assert np.array_equal(tables.direction.reshape(-1, 2), _directions(vp))
+        assert np.array_equal(tables.direction.reshape(-1, 2), ref.directions(vp))
         norm = [np.nan if t else np.linalg.norm(dehomogenize(v)) for v, t in zip(vp, ideal)]
         assert np.array_equal(tables.norm.ravel(), norm, equal_nan=True)
         radius = [quantization_radius(i, j, DEFAULT_SCALES[k], 64) for k, i, j in cells]
@@ -502,7 +503,7 @@ def _reference_select_vp(heatmaps, box, peak_ratio=0.8):
     if others:
         rc = np.asarray(peak) + _SUBPIXEL
         samples = vp_of_pixel(rc[:, 0], rc[:, 1], h.scale, h.resolution)
-        cells = _nearest_cells(samples, [o.scale for o, _ in others], h.resolution)
+        cells = ref.nearest_cells(samples, [o.scale for o, _ in others], h.resolution)
         keep = np.ones(len(rc), dtype=bool)
         for (_, mask), cell in zip(others, cells):
             keep &= mask[cell[:, 0], cell[:, 1]]
@@ -511,7 +512,7 @@ def _reference_select_vp(heatmaps, box, peak_ratio=0.8):
             if ideal:
                 xy = fused[:2] if fused[:2] @ center[:2] >= 0.0 else -fused[:2]
                 fused = np.append(xy, 0.0)
-            dirs = _directions(np.vstack([fused, center, samples[keep]]))
+            dirs = ref.directions(np.vstack([fused, center, samples[keep]]))
 
             def worst(direction):
                 cosines = dirs[2:] @ direction
@@ -565,6 +566,27 @@ class TestDecodeStack:
             else:
                 assert _same_detection(select_vp(maps, box), det)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grid_maxima_read_at_the_argmax_have_the_bits_of_a_max_pass(self, rng, dtype):
+        values = rng.standard_normal((6, 4, 16, 16)).astype(dtype)
+        values[1] = -np.abs(values[1])  # every value below zero
+        values[2] = -0.0
+        values[3] = 0.0
+        values[3, :, ::3] = -0.0  # signed zeros, a -0.0 first
+        values[4] = np.minimum(values[4], -0.0)
+        values[4, :, 9, 9] = 0.0
+        values[5, :, 0, 0] = values[5].max()  # ties: the first cell in row-major order
+        flat = values.reshape(6, 4, -1)
+        expected = (np.maximum(flat.max(axis=2), 0.0).astype(float),
+                    *np.divmod(flat.argmax(axis=2), 16))
+        got = _peaks(values)
+        assert all(g.dtype == e.dtype and g.tobytes() == e.tobytes()
+                   for g, e in zip(got, expected))
+        assert np.signbit(got[0][1:5]).sum() == 0
+
+    def test_an_empty_stack_decodes_to_nothing(self):
+        assert decode_stack(np.zeros((0, 4, 16, 16), np.float32), DEFAULT_SCALES, []) == []
+
     def test_mixed_resolutions_rejected(self, box):
         maps = [encode_vp([4.0, 9.0], 0.1), encode_vp([4.0, 9.0], 1.0, resolution=32)]
         with pytest.raises(ValueError):
@@ -582,10 +604,10 @@ class TestSampleCells:
         for k, i, j, got, got_dirs in zip(s, r, c, cells, directions):
             rc = np.array([i, j]) + _SUBPIXEL
             samples = vp_of_pixel(rc[:, 0], rc[:, 1], DEFAULT_SCALES[k], 16)
-            expected = _nearest_cells(samples, DEFAULT_SCALES, 16)
+            expected = ref.nearest_cells(samples, DEFAULT_SCALES, 16)
             assert np.array_equal(got, expected[..., 0] * 16 + expected[..., 1])
             # bit for bit the direction of each sample's own point
-            assert got_dirs.tobytes() == _directions(samples).tobytes()
+            assert got_dirs.tobytes() == ref.directions(samples).tobytes()
 
     def test_lookups_in_any_order_return_the_stored_entries(self, rng):
         table = _SampleCells()

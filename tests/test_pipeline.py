@@ -313,6 +313,28 @@ class TestRunCalibration:
         with pytest.raises(InputFormatError):
             PipelineConfig.from_file(cfg_path)
 
+    # what from_file rejects in a file, the constructor rejects in Python:
+    # float() would take each of these as a number
+    @pytest.mark.parametrize("field, value", [
+        ("image_size", ("1920", "1080")),
+        ("image_size", (1920, True)),
+        ("principal_point", ("960", True)),
+        ("principal_point", (np.True_, 540.0)),
+        ("scales", ("0.5", "1", "2", "4")),
+        ("scales", (0.5, True, 2.0)),
+        ("peak_ratio", "0.8"),
+        ("static_iou", "0.9"),
+    ])
+    def test_constructor_rejects_strings_and_booleans(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must"):
+            PipelineConfig(**{field: value})
+
+    def test_constructor_takes_numpy_numbers(self):
+        config = PipelineConfig(image_size=np.array([1920.0, 1080.0]),
+                                principal_point=(np.int64(960), np.float32(540.0)),
+                                scales=np.array([0.1, 1.0]), peak_ratio=np.float64(0.7))
+        assert config.scales == (0.1, 1.0)
+
 
 class TestFormatJson:
     def test_seventeen_significant_digits(self):
