@@ -25,13 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import (
+    LENGTH_RANGE,
+    MAX_COORDINATE,
     as_float_array,
+    as_point,
     as_points_2d,
+    check_coordinates,
     check_fitted,
     check_image_size,
     check_integer,
-    check_number,
-    check_numbers,
+    check_real,
 )
 from .errors import (
     DegenerateInput,
@@ -61,20 +64,8 @@ __all__ = [
 DEFAULT_MIN_PAIRS = 5
 DEFAULT_FOCAL_EPSILON = 1.0  # px; focal lengths below this are noise
 DEFAULT_SLOPE_EPSILON = 1e-6  # px; guard against vertical pair lines
-# px; the largest |coordinate| of a usable vanishing point. A point that far
-# out is a direction in all but name, and within it the products the
-# estimators take (two coordinates, a coordinate and a slope) stay far from
-# float64 overflow. VPPair and PairSet reject a coordinate beyond it, as they
-# reject a non-finite one; PairSet.valid_rows drops its row.
-MAX_COORDINATE = 1e50
-
-
-def _check_coordinates(arr: np.ndarray, name: str) -> None:
-    """Raise ``ValueError`` unless every entry of ``arr`` lies within :data:`MAX_COORDINATE`."""
-    if not (np.abs(arr) <= MAX_COORDINATE).all():
-        raise ValueError(
-            f"{name} must contain only finite values of magnitude <= {MAX_COORDINATE:g} px"
-        )
+# VPPair and PairSet reject a coordinate beyond MAX_COORDINATE, as they reject
+# a non-finite one; PairSet.valid_rows drops its row.
 
 
 @dataclass(frozen=True)
@@ -92,10 +83,8 @@ class VPPair:
     second_is_direction: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "first", as_float_array(self.first, "first", (2,)))
-        object.__setattr__(self, "second", as_float_array(self.second, "second", (2,)))
-        _check_coordinates(self.first, "first")
-        _check_coordinates(self.second, "second")
+        object.__setattr__(self, "first", as_point(self.first, "first"))
+        object.__setattr__(self, "second", as_point(self.second, "second"))
         if (
             not self.first_is_direction
             and not self.second_is_direction
@@ -132,7 +121,7 @@ class PairSet:
         for name, arr in (("first", first), ("second", second)):
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise ValueError(f"{name} must be an (n, 2) array, got shape {arr.shape}")
-            _check_coordinates(arr, name)
+            check_coordinates(arr, name)
         if len(first) != len(second):
             raise ValueError(f"{len(first)} first and {len(second)} second vanishing points")
         masks = []
@@ -203,15 +192,14 @@ class PairSet:
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
+    """Focal length in :data:`LENGTH_RANGE`, principal point within :data:`MAX_COORDINATE`."""
+
     f: float
     principal_point: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.f) and self.f > 0):
-            raise ValueError(f"focal length must be positive, got {self.f}")
-        object.__setattr__(
-            self, "principal_point", as_float_array(self.principal_point, "principal_point", (2,))
-        )
+        check_real(self.f, "f", *LENGTH_RANGE)
+        object.__setattr__(self, "principal_point", as_point(self.principal_point, "principal_point"))
 
 
 @dataclass(frozen=True)
@@ -220,6 +208,7 @@ class CameraCalibration:
 
     ``delta`` scales the road plane; it cannot be recovered from vanishing
     points alone, so it defaults to 1 and all plane distances are relative.
+    It lies in :data:`LENGTH_RANGE`, and the pair counts are integers >= 0.
     """
 
     intrinsics: CameraIntrinsics
@@ -238,8 +227,9 @@ class CameraCalibration:
             raise DegenerateNormal("plane normal is (near-)zero")
         if np.hypot(self.horizon[0], self.horizon[1]) == 0.0:
             raise ValueError("horizon must not be the line at infinity")
-        if not (np.isfinite(self.delta) and self.delta > 0):
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        check_real(self.delta, "delta", *LENGTH_RANGE)
+        for name in ("n_pairs_used", "n_pairs_rejected"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, 0))
 
     @property
     def unit_normal(self) -> np.ndarray:
@@ -260,18 +250,14 @@ class CameraCalibration:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CameraCalibration":
-        """The calibration of a :meth:`to_dict` dict as read from JSON: JSON
-        numbers where it has numbers, JSON integers for the pair counts."""
-        principal_point, horizon, normal = (
-            check_numbers(data[key], key) for key in ("principal_point", "horizon", "normal")
-        )
+        """The calibration of a :meth:`to_dict` dict as read from JSON."""
         return cls(
-            intrinsics=CameraIntrinsics(check_number(data["f"], "f"), principal_point),
-            horizon=horizon,
-            plane_normal=normal,
-            delta=check_number(data.get("delta", 1.0), "delta"),
-            n_pairs_used=check_integer(data.get("n_pairs_used", 0), "n_pairs_used", 0),
-            n_pairs_rejected=check_integer(data.get("n_pairs_rejected", 0), "n_pairs_rejected", 0),
+            intrinsics=CameraIntrinsics(data["f"], data["principal_point"]),
+            horizon=data["horizon"],
+            plane_normal=data["normal"],
+            delta=data.get("delta", 1.0),
+            n_pairs_used=data.get("n_pairs_used", 0),
+            n_pairs_rejected=data.get("n_pairs_rejected", 0),
         )
 
 
@@ -451,7 +437,7 @@ def calibrate(
         w, h = check_image_size(image_size)
         principal_point = np.array([w / 2.0, h / 2.0])
     else:
-        principal_point = as_float_array(principal_point, "principal_point", (2,))
+        principal_point = as_point(principal_point, "principal_point")
         if image_size is not None:
             check_image_size(image_size)
 

@@ -24,13 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CameraCalibration
-from ._validation import (
-    as_float_array,
-    check_image_size,
-    check_integer,
-    check_number,
-    check_numbers,
-)
+from ._validation import as_float_array, check_image_size
 from .errors import OutputError, VPCalibError, reading
 from .evaluation import DistanceMeasurement, measured_distance
 from .heatmap import frame_to_box
@@ -116,7 +110,9 @@ def cmd_calibrate(args) -> int:
     result = run_calibration(args.detections, config)
     if reference is not None:
         calibration = CameraCalibration.from_dict(result)
-        result["delta"] = reference.ground_truth / measured_distance(reference, calibration)
+        delta = reference.ground_truth / measured_distance(reference, calibration)
+        with reading("--scale-reference"):
+            result["delta"] = dataclasses.replace(calibration, delta=delta).delta
     _write({args.out: format_json(result)})
     return 0
 
@@ -176,16 +172,12 @@ def cmd_augment(args) -> int:
         data = json.loads(Path(args.spec).read_text())
         if not isinstance(data, dict):
             raise ValueError("an augment spec must hold a JSON object")
-        image_size = check_image_size(check_numbers(data["image_size"], "image_size"))
-        box_points = as_float_array(
-            [check_numbers(row, "bbox_3d row") for row in data["bbox_3d"]], "bbox_3d", (8, 2)
-        )
-        params = AugmentationParams(
-            corner_sigma=check_number(data.get("corner_sigma", 12.5), "corner_sigma"),
-            bbox_jitter=check_number(data.get("bbox_jitter", 5.0), "bbox_jitter"),
-            flip_prob=check_number(data.get("flip_prob", 0.5), "flip_prob"),
-            rng_seed=check_integer(data.get("rng_seed", 0), "rng_seed", 0),
-        )
+        image_size = check_image_size(data["image_size"])
+        rows = [as_float_array(row, "bbox_3d row") for row in data["bbox_3d"]]
+        box_points = as_float_array(rows, "bbox_3d", (8, 2))
+        params = AugmentationParams(**{field.name: data[field.name]
+                                       for field in dataclasses.fields(AugmentationParams)
+                                       if field.name in data})
     H, box, flipped = augment(image_size, box_points, params)
     result = {
         "homography": H.tolist(),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_float_array
+from ._validation import LENGTH_RANGE, as_point, check_real
 from .calibration import CameraCalibration, project_to_plane
 from .errors import (
     InsufficientMeasurements,
@@ -35,19 +35,22 @@ PAIR_MODES = ("ordered", "unordered-min", "unordered-first")
 
 @dataclass(frozen=True)
 class DistanceMeasurement:
-    """Two frame-pixel points and the metric distance between them on the road."""
+    """Two frame-pixel points and the metric distance between them on the road.
+
+    The points lie within :data:`~vpcalib._validation.MAX_COORDINATE` and
+    the distance in :data:`~vpcalib._validation.LENGTH_RANGE`.
+    """
 
     a: np.ndarray
     b: np.ndarray
     ground_truth: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_float_array(self.a, "a", (2,)))
-        object.__setattr__(self, "b", as_float_array(self.b, "b", (2,)))
+        object.__setattr__(self, "a", as_point(self.a, "a"))
+        object.__setattr__(self, "b", as_point(self.b, "b"))
         if np.array_equal(self.a, self.b):
             raise ValueError("measurement endpoints must differ")
-        if not (np.isfinite(self.ground_truth) and self.ground_truth > 0):
-            raise ValueError(f"ground truth distance must be positive, got {self.ground_truth}")
+        check_real(self.ground_truth, "ground truth distance", *LENGTH_RANGE)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,12 +31,13 @@ Grid convention: ``values[row, col]`` with the rotated coordinates
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import projective as pj
-from ._validation import is_real
+from ._validation import as_float_array, check_integer, check_positive, is_real
 from .errors import (
     AllScalesDegenerate,
     DegeneratePeak,
@@ -74,6 +75,8 @@ DEFAULT_RESOLUTION = 64
 DEFAULT_SIGMA = 1.0
 DEFAULT_PEAK_RATIO = 0.8
 
+# Boundary points per side of a cell that quantization_radius takes by default.
+_EDGE_SAMPLES = 9
 # Relative |w| below which a decoded homogeneous point counts as a direction.
 IDEAL_EPS = 1e-9
 # Norm below which a decoded peak sits on the bounding-box centre.
@@ -81,19 +84,13 @@ CENTER_EPS = 1e-9
 
 
 def check_scales(scales) -> tuple[float, ...]:
-    """Validate a scale set: strictly increasing positive reals."""
-    scales = tuple(scales)
-    # float() would take "0.5" and True
-    if not all(map(is_real, scales)):
-        raise ValueError(f"scales must be numbers, got {scales!r}")
-    out = tuple(float(s) for s in scales)
-    if not out:
-        raise ValueError("scale set must not be empty")
-    if any(not np.isfinite(s) or s <= 0 for s in out):
-        raise ValueError(f"scales must be positive and finite, got {out}")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ValueError(f"scales must be strictly increasing, got {out}")
-    return out
+    """Validate a scale set: strictly increasing positive reals, as a tuple of floats."""
+    out = as_float_array(scales, "scales")
+    values = out.tolist() if out.ndim == 1 else []
+    if not (values and all(0 < a < b for a, b in zip(values, values[1:] + [math.inf]))):
+        raise ValueError(f"scales must be a nonempty, strictly increasing sequence of "
+                         f"positive numbers, got {scales!r}")
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -143,13 +140,10 @@ class Heatmap:
     scale: float
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = as_float_array(self.values, "heatmap values")
         if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
             raise ValueError(f"heatmap must be square, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("heatmap values must be finite")
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"heatmap scale must be positive, got {self.scale}")
+        check_positive(self.scale, "heatmap scale")
 
     @property
     def resolution(self) -> int:
@@ -337,19 +331,14 @@ def encode_vp(
     standard deviations and values below 1e-4 are zeroed, which keeps targets
     sparse without moving the argmax.
     """
-    _check_sigma(sigma)
+    check_positive(sigma, "sigma")
     ((i0,), (j0,)) = _nearest_cells(*_as_vp_homogeneous(vp), [scale], resolution)
     return Heatmap(_rasterize(int(i0), int(j0), resolution, sigma), scale)
 
 
-def _check_sigma(sigma: float) -> None:
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-
-
 def _check_peak_ratio(peak_ratio: float) -> None:
-    if not (0.0 < peak_ratio <= 1.0):
-        raise ValueError(f"peak_ratio must be in (0, 1], got {peak_ratio}")
+    if not (is_real(peak_ratio) and 0.0 < peak_ratio <= 1.0):
+        raise ValueError(f"peak_ratio must be in (0, 1], got {peak_ratio!r}")
 
 
 def _rasterize(i0: int, j0: int, resolution: int, sigma: float) -> np.ndarray:
@@ -481,30 +470,40 @@ def quantization_radius(
     col: int,
     scale: float,
     resolution: int = DEFAULT_RESOLUTION,
-    edge_samples: int = 9,
+    edge_samples: int = _EDGE_SAMPLES,
 ) -> float:
     """One-pixel quantization bound at a grid cell, in radians.
 
     Largest angle between the vanishing-point direction decoded at the cell
-    centre and those decoded on the boundary of the half-pixel cell: any true
-    position that rounds to this cell lies within this angle of the decoded
-    point. Infinite when the cell touches a degenerate decode, which makes
-    such cells sort last during scale selection.
+    centre and those decoded at ``edge_samples`` points on each side of the
+    half-pixel cell: any true position that rounds to this cell lies within
+    this angle of the decoded point. Infinite when the cell touches a
+    degenerate decode, which makes such cells sort last during scale
+    selection.
     """
+    pj.check_scale(scale)
+    cell = np.zeros(1, dtype=int), np.array([row]), np.array([col])
+    return float(_quantization_radii((scale,), *cell, resolution, edge_samples)[0])
+
+
+def _quantization_radii(scales, s, r, c, resolution: int, edge_samples: int) -> np.ndarray:
+    """:func:`quantization_radius` of the cells ``(s, r, c)`` of the grid
+    ``scales[s]``, one array pass for them all; a stacked matmul takes the
+    same per-cell matrix-vector product as an ``@`` per cell."""
     ts = np.linspace(-0.5, 0.5, edge_samples)
     half = np.full_like(ts, 0.5)
-    rows = np.concatenate([row - half, row + half, row + ts, row + ts])
-    cols = np.concatenate([col + ts, col + ts, col - half, col + half])
-    center = vp_of_pixel(float(row), float(col), scale, resolution)
-    c_dir = _directions(*center)
-    if not np.isfinite(c_dir).all():
-        return np.inf
-    xy = np.stack(_finite_xy(*vp_of_pixel(rows, cols, scale, resolution).T), axis=-1)
-    norms = np.linalg.norm(xy, axis=1)
-    if np.any(norms < 1e-300):
-        return np.inf
-    cosines = np.clip((xy / norms[:, None]) @ c_dir, -1.0, 1.0)
-    return float(np.max(np.arccos(cosines)))
+    row, col = r[:, None], c[:, None]
+    rows = np.concatenate([row - half, row + half, row + ts, row + ts], axis=1)
+    cols = np.concatenate([col + ts, col + ts, col - half, col + half], axis=1)
+    xy = np.stack(_finite_xy(*_vp_by_scale(scales, s, rows, cols, resolution)), axis=-1)
+    norms = np.linalg.norm(xy, axis=-1)
+    c_dir = _directions(*_vp_by_scale(scales, s, r, c, resolution))
+    ok = np.isfinite(c_dir).all(axis=1) & ~np.any(norms < 1e-300, axis=1)
+    radius = np.full(len(s), np.inf)
+    unit = xy[ok] / norms[ok][..., None]
+    cosines = np.clip(np.matmul(unit, c_dir[ok][:, :, None])[..., 0], -1.0, 1.0)
+    radius[ok] = np.max(np.arccos(cosines), axis=1)
+    return radius
 
 
 def _vp_by_scale(scales, index, rows, cols, resolution: int) -> tuple[np.ndarray, ...]:
@@ -560,28 +559,11 @@ class _CellTables:
         todo = ~self._has_radius[s, r, c]
         if todo.any():
             flat = np.ravel_multi_index((s[todo], r[todo], c[todo]), self.radius.shape)
-            self._fill_radius(*np.unravel_index(np.unique(flat), self.radius.shape))
+            cells = np.unravel_index(np.unique(flat), self.radius.shape)
+            self.radius[cells] = _quantization_radii(self.scales, *cells, self.resolution,
+                                                     _EDGE_SAMPLES)
+            self._has_radius[cells] = True
         return self.radius[s, r, c]
-
-    def _fill_radius(self, s, r, c) -> None:
-        # quantization_radius for many cells at once; a stacked matmul takes
-        # the same per-cell matrix-vector product as its ``@``
-        ts = np.linspace(-0.5, 0.5, 9)
-        half = np.full_like(ts, 0.5)
-        row, col = r[:, None], c[:, None]
-        rows = np.concatenate([row - half, row + half, row + ts, row + ts], axis=1)
-        cols = np.concatenate([col + ts, col + ts, col - half, col + half], axis=1)
-        xy = np.stack(_finite_xy(*_vp_by_scale(self.scales, s, rows, cols, self.resolution)),
-                      axis=-1)
-        norms = np.linalg.norm(xy, axis=-1)
-        c_dir = self.direction[s, r, c]
-        ok = np.isfinite(c_dir).all(axis=1) & ~np.any(norms < 1e-300, axis=1)
-        radius = np.full(len(s), np.inf)
-        unit = xy[ok] / norms[ok][..., None]
-        cosines = np.clip(np.matmul(unit, c_dir[ok][:, :, None])[..., 0], -1.0, 1.0)
-        radius[ok] = np.max(np.arccos(cosines), axis=1)
-        self.radius[s, r, c] = radius
-        self._has_radius[s, r, c] = True
 
 
 @functools.lru_cache(maxsize=8)
@@ -921,9 +903,9 @@ class HeatmapCodec:
     Channel convention for per-vehicle observations: channel 0 is the
     vanishing point of the direction the vehicle faces, channel 1 the
     orthogonal one. The parameters are checked when the codec is built, and
-    a bad one raises ``ValueError``: ``resolution`` must be at least 2,
-    ``scales`` strictly increasing positive reals, ``sigma`` positive and
-    finite, and ``peak_ratio`` in (0, 1].
+    a bad one raises ``ValueError``: ``resolution`` must be an integer of at
+    least 2, ``scales`` strictly increasing positive reals, ``sigma`` a
+    positive finite real, and ``peak_ratio`` a real in (0, 1].
     """
 
     def __init__(
@@ -933,14 +915,11 @@ class HeatmapCodec:
         sigma: float = DEFAULT_SIGMA,
         peak_ratio: float = DEFAULT_PEAK_RATIO,
     ):
-        if resolution < 2:
-            raise ValueError(f"resolution must be at least 2, got {resolution}")
-        self.resolution = int(resolution)
+        self.resolution = check_integer(resolution, "resolution", 2)
         self.scales = check_scales(scales)
-        self.sigma = float(sigma)
-        _check_sigma(self.sigma)
+        self.sigma = check_positive(sigma, "sigma")
+        _check_peak_ratio(peak_ratio)
         self.peak_ratio = float(peak_ratio)
-        _check_peak_ratio(self.peak_ratio)
 
     def encode(self, vp) -> list[Heatmap]:
         """One heatmap per scale for a box-coordinate vanishing point: what

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._validation import JSON_NUMBER, check_integer, check_numbers
+from ._validation import as_float_array, check_integer
 from .errors import reading
 from .heatmap import Heatmap, check_scales
 
@@ -114,7 +114,6 @@ def read_heatmap_arrays(path, out=None) -> tuple[tuple[float, ...], np.ndarray]:
     with reading("heatmap file", path):
         if path.suffix == ".json":
             scales, values = _parse_json(path.read_bytes())
-            _check_positive(scales)
         else:
             with open(path, "rb", buffering=0) as fh:
                 resolution, scales, n_channels = _read_header(fh)
@@ -141,16 +140,13 @@ def _parse_json(blob: bytes) -> tuple[tuple[float, ...], np.ndarray]:
     if magic != MAGIC.decode():
         raise ValueError(f"bad magic {magic!r}")
     resolution = check_integer(payload["resolution"], "resolution", 0)
-    scales = tuple(map(float, check_numbers(payload["scales"], "scales")))
+    scales = tuple(as_float_array(payload["scales"], "scales").tolist())
+    _check_positive(scales)
     data = payload["data"]
     shape = (len(data), len(scales), resolution, resolution)
-    values = np.array(data, dtype=float) if data else np.zeros(shape)
+    values = as_float_array(data, "data") if data else np.zeros(shape)
     if values.shape != shape:
         raise ValueError(f"heatmap data shape {values.shape} != {shape}")
-    # the shape holds, so data is channels of scales of rows of values
-    rows = chain.from_iterable(chain.from_iterable(data))
-    if not JSON_NUMBER.issuperset(map(type, chain.from_iterable(rows))):
-        raise ValueError("heatmap data must be JSON numbers")
     if check_integer(payload.get("channels", len(data)), "channels", 0) != len(data):
         raise ValueError("channel count mismatch")
     return scales, values

@@ -40,15 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CameraCalibration, PairSet, calibrate
-from ._validation import (
-    JSON_NUMBER,
-    as_float_array,
-    check_image_size,
-    check_integer,
-    check_number,
-    check_numbers,
-    is_real,
-)
+from ._validation import all_real, as_point, check_image_size, check_integer, is_real
 from .errors import READ_ERRORS, InputFormatError, reading
 from .evaluation import PAIR_MODES, DistanceMeasurement, evaluate
 from .heatmap import (
@@ -89,7 +81,8 @@ class PipelineConfig:
     ``max_frames`` defaults to the video policy (1500); frame-folder datasets
     conventionally raise it to 5000 via a config file, not code. ``parallel``
     is accepted for compatibility and has no effect: decoding is batched, and
-    threads made it slower.
+    threads made it slower. The constructor checks every field, and keeps
+    ``image_size`` and ``principal_point`` as tuples of floats.
     """
 
     frame_stride: int = 10
@@ -117,16 +110,11 @@ class PipelineConfig:
                 raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
         if self.pair_mode not in PAIR_MODES:
             raise ValueError(f"pair_mode must be one of {PAIR_MODES}")
-        for name in ("image_size", "principal_point"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            # float() would take "1920" and True
-            if not (np.shape(value) == (2,) and all(map(is_real, value))):
-                raise ValueError(f"{name} must be two numbers, got {value!r}")
-            as_float_array(value, name)
         if self.image_size is not None:
-            check_image_size(self.image_size)
+            object.__setattr__(self, "image_size", check_image_size(self.image_size))
+        if self.principal_point is not None:
+            point = as_point(self.principal_point, "principal_point")
+            object.__setattr__(self, "principal_point", tuple(point.tolist()))
         object.__setattr__(self, "scales", check_scales(self.scales))
 
     @classmethod
@@ -135,9 +123,6 @@ class PipelineConfig:
             data = json.loads(Path(path).read_text())
             if not isinstance(data, dict):
                 raise ValueError("a config must hold a JSON object")
-            for key in ("scales", "principal_point", "image_size"):
-                if data.get(key) is not None:
-                    data[key] = tuple(check_numbers(data[key], key))
             return cls(**data)
 
 
@@ -271,7 +256,7 @@ _FRAME, _BOX = itemgetter("frame"), itemgetter("box")
 def _opt_vec(value) -> tuple[float, float] | None:
     if value is None:
         return None
-    if type(value) is list and len(value) == 2 and JSON_NUMBER.issuperset(map(type, value)):
+    if type(value) is list and len(value) == 2 and all_real(value):
         x, y = float(value[0]), float(value[1])
         if math.isfinite(x) and math.isfinite(y):
             return x, y
@@ -287,9 +272,9 @@ def _record(text) -> DetectionRecord:
     frame, box, confidence = data["frame"], data["box"], data.get("confidence", 1.0)
     if type(frame) is not int:
         raise ValueError(f"frame must be an integer, got {frame!r}")
-    if type(box) is not list or not JSON_NUMBER.issuperset(map(type, box)):
+    if type(box) is not list or not all_real(box):
         raise ValueError(f"box must be a list of numbers, got {box!r}")
-    if type(confidence) not in JSON_NUMBER:
+    if not is_real(confidence):
         raise ValueError(f"confidence must be a number, got {confidence!r}")
     return DetectionRecord(
         frame_index=frame,
@@ -322,7 +307,7 @@ def _json_rows(texts) -> list:
 def _floats(values, width: int) -> np.ndarray:
     """``values``, lists of ``width`` JSON numbers each, as an ``(n, width)`` array."""
     if not (_LIST.issuperset(map(type, values)) and set(map(len, values)) <= {width}
-            and JSON_NUMBER.issuperset(map(type, chain.from_iterable(values)))):
+            and all_real(chain.from_iterable(values))):
         raise ValueError(f"not all lists of {width} numbers")
     return np.fromiter(chain.from_iterable(values), float, width * len(values)).reshape(-1, width)
 
@@ -348,7 +333,7 @@ def _read_table(texts) -> DetectionTable:
     frames = list(map(_FRAME, rows))
     boxes = _floats(list(map(_BOX, rows)), 4)
     confidence = [row.get("confidence", 1.0) for row in rows]
-    if not (_INT.issuperset(map(type, frames)) and JSON_NUMBER.issuperset(map(type, confidence))):
+    if not (_INT.issuperset(map(type, frames)) and all_real(confidence)):
         raise ValueError("a frame or a confidence of the wrong type")
     # past int64, fromiter raises OverflowError
     frames = np.fromiter(frames, np.int64, len(frames))
@@ -593,13 +578,7 @@ def load_measurements(path) -> list[DistanceMeasurement]:
     out = []
     for idx, item in enumerate(data):
         with reading(f"measurement {idx} of {path}"):
-            out.append(
-                DistanceMeasurement(
-                    a=check_numbers(item["a"], "a"),
-                    b=check_numbers(item["b"], "b"),
-                    ground_truth=check_number(item["distance"], "distance"),
-                )
-            )
+            out.append(DistanceMeasurement(item["a"], item["b"], item["distance"]))
     return out
 
 

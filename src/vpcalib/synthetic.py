@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import (
+    LENGTH_RANGE,
     as_float_array,
     check_image_size,
     check_integer,
@@ -177,7 +178,11 @@ class SyntheticVehicle:
 
 @dataclass
 class SceneSpec:
-    """Parameters of one synthetic scene; a pure function of these + seed."""
+    """Parameters of one synthetic scene; a pure function of these + seed.
+
+    The constructor checks every field, and keeps ``image_size`` as a tuple
+    of floats.
+    """
 
     seed: int
     n_vehicles: int
@@ -191,22 +196,17 @@ class SceneSpec:
     camera_height: float = 10.0
 
     def __post_init__(self):
-        numbers = [(name, getattr(self, name)) for name in (
-            "f", "tilt_deg", "roll_deg", "noise_sigma_px", "outlier_fraction", "camera_height")]
-        numbers += [("image_size", value) for value in self.image_size]
-        for name, value in numbers:
-            # float() would take "1200" and True, which generation then trips over
-            check_real(value, name)
-        check_image_size(self.image_size)
         for name, low in (("seed", 0), ("n_vehicles", 1), ("n_measurements", 0)):
             setattr(self, name, check_integer(getattr(self, name), name, low))
         check_positive(self.f, "f")
-        check_positive(self.camera_height, "camera_height")
-        as_float_array([self.tilt_deg, self.roll_deg], "tilt_deg and roll_deg")
-        if not (0.0 <= self.outlier_fraction <= 1.0):
-            raise ValueError("outlier_fraction must lie in [0, 1]")
-        if not 0.0 <= self.noise_sigma_px < np.inf:
-            raise ValueError("noise_sigma_px must be finite and >= 0")
+        self.image_size = check_image_size(self.image_size)
+        check_real(self.tilt_deg, "tilt_deg")
+        check_real(self.roll_deg, "roll_deg")
+        check_real(self.noise_sigma_px, "noise_sigma_px", 0.0)
+        check_real(self.outlier_fraction, "outlier_fraction", 0.0, 1.0)
+        # the ground truth's delta is the camera height, and two measured
+        # points lie up to 120 camera heights apart (see _measurements)
+        check_real(self.camera_height, "camera_height", LENGTH_RANGE[0], LENGTH_RANGE[1] / 120)
 
     @classmethod
     def from_json(cls, text: str) -> "SceneSpec":
@@ -216,8 +216,6 @@ class SceneSpec:
         unknown = sorted(set(data) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown scene spec keys: {unknown}")
-        if "image_size" in data:
-            data["image_size"] = tuple(data["image_size"])
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -582,12 +580,9 @@ class AugmentationParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("corner_sigma", "bbox_jitter", "flip_prob"):
-            check_real(getattr(self, name), name)
-        if not (0.0 <= self.corner_sigma < np.inf and 0.0 <= self.bbox_jitter < np.inf):
-            raise ValueError("corner_sigma and bbox_jitter must be finite and >= 0")
-        if not (0.0 <= self.flip_prob <= 1.0):
-            raise ValueError("flip_prob must lie in [0, 1]")
+        check_real(self.corner_sigma, "corner_sigma", 0.0)
+        check_real(self.bbox_jitter, "bbox_jitter", 0.0)
+        check_real(self.flip_prob, "flip_prob", 0.0, 1.0)
         object.__setattr__(self, "rng_seed", check_integer(self.rng_seed, "rng_seed", 0))
 
 

@@ -128,3 +128,23 @@ def directions(vph):
     xy = np.where(ideal[:, None], vph[:, :2], vph[:, :2] / np.where(ideal, 1.0, vph[:, 2])[:, None])
     norms = np.linalg.norm(xy, axis=1)
     return xy / np.maximum(norms, 1e-300)[:, None]
+
+
+def quantization_radius(row, col, scale, resolution, edge_samples=9):
+    """The one-cell form of ``heatmap.quantization_radius``: the cell centre's
+    direction and its boundary points' directions, one cell at a time."""
+    ts = np.linspace(-0.5, 0.5, edge_samples)
+    half = np.full_like(ts, 0.5)
+    rows = np.concatenate([row - half, row + half, row + ts, row + ts])
+    cols = np.concatenate([col + ts, col + ts, col - half, col + half])
+    c_dir = directions(vp_of_pixel(float(row), float(col), scale, resolution))[0]
+    if not np.isfinite(c_dir).all():
+        return np.inf
+    vph = vp_of_pixel(rows, cols, scale, resolution)
+    ideal = is_ideal(vph)
+    xy = np.where(ideal[:, None], vph[:, :2], vph[:, :2] / np.where(ideal, 1.0, vph[:, 2])[:, None])
+    norms = np.linalg.norm(xy, axis=1)
+    if np.any(norms < 1e-300):
+        return np.inf
+    cosines = np.clip((xy / norms[:, None]) @ c_dir, -1.0, 1.0)
+    return float(np.max(np.arccos(cosines)))

@@ -614,6 +614,50 @@ class TestErrorPaths:
         ]
     })
 
+    # numbers so large or so small that a ratio or a product would overflow or
+    # divide by zero; the suite raises numpy's RuntimeWarnings as errors
+    # (pyproject.toml), so each case also shows that none is emitted
+    BAD_INPUTS.update({
+        f"calibration-{name}": (
+            "evaluate", ["--calibration", "in.json"],
+            {"in.json": json.dumps({**CALIBRATION, field: value})}, "InputFormatError", named)
+        for name, field, value, named in [
+            ("delta-huge", "delta", 1e300, "delta must be a finite number"),
+            ("delta-subnormal", "delta", 1e-320, "delta must be a finite number"),
+            ("f-huge", "f", 1e300, "f must be a finite number"),
+            ("principal-point-huge", "principal_point", [1e300, 540], "magnitude <= 1e+50 px"),
+        ]
+    })
+    BAD_INPUTS.update({
+        f"measurement-{name}": (
+            "evaluate", ["--measurements", "m.json"],
+            {"m.json": json.dumps([MEASUREMENT, {**MEASUREMENT, field: value}])},
+            "InputFormatError", named)
+        for name, field, value, named in [
+            ("distance-subnormal", "distance", 1e-320, "distance must be a finite number"),
+            ("endpoint-huge", "a", [1e300, 800], "magnitude <= 1e+50 px"),
+        ]
+    })
+    BAD_INPUTS.update({
+        f"scale-reference-{name}": (
+            "calibrate", ["--scale-reference", reference], {}, "InputFormatError", named)
+        for name, reference, named in [
+            ("distance-huge", "100,900,100.0000000001,900,1e300", "distance must be a finite"),
+            ("delta-huge", "100,900,100.0000000001,900,1e55", "delta must be a finite"),
+            ("endpoint-huge", "1e300,900,100,900,10", "magnitude <= 1e+50 px"),
+        ]
+    })
+    BAD_INPUTS.update({
+        "config-principal-point-huge": (
+            "calibrate", ["--config", "cfg.json"], {"cfg.json": '{"principal_point": [1e300, 540]}'},
+            "InputFormatError", "magnitude <= 1e+50 px"),
+        "config-image-size-huge": (
+            "calibrate-unsized", ["--config", "cfg.json"],
+            {"cfg.json": '{"image_size": [1e300, 1080]}'}, "InputFormatError", "magnitude"),
+        "image-size-flag-huge": (
+            "calibrate", ["--image-size", "1e300", "1"], {}, "InputFormatError", "magnitude"),
+    })
+
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_bad_input(self, tmp_path, scene_dir, capsys, case):
         command, options, files, error, named = self.BAD_INPUTS[case]

@@ -430,9 +430,21 @@ class TestCellTables:
         assert np.array_equal(tables.direction.reshape(-1, 2), ref.directions(vp))
         norm = [np.nan if t else np.linalg.norm(dehomogenize(v)) for v, t in zip(vp, ideal)]
         assert np.array_equal(tables.norm.ravel(), norm, equal_nan=True)
-        radius = [quantization_radius(i, j, DEFAULT_SCALES[k], 64) for k, i, j in cells]
+        radius = [ref.quantization_radius(i, j, DEFAULT_SCALES[k], 64) for k, i, j in cells]
         assert np.isinf(radius).any()
-        assert np.array_equal(tables.radius.ravel(), radius)
+        assert ref.same_bits(tables.radius.ravel(), radius)
+
+    @pytest.mark.parametrize("edge_samples", [9, 33])
+    def test_quantization_radius_equals_the_one_cell_reference(self, edge_samples):
+        # the public function is the batched kernel of the table at one cell
+        rng = np.random.default_rng(33)
+        cells = list(zip(rng.integers(0, 4, 1500).tolist(), *rng.integers(0, 64, (2, 1500)).tolist()))
+        cells += [(k, 0, 0) for k in range(4)] + [(k, 63, 31) for k in range(4)]
+        got = [quantization_radius(i, j, DEFAULT_SCALES[k], 64, edge_samples) for k, i, j in cells]
+        want = [ref.quantization_radius(i, j, DEFAULT_SCALES[k], 64, edge_samples)
+                for k, i, j in cells]
+        assert np.isinf(want).any() and np.isfinite(want).any()
+        assert ref.same_bits(got, want)
 
     def test_the_point_tables_are_complete_after_construction(self):
         tables = _CellTables(DEFAULT_SCALES, 16)
