@@ -19,6 +19,9 @@ REAL_TYPES = frozenset(
     [int, float] + [np.dtype(c).type for c in np.typecodes["AllInteger"] + np.typecodes["Float"]]
 )
 
+# The types of a flag: a Python or numpy bool, never 0, 1 or a string.
+BOOL_TYPES = frozenset((bool, np.bool_))
+
 # px; the largest |coordinate| of an image point: a vanishing point, the
 # principal point, a measurement endpoint, the image size. A point that far
 # out is a direction in all but name, and within it the products the
@@ -56,18 +59,34 @@ def check_real(value, name: str, low: float = -math.inf, high: float = math.inf)
     return value
 
 
-def as_float_array(a, name: str, shape_suffix: tuple[int, ...] | None = None) -> np.ndarray:
-    """``a`` as a float64 ndarray, if it holds only finite real numbers.
+def as_real_array(a, name: str) -> np.ndarray:
+    """``a`` as a float64 ndarray, if it holds only real numbers, finite or not.
 
     An int or float ndarray passes by its dtype; anything else is checked
     item by item with :func:`is_real`, since ``np.asarray([1920, True])`` is
-    an int array. ``shape_suffix`` constrains the trailing dimensions, e.g.
-    ``(3,)`` accepts both a single triple and an ``(n, 3)`` batch.
+    an int array.
     """
     if not (isinstance(a, np.ndarray) and a.dtype.kind in "iuf"
             or all_real(np.asarray(a, dtype=object).flat)):
         raise ValueError(f"{name} must be a number or an array of numbers, got {reprlib.repr(a)}")
-    arr = np.asarray(a, dtype=float)
+    return np.asarray(a, dtype=float)
+
+
+def as_mask(a, name: str) -> np.ndarray:
+    """``a`` as a bool ndarray, if it is one or holds only :data:`BOOL_TYPES`."""
+    if not (isinstance(a, np.ndarray) and a.dtype == bool
+            or BOOL_TYPES.issuperset(map(type, np.asarray(a, dtype=object).flat))):
+        raise ValueError(f"{name} must be a bool or an array of bools, got {reprlib.repr(a)}")
+    return np.array(a, dtype=bool)
+
+
+def as_float_array(a, name: str, shape_suffix: tuple[int, ...] | None = None) -> np.ndarray:
+    """:func:`as_real_array` of ``a``, if its numbers are finite.
+
+    ``shape_suffix`` constrains the trailing dimensions, e.g. ``(3,)``
+    accepts both a single triple and an ``(n, 3)`` batch.
+    """
+    arr = as_real_array(a, name)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must contain only finite values")
     if shape_suffix is not None:

@@ -27,9 +27,12 @@ import numpy as np
 from ._validation import (
     LENGTH_RANGE,
     MAX_COORDINATE,
+    BOOL_TYPES,
     as_float_array,
+    as_mask,
     as_point,
     as_points_2d,
+    as_real_array,
     check_coordinates,
     check_fitted,
     check_image_size,
@@ -67,6 +70,10 @@ DEFAULT_SLOPE_EPSILON = 1e-6  # px; guard against vertical pair lines
 # VPPair and PairSet reject a coordinate beyond MAX_COORDINATE, as they reject
 # a non-finite one; PairSet.valid_rows drops its row.
 
+# The largest |entry| of a calibration's horizon and plane normal: calibrate
+# gives below 6e106 from pairs within MAX_COORDINATE, and 3 * 1e300 is finite.
+MAX_COEFFICIENT = 1e150
+
 
 @dataclass(frozen=True)
 class VPPair:
@@ -85,6 +92,9 @@ class VPPair:
     def __post_init__(self):
         object.__setattr__(self, "first", as_point(self.first, "first"))
         object.__setattr__(self, "second", as_point(self.second, "second"))
+        for name in ("first_is_direction", "second_is_direction"):
+            if type(getattr(self, name)) not in BOOL_TYPES:
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if (
             not self.first_is_direction
             and not self.second_is_direction
@@ -109,15 +119,16 @@ class PairSet:
     ``first`` and ``second`` are read-only ``(N, 2)`` float arrays, and
     ``first_is_direction`` / ``second_is_direction`` boolean ``(N,)`` masks
     (default all False). The constructor applies :class:`VPPair`'s checks to
-    every row at once. Iterating yields one :class:`VPPair` per row, in order,
-    and indexing the one of a row.
+    every row at once, and takes an ndarray of numbers or bools by its dtype.
+    Iterating yields one :class:`VPPair` per row, in order, and indexing the
+    one of a row.
     """
 
     __slots__ = ("first", "second", "first_is_direction", "second_is_direction")
 
     def __init__(self, first, second, first_is_direction=None, second_is_direction=None):
-        first = np.array(first, dtype=float)
-        second = np.array(second, dtype=float)
+        first = np.array(as_real_array(first, "first"))
+        second = np.array(as_real_array(second, "second"))
         for name, arr in (("first", first), ("second", second)):
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise ValueError(f"{name} must be an (n, 2) array, got shape {arr.shape}")
@@ -127,7 +138,7 @@ class PairSet:
         masks = []
         for name, mask in (("first_is_direction", first_is_direction),
                            ("second_is_direction", second_is_direction)):
-            mask = np.zeros(len(first), bool) if mask is None else np.array(mask, dtype=bool)
+            mask = np.zeros(len(first), bool) if mask is None else as_mask(mask, name)
             if mask.shape != (len(first),):
                 raise ValueError(f"{name} must hold one flag per pair, got shape {mask.shape}")
             masks.append(mask)
@@ -149,8 +160,8 @@ class PairSet:
         return cls(
             np.reshape([p.first for p in pairs], (-1, 2)),
             np.reshape([p.second for p in pairs], (-1, 2)),
-            [p.first_is_direction for p in pairs],
-            [p.second_is_direction for p in pairs],
+            np.array([p.first_is_direction for p in pairs], dtype=bool),
+            np.array([p.second_is_direction for p in pairs], dtype=bool),
         )
 
     @classmethod
@@ -208,7 +219,8 @@ class CameraCalibration:
 
     ``delta`` scales the road plane; it cannot be recovered from vanishing
     points alone, so it defaults to 1 and all plane distances are relative.
-    It lies in :data:`LENGTH_RANGE`, and the pair counts are integers >= 0.
+    It lies in :data:`LENGTH_RANGE`, the horizon and normal entries within
+    :data:`MAX_COEFFICIENT`, and the pair counts are integers >= 0.
     """
 
     intrinsics: CameraIntrinsics
@@ -219,10 +231,12 @@ class CameraCalibration:
     n_pairs_rejected: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "horizon", as_float_array(self.horizon, "horizon", (3,)))
-        object.__setattr__(
-            self, "plane_normal", as_float_array(self.plane_normal, "plane_normal", (3,))
-        )
+        for name in ("horizon", "plane_normal"):
+            line = as_float_array(getattr(self, name), name, (3,))
+            if line.shape != (3,) or not (np.abs(line) <= MAX_COEFFICIENT).all():
+                raise ValueError(f"{name} must be three numbers of magnitude <= "
+                                 f"{MAX_COEFFICIENT:g}, got shape {line.shape}")
+            object.__setattr__(self, name, line)
         if np.linalg.norm(self.plane_normal) < 1e-12:
             raise DegenerateNormal("plane normal is (near-)zero")
         if np.hypot(self.horizon[0], self.horizon[1]) == 0.0:
@@ -395,8 +409,10 @@ def plane_normal_from_horizon(horizon, intrinsics: CameraIntrinsics) -> np.ndarr
 def project_to_plane(point, calibration: CameraCalibration) -> np.ndarray:
     """Back-project frame pixels onto the road plane ``Q . n = -delta``.
 
-    Accepts a single (x, y) point or an (n, 2) batch. Points on (or too near)
-    the horizon have no finite intersection with the plane and are rejected.
+    Accepts a single (x, y) point or an (n, 2) batch. A point whose ray
+    meets the plane behind the camera (``t = -delta / depth <= 0``) or not
+    at all is rejected: for ``n_y < 0``, as :func:`calibrate` gives, one on,
+    too near or above the horizon.
     """
     pts = as_points_2d(point, "point")
     single = np.asarray(point, dtype=float).ndim == 1
@@ -407,8 +423,9 @@ def project_to_plane(point, calibration: CameraCalibration) -> np.ndarray:
     n = calibration.plane_normal
     depth = rays @ n
     limit = 1e-9 * np.linalg.norm(rays, axis=1) * np.linalg.norm(n)
-    if np.any(np.abs(depth) < limit):
-        raise PointOnHorizon("point lies on or too near the horizon")
+    if np.any(depth > -limit):
+        raise PointOnHorizon("point lies on, too near or beyond the horizon: "
+                             "its ray meets the road plane behind the camera or nowhere")
     out = -(calibration.delta / depth)[:, None] * rays
     return out[0] if single else out
 
@@ -516,7 +533,7 @@ class VanishingPointCalibrator:
     def _as_pairs(X) -> PairSet:
         if isinstance(X, PairSet) or (len(X) and isinstance(X[0], VPPair)):
             return PairSet.of(X)
-        arr = np.asarray(X, dtype=float)
+        arr = as_real_array(X, "X")
         if arr.ndim != 2 or arr.shape[1] != 4:
             raise ValueError(
                 f"X must be a PairSet, a list of VPPair or an (n, 4) array, got shape {arr.shape}"

@@ -57,7 +57,8 @@ class DegenerateNormal(VPCalibError):
 
 
 class PointOnHorizon(VPCalibError):
-    """Image point lies on the horizon; the back-projection ray misses the plane."""
+    """Image point lies on or beyond the horizon; its back-projection ray
+    meets the plane behind the camera or nowhere."""
 
 
 class UnprojectablePoint(VPCalibError):

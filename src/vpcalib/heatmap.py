@@ -83,14 +83,21 @@ IDEAL_EPS = 1e-9
 CENTER_EPS = 1e-9
 
 
+# the item type of a scale tuple that check_scales takes as it is
+_FLOAT = frozenset((float,))
+
+
 def check_scales(scales) -> tuple[float, ...]:
-    """Validate a scale set: strictly increasing positive reals, as a tuple of floats."""
-    out = as_float_array(scales, "scales")
-    values = out.tolist() if out.ndim == 1 else []
-    if not (values and all(0 < a < b for a, b in zip(values, values[1:] + [math.inf]))):
+    """Validate a scale set: strictly increasing positive reals, as a tuple of
+    floats. A tuple of floats, as a heatmap file's header gives, skips numpy."""
+    values = scales
+    if not (type(scales) is tuple and _FLOAT.issuperset(map(type, scales))):
+        out = as_float_array(scales, "scales")
+        values = tuple(out.tolist()) if out.ndim == 1 else ()
+    if not (values and all(0 < a < b for a, b in zip(values, values[1:] + (math.inf,)))):
         raise ValueError(f"scales must be a nonempty, strictly increasing sequence of "
                          f"positive numbers, got {scales!r}")
-    return tuple(values)
+    return values
 
 
 @dataclass(frozen=True)

@@ -3,20 +3,20 @@
 Binary layout (little-endian), one observation per file:
 
     magic   4 bytes  b"DVP1"
-    u32     grid resolution R
+    u32     grid resolution R, at least 2
     u32     scale count S
-    f64*S   the scales, ascending
+    f64*S   the scales, strictly ascending and positive
     u32     channel count (2: first and second vanishing point)
     f32     channel-major, scale-major, row-major R*R grids
 
 A JSON alternative with the same structure is accepted and produced for
-paths ending in ``.json``.
+paths ending in ``.json``. Writer and readers hold a file's grid to the
+same rule: ``check_integer`` of the resolution and ``check_scales``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from itertools import chain
@@ -45,6 +45,7 @@ def _validate_channels(channel_maps) -> tuple[int, tuple[float, ...]]:
             raise ValueError("all channels must carry the same scale set")
         if any(h.resolution != resolution for h in channel):
             raise ValueError("all heatmaps must share one resolution")
+    check_integer(resolution, "resolution", 2)
     check_scales(scales)
     return resolution, scales
 
@@ -99,9 +100,9 @@ def read_heatmap_arrays(path, out=None) -> tuple[tuple[float, ...], np.ndarray]:
 
     ``values`` has shape ``(channels, len(scales), R, R)`` and the precision
     of the file: float32 from DVP files, float64 from JSON. Every defect of
-    the file (unreadable, malformed, truncated, scales that are not
-    positive, values that are not finite) raises :class:`InputFormatError`,
-    in that order.
+    the file (unreadable, malformed, truncated, a resolution below 2,
+    scales that do not ascend or are not positive, values that are not
+    finite) raises :class:`InputFormatError`, in that order.
 
     ``out`` is an optional little-endian float32 array whose channels are
     each contiguous. A DVP file whose grids have its shape is read straight
@@ -117,7 +118,8 @@ def read_heatmap_arrays(path, out=None) -> tuple[tuple[float, ...], np.ndarray]:
         else:
             with open(path, "rb", buffering=0) as fh:
                 resolution, scales, n_channels = _read_header(fh)
-                _check_positive(scales)
+                check_integer(resolution, "resolution", 2)
+                check_scales(scales)
                 shape = (n_channels, len(scales), resolution, resolution)
                 into = out is not None and out.shape == shape and out.dtype == _GRID
                 values = out if into else np.empty(shape, dtype=_GRID)
@@ -129,19 +131,13 @@ def read_heatmap_arrays(path, out=None) -> tuple[tuple[float, ...], np.ndarray]:
     return scales, values
 
 
-def _check_positive(scales) -> None:
-    if not all(math.isfinite(s) and s > 0 for s in scales):
-        raise ValueError(f"heatmap scales must be positive, got {scales}")
-
-
 def _parse_json(blob: bytes) -> tuple[tuple[float, ...], np.ndarray]:
     payload = json.loads(blob)
     magic = payload.get("magic") if isinstance(payload, dict) else None
     if magic != MAGIC.decode():
         raise ValueError(f"bad magic {magic!r}")
-    resolution = check_integer(payload["resolution"], "resolution", 0)
-    scales = tuple(as_float_array(payload["scales"], "scales").tolist())
-    _check_positive(scales)
+    resolution = check_integer(payload["resolution"], "resolution", 2)
+    scales = check_scales(payload["scales"])
     data = payload["data"]
     shape = (len(data), len(scales), resolution, resolution)
     values = as_float_array(data, "data") if data else np.zeros(shape)

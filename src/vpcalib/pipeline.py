@@ -13,7 +13,8 @@ codec. Direction-only payloads use ``"vp_first_direction"`` /
 [0, 2**63), and the box, confidence and vanishing-point entries JSON
 numbers; a string or a boolean in their place is an ``InputFormatError``.
 Both routes give box coordinates, which
-:func:`~vpcalib.heatmap.box_to_frame` takes to frame pixels.
+:func:`~vpcalib.heatmap.box_to_frame` takes to frame pixels. A run's
+heatmap files share one grid, the one its first file's header states.
 
 The records travel as one :class:`DetectionTable` of columns: frame index,
 boxes, confidence, the four vanishing-point columns with their presence
@@ -45,13 +46,10 @@ from .errors import READ_ERRORS, InputFormatError, reading
 from .evaluation import PAIR_MODES, DistanceMeasurement, evaluate
 from .heatmap import (
     DEFAULT_PEAK_RATIO,
-    DEFAULT_RESOLUTION,
-    DEFAULT_SCALES,
     BBox,
     _decode_stack,
     _SampleCells,
     box_to_frame,
-    check_scales,
     select_vp,  # noqa: F401  (kept importable from here: perfbench/tracing.py wraps it)
 )
 from .heatmap_io import read_heatmap_arrays
@@ -81,7 +79,8 @@ class PipelineConfig:
     ``max_frames`` defaults to the video policy (1500); frame-folder datasets
     conventionally raise it to 5000 via a config file, not code. ``parallel``
     is accepted for compatibility and has no effect: decoding is batched, and
-    threads made it slower. The constructor checks every field, and keeps
+    threads made it slower. The heatmap grid is no field: each heatmap file
+    states its own. The constructor checks every field, and keeps
     ``image_size`` and ``principal_point`` as tuples of floats.
     """
 
@@ -91,8 +90,6 @@ class PipelineConfig:
     static_iou: float = 0.9
     static_min_hits: int = 3
     peak_ratio: float = DEFAULT_PEAK_RATIO
-    scales: tuple[float, ...] = DEFAULT_SCALES
-    resolution: int = DEFAULT_RESOLUTION
     min_pairs: int = 5
     image_size: tuple[float, float] | None = None
     principal_point: tuple[float, float] | None = None
@@ -101,7 +98,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name, low in (("frame_stride", 1), ("max_frames", 1), ("max_boxes_per_frame", 1),
-                          ("static_min_hits", 1), ("min_pairs", 1), ("resolution", 2)):
+                          ("static_min_hits", 1), ("min_pairs", 1)):
             object.__setattr__(self, name, check_integer(getattr(self, name), name, low))
         for name in ("peak_ratio", "static_iou"):
             value = getattr(self, name)
@@ -115,7 +112,6 @@ class PipelineConfig:
         if self.principal_point is not None:
             point = as_point(self.principal_point, "principal_point")
             object.__setattr__(self, "principal_point", tuple(point.tolist()))
-        object.__setattr__(self, "scales", check_scales(self.scales))
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -486,35 +482,35 @@ def filter_detections(records, config: PipelineConfig):
 
 # Records read and decoded together: enough to spread the fixed cost of a
 # batched decode, few enough that the stack stays small however long the
-# input is (8 MB of float32 grids at two channels of 4 x 64 x 64).
+# input is: _CHUNK records, fewer where their grids pass _STACK_BYTES (8 MB
+# holds 64 records of two channels of 4 x 64 x 64 float32 grids).
 _CHUNK = 64
+_STACK_BYTES = 8 << 20
 
 
-def _read_stack(refs, config: PipelineConfig, base_dir, buffer) -> np.ndarray:
+def _read_stack(refs, grid, base_dir, buffer) -> np.ndarray:
     """Channel-major ``(2, N, S, R, R)`` grids of the heatmap files ``refs``.
 
-    DVP files are read straight into ``buffer``, a little-endian float32
-    ``(2, _CHUNK, S, R, R)`` array that a run reuses for each chunk. A JSON
-    file turns the stack into a float64 copy, which the rest of the chunk
-    is copied into. Each file is checked as it is read, so the first bad
-    file in record order is the one reported.
+    ``grid`` is ``(first, scales, resolution)`` of the run's first heatmap
+    file, whose grid every file must share. DVP files are read straight
+    into ``buffer``, a little-endian float32 ``(2, chunk, S, R, R)`` array
+    that a run reuses for each chunk. A JSON file turns the stack into a
+    float64 copy, which the rest of the chunk is copied into. Each file is
+    checked as it is read, so the first bad file in record order is the one
+    reported.
     """
+    first, scales, resolution = grid
     stack = buffer[:, : len(refs)]
     base_dir = Path(base_dir)
     for k, ref in enumerate(refs):
         slot = stack[:, k] if stack.dtype == buffer.dtype else None
-        scales, values = read_heatmap_arrays(base_dir / ref, slot)
+        file_scales, values = read_heatmap_arrays(base_dir / ref, slot)
         if len(values) != 2:
             raise InputFormatError(f"heatmap file {ref} has {len(values)} channels, expected 2")
-        if scales != config.scales:
-            raise InputFormatError(
-                f"heatmap file {ref} uses scales {scales}, config expects {config.scales}"
-            )
-        if values.shape[-1] != config.resolution:
-            raise InputFormatError(
-                f"heatmap file {ref} has resolution "
-                f"{values.shape[-1]}, config expects {config.resolution}"
-            )
+        if (file_scales, values.shape[-1]) != (scales, resolution):
+            raise InputFormatError(f"heatmap file {ref} has scales {file_scales} at resolution "
+                                   f"{values.shape[-1]}, the run's first heatmap file {first} "
+                                   f"has scales {scales} at resolution {resolution}")
         if values is not slot:
             if not np.can_cast(values.dtype, stack.dtype):
                 stack = stack.astype(values.dtype)
@@ -530,14 +526,15 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
     box-coordinate columns, and one :func:`~vpcalib.heatmap.box_to_frame`
     call per channel takes them to frame pixels. Inline records take the
     table's point column of a channel where given, else its direction
-    column. Heatmap records go in chunks of ``_CHUNK``: the chunk's
-    files are read into one stack, whose buffer every chunk reuses, each
-    file checked as it is read, and each channel of the stack is decoded
-    in one batch as by :func:`~vpcalib.heatmap.decode_stack`. The first
-    bad file in record order raises its :class:`InputFormatError`. The
-    batches share one table of where the sub-pixel samples of the chosen
-    peak cells land and which way they point, and the table and the
-    buffer live for this call only.
+    column. Heatmap records go in chunks of at most ``_CHUNK``, on the grid
+    of the first heatmap file in record order: the chunk's files are read
+    into one stack, whose buffer every chunk reuses, each file checked as
+    it is read, and each channel of the stack is decoded in one batch as by
+    :func:`~vpcalib.heatmap.decode_stack`. The first bad file in record
+    order, one on another grid included, raises its
+    :class:`InputFormatError`. The batches share one table of where the
+    sub-pixel samples of the chosen peak cells land and which way they
+    point, and the table and the buffer live for this call only.
     Records whose channel has only degenerate scales, whose inline values
     are a zero-length direction, overflow or exceed
     :data:`~vpcalib.calibration.MAX_COORDINATE` in frame pixels, or whose
@@ -552,18 +549,22 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
     ends[:, mapped] = np.nan
     is_direction = ~table.vp_given[:2] & ~mapped
     mapped = np.flatnonzero(mapped)
-    sample_cells = _SampleCells()
-    buffer = np.zeros((2, min(len(mapped), _CHUNK), len(config.scales))
-                      + 2 * (config.resolution,), dtype="<f4")
-    for start in range(0, len(mapped), _CHUNK):
-        rows = mapped[start : start + _CHUNK]
-        stack = _read_stack(table.heatmap_ref[rows], config, base_dir, buffer)
-        for c, maps in enumerate(stack):
-            decoded, points, directions = _decode_stack(
-                maps, config.scales, config.peak_ratio, sample_cells
-            )[:3]
-            ends[c, rows[decoded]] = points
-            is_direction[c, rows[decoded]] = directions
+    if len(mapped):
+        first = table.heatmap_ref[mapped[0]]
+        scales, values = read_heatmap_arrays(Path(base_dir) / first)
+        grid = (first, scales, values.shape[-1])
+        record_bytes = 8 * math.prod(values.shape[1:])  # two float32 channels
+        chunk = min(len(mapped), _CHUNK, max(1, _STACK_BYTES // record_bytes))
+        buffer = np.zeros((2, chunk) + values.shape[1:], dtype="<f4")
+        sample_cells = _SampleCells()
+        for start in range(0, len(mapped), chunk):
+            rows = mapped[start : start + chunk]
+            stack = _read_stack(table.heatmap_ref[rows], grid, base_dir, buffer)
+            for c, maps in enumerate(stack):
+                decoded, points, directions = _decode_stack(maps, scales, config.peak_ratio,
+                                                            sample_cells)[:3]
+                ends[c, rows[decoded]] = points
+                is_direction[c, rows[decoded]] = directions
     for c in range(2):
         ends[c] = box_to_frame(ends[c], is_direction[c], table.boxes)
     return PairSet.valid_rows(*ends, *is_direction)
@@ -582,27 +583,21 @@ def load_measurements(path) -> list[DistanceMeasurement]:
     return out
 
 
-def run_calibration(detections_path, config: PipelineConfig, image_size=None) -> dict:
+def run_calibration(detections_path, config: PipelineConfig) -> dict:
     """Detections file -> calibration result dict (not yet written to disk)."""
-    if image_size is None:
-        image_size = config.image_size
-    if image_size is None and config.principal_point is None:
+    if config.image_size is None and config.principal_point is None:
         raise InputFormatError(
             "image_size is required (CLI flag or config) unless principal_point is set"
         )
     records = parse_detections(detections_path)
     records = filter_detections(records, config)
     pairs = detections_to_pairs(records, config, Path(detections_path).parent)
-    calibration = calibrate(
-        pairs,
-        image_size,
-        min_pairs=config.min_pairs,
-        principal_point=config.principal_point,
-    )
+    calibration = calibrate(pairs, config.image_size, min_pairs=config.min_pairs,
+                            principal_point=config.principal_point)
     out = calibration.to_dict()
     out["n_records"] = len(records)
-    if image_size is not None:
-        out["image_size"] = [float(image_size[0]), float(image_size[1])]
+    if config.image_size is not None:
+        out["image_size"] = list(config.image_size)
     return out
 
 

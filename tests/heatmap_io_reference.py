@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from vpcalib.errors import InputFormatError, reading
+from vpcalib._validation import check_integer
+from vpcalib.heatmap import check_scales
 from vpcalib.heatmap_io import MAGIC, _parse_json
 
 
@@ -44,28 +46,25 @@ def read_arrays(path):
     with reading(f"heatmap file {path}"):
         blob = path.read_bytes()
         scales, values = (_parse_json if path.suffix == ".json" else _parse_binary)(blob)
-        if not all(np.isfinite(s) and s > 0 for s in scales):
-            raise ValueError(f"heatmap scales must be positive, got {scales}")
+        check_integer(values.shape[-1], "resolution", 2)
+        check_scales(scales)
         if not np.isfinite(values).all():
             raise ValueError("heatmap values must be finite")
     return scales, values
 
 
-def read_stack(refs, config, base_dir):
+def read_stack(refs, grid, base_dir):
+    """``grid`` is ``(first, scales, resolution)`` of the run's first file."""
+    first, run_scales, run_resolution = grid
     stack = None
     for k, ref in enumerate(refs):
         scales, values = read_arrays(Path(base_dir) / ref)
         if len(values) != 2:
             raise InputFormatError(f"heatmap file {ref} has {len(values)} channels, expected 2")
-        if scales != config.scales:
-            raise InputFormatError(
-                f"heatmap file {ref} uses scales {scales}, config expects {config.scales}"
-            )
-        if values.shape[-1] != config.resolution:
-            raise InputFormatError(
-                f"heatmap file {ref} has resolution "
-                f"{values.shape[-1]}, config expects {config.resolution}"
-            )
+        if scales != run_scales or values.shape[-1] != run_resolution:
+            raise InputFormatError(f"heatmap file {ref} has scales {scales} at resolution "
+                                   f"{values.shape[-1]}, the run's first heatmap file {first} "
+                                   f"has scales {run_scales} at resolution {run_resolution}")
         if stack is None:
             stack = np.empty((2, len(refs)) + values.shape[1:], dtype=values.dtype)
         elif not np.can_cast(values.dtype, stack.dtype):

@@ -1,9 +1,11 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from vpcalib.calibration import (
+    MAX_COEFFICIENT,
     MAX_COORDINATE,
     CameraCalibration,
     CameraIntrinsics,
@@ -232,12 +234,18 @@ class TestProjectToPlane:
         return CameraCalibration(
             intrinsics=CameraIntrinsics(500.0, [100.0, 80.0]),
             horizon=[0.0, -1.0, 1e9],
-            plane_normal=[0.0, 0.0, 1.0],
+            plane_normal=[0.0, 0.0, -1.0],  # the plane z = 1
         )
 
     def test_optical_axis(self, frontoparallel):
         q = project_to_plane([100.0, 80.0], frontoparallel)
-        np.testing.assert_allclose(q, [0.0, 0.0, -1.0])
+        np.testing.assert_allclose(q, [0.0, 0.0, 1.0])
+
+    def test_plane_behind_the_camera_rejected(self, frontoparallel):
+        # the plane z = -1 meets every ray at t = -1
+        behind = dataclasses.replace(frontoparallel, plane_normal=[0.0, 0.0, 1.0])
+        with pytest.raises(PointOnHorizon):
+            project_to_plane([100.0, 80.0], behind)
 
     def test_plane_equation_always_satisfied(self, rng):
         spec = SceneSpec(seed=11, n_vehicles=10)
@@ -283,6 +291,21 @@ class TestCalibrate:
         assert np.degrees(angle) < 0.1
         assert cal.n_pairs_used == 20
         assert cal.n_pairs_rejected == 0
+
+    def test_extreme_pairs_give_a_calibration_within_the_coefficient_bound(self):
+        # steep pair lines near x = 0 set the median slope near -2e56, and
+        # points near x = MAX_COORDINATE set the median intercept near 2e106
+        big = MAX_COORDINATE
+        first = [[0.0, big]] * 5 + [[big, big * (0.1 + 0.01 * k)] for k in range(4)]
+        first += [[big, 0.1 * k * big] for k in range(9)]
+        second = [[1.01e-6, -big]] * 5 + [[0.9 * big, -0.2 * big]] * 4 + [[0.0, 1.0]] * 9
+        pairs = PairSet(first, second, second_is_direction=[False] * 9 + [True] * 9)
+        cal = calibrate(pairs, (1920, 1080))
+        assert 1e106 < np.abs(cal.plane_normal).max() <= MAX_COEFFICIENT
+        assert 1e106 < np.abs(cal.horizon).max() <= MAX_COEFFICIENT
+        assert CameraCalibration.from_dict(cal.to_dict()) is not None
+        with pytest.raises(ValueError, match="plane_normal must be three numbers of magnitude"):
+            dataclasses.replace(cal, plane_normal=cal.plane_normal * 1e50)
 
     def test_too_few_pairs(self):
         pairs = [pair([100 + k, 0], [-(100 + k), 0]) for k in range(4)]

@@ -15,7 +15,7 @@ SCENE = {"seed": 202, "n_vehicles": 20, "f": 1100.0, "tilt_deg": 22.0, "roll_deg
 # an evaluate input that loads, all its numbers JSON integers
 MEASUREMENT = {"a": [100, 800], "b": [300, 900], "distance": 5}
 CALIBRATION = {"f": 1000, "principal_point": [960, 540], "horizon": [0.01, -1, 300],
-               "normal": [0.01, 0.9, 0.4], "delta": 1, "n_pairs_used": 7, "n_pairs_rejected": 0}
+               "normal": [0.01, -0.9, -0.4], "delta": 1, "n_pairs_used": 7, "n_pairs_rejected": 0}
 
 
 @pytest.fixture
@@ -282,8 +282,7 @@ class TestCalibrate:
         assert err["error"] == "InsufficientPairs"
 
     @staticmethod
-    def _heatmap_detections(tmp_path, damage=None):
-        codec = HeatmapCodec()
+    def _heatmap_detections(tmp_path, damage=None, codec=HeatmapCodec()):
         lines = []
         for k in range(6):
             path = tmp_path / f"obs{k}.dvp"
@@ -314,10 +313,34 @@ class TestCalibrate:
         assert set(err) == {"error", "message"}
         assert err["error"] == "InputFormatError" and "obs3.dvp" in err["message"]
 
-    def test_heatmap_payloads_end_to_end(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["reversed scales", "repeated scale", "another grid"])
+    def test_heatmap_file_off_the_run_grid_is_a_format_error(self, tmp_path, capsys, damage):
+        def spoil(path):
+            if damage == "another grid":
+                write_heatmap_file(path, HeatmapCodec(resolution=32).encode_pair([3, 1], [-5, 2]))
+                return
+            scales = (1.0, 0.3, 0.1, 0.03) if damage == "reversed scales" else (0.03, 0.1, 0.1, 1.0)
+            blob = bytearray(path.read_bytes())
+            blob[12:44] = np.array(scales, dtype="<f8").tobytes()
+            path.write_bytes(bytes(blob))
+
+        det = self._heatmap_detections(tmp_path, spoil)
+        out = tmp_path / "cal.json"
+        code = main(["calibrate", "--detections", str(det), "--out", str(out),
+                     "--image-size", "1920", "1080"])
+        assert code == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputFormatError" and "obs3.dvp" in err["message"]
+        if damage == "another grid":
+            assert "obs0.dvp" in err["message"]
+
+    @staticmethod
+    def _calibrate_heatmap_scene(tmp_path, codec):
+        """Calibrate a 30-vehicle scene whose records are heatmap files of ``codec``,
+        with no config; the calibration and the scene's truth."""
         spec = SceneSpec(seed=2, n_vehicles=30)
         observations, _, truth = generate_observations(spec)
-        codec = HeatmapCodec()
         det_dir = tmp_path / "dets"
         det_dir.mkdir()
         lines = []
@@ -351,8 +374,19 @@ class TestCalibrate:
                 "--image-size", "1920", "1080",
             ]
         ) == 0
-        cal = json.loads(out.read_text())
+        return json.loads(out.read_text()), truth
+
+    def test_heatmap_payloads_end_to_end(self, tmp_path):
+        cal, truth = self._calibrate_heatmap_scene(tmp_path, HeatmapCodec())
         # grid quantization limits the heatmap route; same order as real-data errors
+        assert cal["f"] == pytest.approx(truth.intrinsics.f, rel=0.2)
+
+    @pytest.mark.parametrize("codec", [HeatmapCodec(resolution=32),
+                                       HeatmapCodec(scales=(0.05, 0.5))],
+                             ids=["resolution-32", "two-scales"])
+    def test_the_files_state_the_grid(self, tmp_path, codec):
+        cal, truth = self._calibrate_heatmap_scene(tmp_path, codec)
+        assert cal["n_pairs_used"] == 30
         assert cal["f"] == pytest.approx(truth.intrinsics.f, rel=0.2)
 
 
@@ -423,6 +457,8 @@ class TestErrorPaths:
             '{"max_boxes_per_frame": 2.5}', '{"static_min_hits": 1e999}',
             '{"principal_point": ["960", true]}', '{"image_size": ["1920", "1080"]}',
             '{"scales": ["0.5", "1", "2", "4"]}',
+            # the heatmap files state their grid; a config no longer may
+            '{"scales": [0.03, 0.1, 0.3, 1.0]}', '{"resolution": 64}',
         ],
     )
     def test_bad_config(self, tmp_path, scene_dir, capsys, config):
@@ -626,6 +662,12 @@ class TestErrorPaths:
             ("delta-subnormal", "delta", 1e-320, "delta must be a finite number"),
             ("f-huge", "f", 1e300, "f must be a finite number"),
             ("principal-point-huge", "principal_point", [1e300, 540], "magnitude <= 1e+50 px"),
+            # np.linalg.norm of this normal would overflow
+            ("normal-huge", "normal", [1e298, 9e299, 4e299], "magnitude <= 1e+150"),
+            ("horizon-huge", "horizon", [0.01, -1, 1e151], "magnitude <= 1e+150"),
+            # as_float_array's (3,) suffix also takes an (n, 3) batch
+            ("normal-of-two-rows", "normal", [[0.01, -0.9, -0.4]] * 2, "got shape (2, 3)"),
+            ("horizon-of-two-rows", "horizon", [[0.01, -1, 300]] * 2, "got shape (2, 3)"),
         ]
     })
     BAD_INPUTS.update({
@@ -647,6 +689,9 @@ class TestErrorPaths:
             ("endpoint-huge", "1e300,900,100,900,10", "magnitude <= 1e+50 px"),
         ]
     })
+    BAD_INPUTS["scale-reference-above-the-horizon"] = (
+        "calibrate", ["--scale-reference", "100,-1e6,100,900,10"], {}, "UnprojectablePoint",
+        "behind the camera")
     BAD_INPUTS.update({
         "config-principal-point-huge": (
             "calibrate", ["--config", "cfg.json"], {"cfg.json": '{"principal_point": [1e300, 540]}'},

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vpcalib.calibration import PairSet, VanishingPointCalibrator
+from vpcalib.errors import PointOnHorizon
 from vpcalib.synthetic import SceneSpec, generate_scene
 
 
@@ -107,6 +108,14 @@ class TestTransform:
         scaled = VanishingPointCalibrator(image_size=spec.image_size, delta=3.0).fit(pairs)
         pts = np.stack([measurements[0].a, measurements[0].b])
         np.testing.assert_allclose(scaled.transform(pts), 3.0 * base.transform(pts), rtol=1e-12)
+
+    def test_point_above_the_horizon_rejected(self, scene):
+        # its ray meets the road plane behind the camera
+        spec, pairs, measurements, _ = scene
+        est = VanishingPointCalibrator(image_size=spec.image_size).fit(pairs)
+        est.transform(measurements[0].a)
+        with pytest.raises(PointOnHorizon):
+            est.transform([measurements[0].a, [100.0, -1e6]])
 
     def test_transform_before_fit_raises(self):
         with pytest.raises(RuntimeError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,11 @@ from vpcalib.synthetic import SceneSpec, generate_scene
 
 @pytest.fixture
 def frontoparallel():
-    # road plane facing the camera head-on: distances are pixel / f
+    # road plane z = 1 facing the camera head-on: distances are pixel / f
     return CameraCalibration(
         intrinsics=CameraIntrinsics(500.0, [100.0, 80.0]),
         horizon=[0.0, -1.0, 1e9],
-        plane_normal=[0.0, 0.0, 1.0],
+        plane_normal=[0.0, 0.0, -1.0],
     )
 
 
@@ -186,6 +188,21 @@ class TestEvaluate:
         report = evaluate(ms, cal)
         assert report.n_measurements == 2
         assert report.n_skipped == 1
+
+    def test_endpoint_above_the_horizon_skipped(self):
+        # its ray meets the road plane behind the camera, at a distance that
+        # would count as a measurement, and a wrong one
+        spec = SceneSpec(seed=17, n_vehicles=5, n_measurements=6)
+        _, measurements, truth = generate_scene(spec)
+        assert evaluate(measurements, truth).mean_error == pytest.approx(0.0, abs=1e-9)
+        moved = measurements[:2] + [dataclasses.replace(measurements[2], a=[100.0, -1e6])]
+        report = evaluate(moved + measurements[3:], truth)
+        assert (report.n_measurements, report.n_skipped) == (5, 1)
+        assert report.mean_error == pytest.approx(0.0, abs=1e-9)
+        # a normal that puts the plane behind the camera projects nothing
+        flipped = dataclasses.replace(truth, plane_normal=-truth.plane_normal)
+        with pytest.raises(InsufficientMeasurements, match="0 projectable"):
+            evaluate(measurements, flipped)
 
     def test_insufficient_measurements(self, frontoparallel):
         ms = [DistanceMeasurement([0.0, 0.0], [10.0, 0.0], 1.0)]

@@ -8,7 +8,7 @@ import pytest
 from heatmap_io_reference import read_stack
 from vpcalib.errors import InputFormatError
 from vpcalib import heatmap_io
-from vpcalib.heatmap import BBox, HeatmapCodec
+from vpcalib.heatmap import DEFAULT_RESOLUTION, DEFAULT_SCALES, BBox, Heatmap, HeatmapCodec
 from vpcalib.heatmap_io import (
     MAGIC,
     read_heatmap_arrays,
@@ -175,9 +175,48 @@ def test_non_positive_scale_rejected(tmp_path, observation):
         read_heatmap_arrays(path)
 
 
+@pytest.mark.parametrize("scales", [DEFAULT_SCALES[::-1], (0.03, 0.1, 0.1, 1.0),
+                                    (0.03, 0.1, 1.0, 0.3)])
+@pytest.mark.parametrize("name", ["obs.dvp", "obs.json"])
+def test_scales_that_do_not_ascend_are_rejected_as_the_writer_rejects_them(
+        tmp_path, observation, scales, name):
+    # the reversed file would decode box point (4, -2) far from it, and quietly
+    path = tmp_path / name
+    write_heatmap_file(path, observation)
+    if name.endswith(".json"):
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "scales": list(scales)}))
+    else:
+        _edit(path, 12, struct.pack("<4d", *scales))
+    for read in (read_heatmap_arrays, read_heatmap_file):
+        with pytest.raises(InputFormatError, match="scales must be a nonempty, strictly incr"):
+            read(path)
+    relabelled = [[Heatmap(h.values, s) for h, s in zip(channel, scales)]
+                  for channel in observation]
+    with pytest.raises(ValueError):
+        write_heatmap_file(tmp_path / "out.dvp", relabelled)
+
+
+@pytest.mark.parametrize("resolution", [0, 1])
+def test_a_grid_below_two_cells_is_neither_read_nor_written(tmp_path, resolution):
+    maps = [[Heatmap(np.zeros((resolution, resolution)), 1.0)]] * 2
+    with pytest.raises(ValueError, match="resolution must be an integer >= 2"):
+        write_heatmap_file(tmp_path / "obs.dvp", maps)
+    header = MAGIC + struct.pack("<IIdI", resolution, 1, 1.0, 2)
+    (tmp_path / "obs.dvp").write_bytes(header + bytes(8 * resolution * resolution))
+    (tmp_path / "obs.json").write_text(json.dumps({
+        "magic": "DVP1", "resolution": resolution, "scales": [1.0], "channels": 2,
+        "data": np.zeros((2, 1, resolution, resolution)).tolist()}))
+    for name in ("obs.dvp", "obs.json"):
+        with pytest.raises(InputFormatError, match="resolution must be an integer >= 2"):
+            read_heatmap_arrays(tmp_path / name)
+
+
 # -- reading a chunk of files straight into its stack --------------------------
 
 CONFIG = PipelineConfig()
+# the grid of a run whose first file is the first of _chunk's
+GRID = ("v0.dvp", DEFAULT_SCALES, DEFAULT_RESOLUTION)
 BOX = BBox(100.0, 200.0, 300.0, 260.0)
 
 
@@ -194,7 +233,7 @@ def _chunk(tmp_path, n, suffixes=()):
 
 
 def _buffer(n=_CHUNK, fill=0.0):
-    return np.full((2, n, len(CONFIG.scales), CONFIG.resolution, CONFIG.resolution), fill,
+    return np.full((2, n, len(DEFAULT_SCALES), DEFAULT_RESOLUTION, DEFAULT_RESOLUTION), fill,
                    dtype="<f4")
 
 
@@ -237,6 +276,14 @@ def _non_positive_scale(path):
     _edit(path, 12, np.float64(-1.0).tobytes())
 
 
+def _reversed_scales(path):
+    _edit(path, 12, struct.pack("<4d", *DEFAULT_SCALES[::-1]))
+
+
+def _repeated_scale(path):
+    _edit(path, 12 + 8, struct.pack("<d", DEFAULT_SCALES[0]))
+
+
 def _nan(path):
     _edit(path, path.stat().st_size - 4, np.float32(np.nan).tobytes())
 
@@ -274,6 +321,8 @@ BAD_CHUNKS = {
     "cut in the magic": [(3, _cut_in_the_magic)],
     "trailing bytes": [(3, _trailing_bytes)],
     "non-positive scale": [(3, _non_positive_scale)],
+    "reversed scales": [(3, _reversed_scales)],
+    "repeated scale": [(3, _repeated_scale)],
     "NaN": [(3, _nan)],
     "negative infinity": [(3, _negative_infinity)],
     "three channels": [(3, _three_channels)],
@@ -307,11 +356,11 @@ def _first_error(read, *args) -> str:
 def test_a_bad_file_in_a_chunk_gives_the_whole_file_readers_first_error(tmp_path, case):
     refs = _chunk(tmp_path, 7)
     bad = _spoil(tmp_path, refs, BAD_CHUNKS[case])
-    message = _first_error(read_stack, refs, CONFIG, tmp_path)
+    message = _first_error(read_stack, refs, GRID, tmp_path)
     assert bad in message
     # with a zeroed buffer, and with one that holds an earlier chunk's grids
-    assert _first_error(_read_stack, refs, CONFIG, tmp_path, _buffer()) == message
-    assert _first_error(_read_stack, refs, CONFIG, tmp_path, _buffer(fill=0.5)) == message
+    assert _first_error(_read_stack, refs, GRID, tmp_path, _buffer()) == message
+    assert _first_error(_read_stack, refs, GRID, tmp_path, _buffer(fill=0.5)) == message
     assert _first_error(detections_to_pairs, _records(refs), CONFIG, tmp_path) == message
 
 
@@ -321,7 +370,7 @@ def test_a_bad_file_in_a_later_chunk_is_reported(tmp_path):
     # the first chunk reads only good files, some of them many times
     good = [refs[k] for k in (0, 1, 3, 4, 6)]
     later = good * 13 + refs
-    message = _first_error(read_stack, refs, CONFIG, tmp_path)
+    message = _first_error(read_stack, refs, GRID, tmp_path)
     assert refs[2] in message and "finite" in message
     assert _first_error(detections_to_pairs, _records(later), CONFIG, tmp_path) == message
 
@@ -330,9 +379,9 @@ def test_a_bad_file_in_a_later_chunk_is_reported(tmp_path):
                                       (".dvp",) * 4 + (".json",), (".json",) * 5])
 def test_a_chunk_reads_the_whole_file_readers_stack(tmp_path, suffixes):
     refs = _chunk(tmp_path, 5, suffixes)
-    expected = read_stack(refs, CONFIG, tmp_path)
+    expected = read_stack(refs, GRID, tmp_path)
     for buffer in (_buffer(), _buffer(5, fill=0.5)):
-        stack = _read_stack(refs, CONFIG, tmp_path, buffer)
+        stack = _read_stack(refs, GRID, tmp_path, buffer)
         assert stack.dtype == expected.dtype and stack.shape == expected.shape
         assert stack.tobytes() == expected.tobytes()
 
@@ -341,9 +390,9 @@ def test_a_chunk_reads_the_whole_file_readers_stack(tmp_path, suffixes):
 def test_a_bad_file_after_a_json_file_gives_the_first_error(tmp_path, case):
     refs = _chunk(tmp_path, 6, (".dvp", ".json"))
     bad = _spoil(tmp_path, refs, BAD_CHUNKS[case])
-    message = _first_error(read_stack, refs, CONFIG, tmp_path)
+    message = _first_error(read_stack, refs, GRID, tmp_path)
     assert bad in message
-    assert _first_error(_read_stack, refs, CONFIG, tmp_path, _buffer()) == message
+    assert _first_error(_read_stack, refs, GRID, tmp_path, _buffer()) == message
 
 
 def test_a_non_finite_json_file_after_a_non_finite_dvp_file_is_not_the_one_reported(tmp_path):
@@ -352,9 +401,9 @@ def test_a_non_finite_json_file_after_a_non_finite_dvp_file_is_not_the_one_repor
     payload = json.loads((tmp_path / refs[3]).read_text())
     payload["data"][1][2][5][5] = float("nan")
     (tmp_path / refs[3]).write_text(json.dumps(payload))
-    message = _first_error(read_stack, refs, CONFIG, tmp_path)
+    message = _first_error(read_stack, refs, GRID, tmp_path)
     assert refs[1] in message and "finite" in message
-    assert _first_error(_read_stack, refs, CONFIG, tmp_path, _buffer()) == message
+    assert _first_error(_read_stack, refs, GRID, tmp_path, _buffer()) == message
 
 
 def test_arrays_read_into_a_fitting_buffer_are_checked(tmp_path, observation):

@@ -1,12 +1,17 @@
 """Property tests: a malformed input file ends as InputFormatError, never as
-another exception.
+another exception, and a ``calibrate`` run on one ends in its exit code.
 
 Needs Hypothesis (the ``test`` extra) and is skipped without it. The examples
 are derandomized and bounded, so the suite stays deterministic and quick.
 """
 
+import contextlib
+import io
 import json
+import math
+import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +21,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from vpcalib import cli  # noqa: E402
 from vpcalib.errors import InputFormatError  # noqa: E402
-from vpcalib.heatmap_io import MAGIC, read_heatmap_arrays  # noqa: E402
+from vpcalib.heatmap import HeatmapCodec, bbox_normalize, check_scales  # noqa: E402
+from vpcalib.heatmap_io import MAGIC, read_heatmap_arrays, write_heatmap_file  # noqa: E402
 from vpcalib.pipeline import DetectionRecord, parse_detections  # noqa: E402
+from vpcalib.synthetic import SceneSpec, generate_observations  # noqa: E402
 
 BOUNDED = settings(max_examples=150, derandomize=True, deadline=None, database=None)
 
@@ -86,8 +94,8 @@ def test_heatmap_reader_raises_only_input_format_error(tmp_path_factory, blob):
             scales, values = read_heatmap_arrays(path)
         except InputFormatError:
             continue
-        assert values.ndim == 4 and values.shape[1] == len(scales)
-        assert np.isfinite(values).all() and all(s > 0 for s in scales)
+        assert values.ndim == 4 and values.shape[1] == len(scales) and values.shape[-1] >= 2
+        assert np.isfinite(values).all() and check_scales(scales) == scales
 
 
 VECTORS = st.lists(st.floats() | st.integers(-5, 5), min_size=2, max_size=2) | JSON_VALUES
@@ -121,3 +129,94 @@ def test_detections_parser_raises_only_input_format_error(tmp_path_factory, cont
     except InputFormatError:
         return
     assert all(isinstance(rec, DetectionRecord) for rec in records)
+
+
+# A scene of 8 vehicles as heatmap files on a 32 x 32 grid, calibrated by
+# ``calibrate`` with a config file. Its header fields: (offset, struct code)
+# of the resolution, the scale count, each of the 4 scales and the channels.
+CODEC = HeatmapCodec(resolution=32)
+HEADER = {"resolution": (4, "<I"), "scale count": (8, "<I"), "channels": (44, "<I"),
+          **{f"scale {k}": (12 + 8 * k, "<d") for k in range(4)}}
+FLOATS = st.floats() | st.sampled_from([0.0, -0.1, 1e-320, 1e300, *CODEC.scales])
+COUNTS = st.integers(0, 5) | st.integers(0, 2**32 - 1)
+HEADER_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["resolution", "scale count", "channels"]), COUNTS),
+    st.tuples(st.sampled_from([f"scale {k}" for k in range(4)]), FLOATS),
+    st.tuples(st.just("scales"), st.permutations(CODEC.scales).map(tuple)),
+    st.tuples(st.just("grid"), st.sampled_from([{"resolution": 64}, {"scales": (0.05, 0.5)},
+                                                {"scales": (0.03, 0.1, 0.3, 2.0)}])),
+)
+CONFIG_EDITS = st.tuples(
+    st.sampled_from(["scales", "resolution", "min_pairs", "peak_ratio", "max_frames",
+                     "principal_point"]),
+    st.integers(-1, 6) | st.floats(0.0, 1.0) | JSON_VALUES | FLOATS | st.just(list(CODEC.scales))
+    | st.just(32),
+)
+# (where, edit): the config, the first file in record order or a later one
+EDITS = st.lists(st.tuples(st.just("config"), CONFIG_EDITS)
+                 | st.tuples(st.sampled_from([0, 5]), HEADER_EDITS), min_size=1, max_size=2)
+
+
+@pytest.fixture(scope="module")
+def heatmap_scene(tmp_path_factory):
+    root = tmp_path_factory.mktemp("heatmap-scene")
+    observations, _, _ = generate_observations(SceneSpec(seed=2, n_vehicles=8))
+    lines = []
+    for k, o in enumerate(observations):
+        ends = (bbox_normalize(o.pair.first, o.box), bbox_normalize(o.pair.second, o.box))
+        write_heatmap_file(root / f"v{k}.dvp", CODEC.encode_pair(*ends))
+        lines.append(json.dumps({"frame": 10 * k, "box": list(o.box.as_tuple()),
+                                 "heatmap": f"v{k}.dvp"}))
+    (root / "det.jsonl").write_text("\n".join(lines) + "\n")
+    (root / "cfg.json").write_text('{"image_size": [1920, 1080]}')
+    return root
+
+
+def _apply(directory, where, edit):
+    field, value = edit
+    if where == "config":
+        path = directory / "cfg.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        return
+    path = directory / f"v{where}.dvp"
+    if field == "grid":
+        write_heatmap_file(path, HeatmapCodec(**value).encode_pair([3.0, 1.0], [-5.0, 2.0]))
+        return
+    blob = bytearray(path.read_bytes())
+    if field == "scales":
+        blob[12:44] = struct.pack("<4d", *value)
+    else:
+        at, code = HEADER[field]
+        blob[at : at + struct.calcsize(code)] = struct.pack(code, value)
+    path.write_bytes(bytes(blob))
+
+
+@BOUNDED
+@given(edits=EDITS)
+@example(edits=[(0, ("scales", CODEC.scales[::-1]))])
+@example(edits=[(5, ("scale 2", CODEC.scales[1]))])
+@example(edits=[(0, ("grid", {"scales": (0.05, 0.5)}))])
+@example(edits=[("config", ("scales", list(CODEC.scales)))])
+def test_calibrate_ends_in_a_calibration_or_the_error_json(heatmap_scene, tmp_path_factory, edits):
+    directory = tmp_path_factory.mktemp("run", numbered=True)
+    for path in heatmap_scene.iterdir():
+        shutil.copy(path, directory)
+    for where, edit in edits:
+        _apply(directory, where, edit)
+    out = directory / "cal.json"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = cli.main(["calibrate", "--detections", str(directory / "det.jsonl"),
+                         "--out", str(out), "--config", str(directory / "cfg.json")])
+    assert stdout.getvalue() == ""
+    if code == 0:
+        assert stderr.getvalue() == ""
+        cal = json.loads(out.read_text(), parse_constant=float)
+        numbers = [cal["f"], cal["delta"], *cal["principal_point"], *cal["horizon"], *cal["normal"]]
+        assert all(map(math.isfinite, numbers))
+    else:
+        assert code == 1 and not out.exists()
+        error = json.loads(stderr.getvalue())
+        assert set(error) == {"error", "message"}

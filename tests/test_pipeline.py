@@ -1,5 +1,8 @@
+import dataclasses
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,23 +211,52 @@ class TestDecodeRecords:
             np.testing.assert_array_equal(pair.first, expected[0])
             np.testing.assert_array_equal(pair.second, expected[1])
 
+    @staticmethod
+    def _heatmap_records(tmp_path, codecs, suffixes=(".dvp",)):
+        """One record per codec, each with a heatmap file of that codec's grid,
+        suffixes taken in turn."""
+        rng = np.random.default_rng(5)
+        records = []
+        for k, codec in enumerate(codecs):
+            name = f"obs{k}{suffixes[k % len(suffixes)]}"
+            write_heatmap_file(tmp_path / name, codec.encode_pair(*rng.uniform(-20, 20, (2, 2))))
+            box = BBox(100 * k, 200, 100 * k + 80, 260)
+            records.append(DetectionRecord(frame_index=0, box=box, confidence=1.0,
+                                           heatmap_ref=name))
+        return records
+
+    @pytest.mark.parametrize("grid", [{"resolution": 32}, {"scales": (0.05, 0.5)},
+                                      {"resolution": 128}])
+    def test_a_run_on_another_grid_decodes_each_file_as_select_vp(self, tmp_path, grid):
+        # the run's grid is its first file's; 128 x 128 grids go 16 files to a chunk
+        records = self._heatmap_records(tmp_path, [HeatmapCodec(**grid)] * 20,
+                                       (".json", ".dvp", ".dvp"))
+        pairs = detections_to_pairs(records, PipelineConfig(), base_dir=tmp_path)
+        assert len(pairs) == len(records)
+        for rec, got in zip(records, pairs):
+            channels = read_heatmap_file(tmp_path / rec.heatmap_ref)
+            want = [select_vp(maps, rec.box) for maps in channels]
+            np.testing.assert_array_equal(got.first, want[0].point)
+            np.testing.assert_array_equal(got.second, want[1].point)
+            assert (got.first_is_direction, got.second_is_direction) == tuple(
+                det.direction_only for det in want)
+
     def test_heatmap_scale_mismatch_rejected(self, tmp_path):
-        box = BBox(100, 200, 300, 260)
-        codec = HeatmapCodec(scales=(0.05, 0.5))
-        write_heatmap_file(tmp_path / "obs.dvp", codec.encode_pair([4.0, -1.5], [-6.0, 2.0]))
-        rec = DetectionRecord(frame_index=0, box=box, confidence=1.0, heatmap_ref="obs.dvp")
-        with pytest.raises(InputFormatError):
-            detections_to_pairs([rec], PipelineConfig(), base_dir=tmp_path)
+        for first, later in ((HeatmapCodec(), HeatmapCodec(scales=(0.05, 0.5))),
+                             (HeatmapCodec(scales=(0.05, 0.5)), HeatmapCodec())):
+            records = self._heatmap_records(tmp_path, [first] * 3 + [later] * 2)
+            with pytest.raises(InputFormatError, match=r"heatmap file obs3\.dvp has scales .*"
+                               r"the run's first heatmap file obs0\.dvp has scales"):
+                detections_to_pairs(records, PipelineConfig(), base_dir=tmp_path)
 
     def test_heatmap_resolution_mismatch_rejected(self, tmp_path):
-        box = BBox(100, 200, 300, 260)
-        codec = HeatmapCodec(resolution=32)
-        write_heatmap_file(tmp_path / "obs.dvp", codec.encode_pair([4.0, -1.5], [-6.0, 2.0]))
-        rec = DetectionRecord(frame_index=0, box=box, confidence=1.0, heatmap_ref="obs.dvp")
-        with pytest.raises(InputFormatError):
-            detections_to_pairs([rec], PipelineConfig(), base_dir=tmp_path)
-        with pytest.raises(ValueError):
-            PipelineConfig(resolution=-3)
+        records = self._heatmap_records(tmp_path, [HeatmapCodec(resolution=32), HeatmapCodec()])
+        with pytest.raises(InputFormatError, match=r"heatmap file obs1\.dvp has .* at resolution "
+                           r"64, the run's first heatmap file obs0\.dvp has .* at resolution 32"):
+            detections_to_pairs(records, PipelineConfig(), base_dir=tmp_path)
+        # the grid is the files' to state, not the config's
+        with pytest.raises(TypeError):
+            PipelineConfig(resolution=32)
 
     def test_parallel_matches_serial(self, tmp_path):
         spec = SceneSpec(seed=44, n_vehicles=12)
@@ -268,7 +300,7 @@ class TestRunCalibration:
         spec = SceneSpec(seed=2, n_vehicles=20)
         path = tmp_path / "det.jsonl"
         truth = self._write_detections(path, spec)
-        out = run_calibration(path, PipelineConfig(), image_size=spec.image_size)
+        out = run_calibration(path, PipelineConfig(image_size=spec.image_size))
         assert out["f"] == pytest.approx(truth.intrinsics.f, rel=1e-6)
         assert out["n_pairs_used"] == 20
 
@@ -276,7 +308,7 @@ class TestRunCalibration:
         spec = SceneSpec(seed=2, n_vehicles=20)
         path = tmp_path / "det.jsonl"
         self._write_detections(path, spec)
-        clean = run_calibration(path, PipelineConfig(), image_size=spec.image_size)
+        clean = run_calibration(path, PipelineConfig(image_size=spec.image_size))
         box = [0, 0, 100, 50]
         zero = [
             {"frame": 0, "box": box, "vp_first_direction": [0, 0], "vp_second": [-4, 2]},
@@ -285,7 +317,7 @@ class TestRunCalibration:
         path.write_text("".join(json.dumps(r) + "\n" for r in zero) + path.read_text())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = run_calibration(path, PipelineConfig(), image_size=spec.image_size)
+            out = run_calibration(path, PipelineConfig(image_size=spec.image_size))
         assert capfd.readouterr().err == ""
         assert out.pop("n_records") == clean.pop("n_records") + 2
         assert out == clean
@@ -307,6 +339,12 @@ class TestRunCalibration:
         assert config.image_size == (1920.0, 1080.0)
         assert config.pair_mode == "unordered-min"
 
+    def test_readme_lists_every_config_field(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (listed,) = re.findall(r"overriding any `PipelineConfig` field \(([^)]*)\)", readme)
+        fields = [field.name for field in dataclasses.fields(PipelineConfig)]
+        assert re.findall(r"`(\w+)`", listed) == fields
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"nonsense": 1}')
@@ -320,8 +358,6 @@ class TestRunCalibration:
         ("image_size", (1920, True)),
         ("principal_point", ("960", True)),
         ("principal_point", (np.True_, 540.0)),
-        ("scales", ("0.5", "1", "2", "4")),
-        ("scales", (0.5, True, 2.0)),
         ("peak_ratio", "0.8"),
         ("static_iou", "0.9"),
     ])
@@ -332,8 +368,8 @@ class TestRunCalibration:
     def test_constructor_takes_numpy_numbers(self):
         config = PipelineConfig(image_size=np.array([1920.0, 1080.0]),
                                 principal_point=(np.int64(960), np.float32(540.0)),
-                                scales=np.array([0.1, 1.0]), peak_ratio=np.float64(0.7))
-        assert config.scales == (0.1, 1.0)
+                                peak_ratio=np.float64(0.7))
+        assert config.image_size == (1920.0, 1080.0) and config.principal_point == (960.0, 540.0)
 
 
 class TestFormatJson:

@@ -10,7 +10,13 @@ floats must be accepted.
 import numpy as np
 import pytest
 
-from vpcalib.calibration import CameraCalibration, CameraIntrinsics
+from vpcalib.calibration import (
+    CameraCalibration,
+    CameraIntrinsics,
+    PairSet,
+    VanishingPointCalibrator,
+    VPPair,
+)
 from vpcalib.evaluation import DistanceMeasurement
 from vpcalib.heatmap import Heatmap, HeatmapCodec
 from vpcalib.pipeline import PipelineConfig
@@ -34,11 +40,11 @@ CONSTRUCTORS = [
      {"values": "array", "scale": "real"}),
     (PipelineConfig,
      {"frame_stride": 10, "max_frames": 1500, "max_boxes_per_frame": 10, "static_iou": 1.0,
-      "static_min_hits": 3, "peak_ratio": 1.0, "scales": [1, 2], "resolution": 8,
-      "min_pairs": 5, "image_size": [1920, 1080], "principal_point": [960, 540]},
+      "static_min_hits": 3, "peak_ratio": 1.0, "min_pairs": 5, "image_size": [1920, 1080],
+      "principal_point": [960, 540]},
      {"frame_stride": "int", "max_frames": "int", "max_boxes_per_frame": "int",
-      "static_iou": "real", "static_min_hits": "int", "peak_ratio": "real", "scales": "array",
-      "resolution": "int", "min_pairs": "int", "image_size": "array",
+      "static_iou": "real", "static_min_hits": "int", "peak_ratio": "real", "min_pairs": "int",
+      "image_size": "array",
       "principal_point": "array"}),
     (SceneSpec,
      {"seed": 1, "n_vehicles": 5, "f": 1200.0, "tilt_deg": 25.0, "roll_deg": 2.0,
@@ -47,6 +53,8 @@ CONSTRUCTORS = [
      {"seed": "int", "n_vehicles": "int", "f": "real", "tilt_deg": "real", "roll_deg": "real",
       "image_size": "array", "noise_sigma_px": "real", "outlier_fraction": "real",
       "n_measurements": "int", "camera_height": "real"}),
+    (VPPair, {"first": [3, 4], "second": [-5, 6]}, {"first": "array", "second": "array"}),
+    (PairSet, {"first": [[1, 2]], "second": [[3, 4]]}, {"first": "array", "second": "array"}),
     (AugmentationParams, {"corner_sigma": 12.0, "bbox_jitter": 5.0, "flip_prob": 1.0, "rng_seed": 0},
      {"corner_sigma": "real", "bbox_jitter": "real", "flip_prob": "real", "rng_seed": "int"}),
 ]
@@ -76,3 +84,39 @@ def test_one_rule_for_every_number(cls, base, field, kind):
             cls(**{**base, field: bad})
     for value in _numpy_forms(base[field], kind):
         cls(**{**base, field: value})
+
+
+# flags: a Python or numpy bool, or for a mask a bool array or a sequence of them
+@pytest.mark.parametrize("cls, base", [
+    (VPPair, {"first": [3, 4], "second": [-5, 6], "first_is_direction": True,
+              "second_is_direction": False}),
+    (PairSet, {"first": [[3, 4]], "second": [[-5, 6]], "first_is_direction": [True],
+               "second_is_direction": [False]}),
+], ids=["VPPair", "PairSet"])
+@pytest.mark.parametrize("field", ["first_is_direction", "second_is_direction"])
+def test_one_rule_for_every_flag(cls, base, field):
+    mask = cls is PairSet
+    for bad in ("no", 1, 0.0, None, np.int64(1)):
+        with pytest.raises(ValueError, match=field):
+            cls(**{**base, field: [bad] if mask else bad})
+    if mask:
+        for bad in (np.array([1]), np.array(["no"]), np.array([1.0])):
+            with pytest.raises(ValueError, match=field):
+                cls(**{**base, field: bad})
+    for flag in (True, np.True_, False, np.False_):
+        built = cls(**{**base, field: [flag] if mask else flag})
+        assert getattr(built, field) == flag
+    if mask:
+        assert cls(**{**base, field: np.array([True])}).first_is_direction.dtype == bool
+
+
+def test_pair_set_takes_its_numbers_as_the_rule_says():
+    # a bool in a point would build a pair at (1, 1)
+    with pytest.raises(ValueError, match="first must be"):
+        PairSet([[1, True]], [[3, 4]])
+    # the estimator's (n, 4) array path goes through the same check
+    fit = VanishingPointCalibrator(image_size=(1920, 1080), min_pairs=1).fit
+    with pytest.raises(ValueError, match="X must be"):
+        fit([[1, 2, 3, True]])
+    with pytest.raises(ValueError, match="X must be"):
+        fit([["1", 2, 3, 4]])
