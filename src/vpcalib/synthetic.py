@@ -5,22 +5,27 @@ World frame: x-y is the road plane, z points up. Camera frame: x right,
 y down, z along the optical axis. A camera with zero tilt and roll looks
 along world +y; tilt pitches it down about its own x axis, roll turns it
 about the optical axis. All randomness flows through explicitly seeded
-PCG64 generators with per-vehicle substreams derived from (seed, index), so
+PCG64 generators with per-vehicle substreams: stream ``(seed, index)``
+draws as numpy's ``default_rng(SeedSequence((seed, index)))``, so
 generation agrees bit for bit across platforms.
 
-A scene is generated by column: each step (placement with its rejection
-loop, vanishing points, boxes, noise, outliers) is one array pass over all
-vehicles, whose arithmetic is chosen to give the bits of the public scalar
-functions (``ground_point``, ``vehicle_vps``, ``vehicle_bbox_3d`` with
-``project_point``) that the tests take as the reference. Its cost floor is
-seeding the substreams, about 20 us each: one per vehicle and one more per
-noisy vehicle, some 0.3-0.4 s of a noisy 10k-vehicle scene on a 2-vCPU
-x86-64 host.
+A scene is generated by column: each step (seeding, placement with its
+rejection loop, vanishing points, boxes, noise, outliers) is one array pass
+over all vehicles, whose arithmetic is chosen to give the bits of the public
+scalar functions (``ground_point``, ``vehicle_vps``, ``vehicle_bbox_3d``
+with ``project_point``) that the tests take as the reference. A noisy
+10k-vehicle scene draws from about 19,000 substreams. On a 2-vCPU x86-64
+host their seed words take one pass of about 0.5 ms, numpy then builds each
+PCG64 and Generator in about 1.6 us, and the whole scene takes about
+0.06 s (0.19 s when numpy's SeedSequence hashed each stream). Of that, the
+scalar loop of the tape measurements takes some 13 ms; ``vpcalib synth``
+then spends some 35 ms formatting the detections.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +181,12 @@ class SyntheticVehicle:
             raise ValueError(f"vehicle dimensions must be positive, got {self.dims}")
 
 
+# The most vehicles of a scene. Vehicle k draws from substreams k and
+# 2n + k, and the scene from 10**6 and 10**6 + 1, so with n at most this
+# every stream index is distinct and fits one 32-bit word.
+MAX_VEHICLES = 333_333
+
+
 @dataclass
 class SceneSpec:
     """Parameters of one synthetic scene; a pure function of these + seed.
@@ -198,7 +209,9 @@ class SceneSpec:
     def __post_init__(self):
         for name, low in (("seed", 0), ("n_vehicles", 1), ("n_measurements", 0)):
             setattr(self, name, check_integer(getattr(self, name), name, low))
-        check_positive(self.f, "f")
+        if self.n_vehicles > MAX_VEHICLES:
+            raise ValueError(f"n_vehicles must be at most {MAX_VEHICLES}, got {self.n_vehicles}")
+        check_real(self.f, "f", *LENGTH_RANGE)
         self.image_size = check_image_size(self.image_size)
         check_real(self.tilt_deg, "tilt_deg")
         check_real(self.roll_deg, "roll_deg")
@@ -303,8 +316,86 @@ def ground_truth_calibration(camera: SyntheticCamera) -> CameraCalibration:
     )
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+# The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(value: int) -> list[int]:
+    """The 32-bit little-endian words of a non-negative int; 0 is one word."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_states(seed: int, indices) -> np.ndarray:
+    """``SeedSequence((seed, k)).generate_state(4, np.uint64)`` of each index ``k``, as rows.
+
+    numpy's algorithm, in one pass over a uint32 column per entropy word
+    (the seed's words, then ``k``'s one word). Its hash constant steps the
+    same way in every row, so it stays a Python int. Every operand is a
+    uint32 array or an ``np.uint32``, so each product wraps in uint32 under
+    numpy 1.x's value-based casting and numpy 2's rules alike, and no
+    scalar product overflows, which would warn.
+    """
+    u32 = np.uint32
+    index = np.asarray(indices, dtype=u32)
+    entropy = [np.full(len(index), word, dtype=u32) for word in _words(seed)] + [index]
+    h = _HASH_INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ u32(h)
+        h = h * _HASH_MULT_A & _MASK32
+        v = v * u32(h)
+        return v ^ (v >> u32(16))
+
+    def mix(x, y):
+        r = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return r ^ (r >> u32(16))
+
+    zero = np.zeros(len(index), dtype=u32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h, state = _HASH_INIT_B, []
+    for i in range(8):
+        v = pool[i % _POOL_SIZE] ^ u32(h)
+        h = h * _HASH_MULT_B & _MASK32
+        v = v * u32(h)
+        state.append(v ^ (v >> u32(16)))
+    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _substreams(seed: int, indices) -> Iterator[np.random.Generator]:
+    """The generator of substream ``(seed, k)`` for each index ``k``, one at a time.
+
+    Each draws as ``np.random.default_rng(np.random.SeedSequence((seed, k)))``
+    does, bit for bit: numpy's PCG64 takes its seed words from
+    :func:`_seed_states`, which computes those of every index in one pass.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        # PCG64 asks for generate_state(4, np.uint64) once
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    for words in _seed_states(seed, indices):
+        yield Generator(PCG64(SeedWords(words)))
 
 
 # Pixels a vehicle tries before it falls back to the camera's foot point.
@@ -356,10 +447,10 @@ def _place_vehicles(
     low, high = np.array([0.1 * w, 0.1 * h]), np.array([0.9 * w, 0.9 * h])
     max_range = 60.0 * camera.height
     n = spec.n_vehicles
-    window = np.array([_substream(spec.seed, k).random(6) for k in range(n)])
+    window = np.array([g.random(6) for g in _substreams(spec.seed, np.arange(n))])
     position = _ground_points(camera, low + (high - low) * window[:, :2], max_range)
     retry = np.flatnonzero(np.isnan(position[:, 0]))
-    streams = {k: _substream(spec.seed, k) for k in retry.tolist()}
+    streams = dict(zip(retry.tolist(), _substreams(spec.seed, retry)))
     for stream in streams.values():
         stream.random(6)  # the draws already in the window
     for _ in range(_PLACEMENT_TRIES - 1):
@@ -497,7 +588,7 @@ def generate_observations(
     is_outlier = np.zeros(n, dtype=bool)
     n_out = int(round(spec.outlier_fraction * n))
     if n_out:
-        orng = _substream(spec.seed, 10**6)
+        (orng,) = _substreams(spec.seed, [10**6])
         rows = np.sort(orng.choice(n, size=n_out, replace=False))
         w, h = spec.image_size
         low = np.array([-w, -h, -w, -h], dtype=float)
@@ -510,7 +601,7 @@ def generate_observations(
     if spec.noise_sigma_px > 0:
         # an outlier's noise would be overwritten: its stream is not drawn
         rows = np.flatnonzero(~(first_is_direction | second_is_direction | is_outlier))
-        normal = [_substream(spec.seed, 2 * n + k).standard_normal(4) for k in rows.tolist()]
+        normal = [g.standard_normal(4) for g in _substreams(spec.seed, 2 * n + rows)]
         noise = spec.noise_sigma_px * np.reshape(normal, (-1, 4))
         first[rows] += noise[:, :2]
         second[rows] += noise[:, 2:]
@@ -542,7 +633,7 @@ def generate_scene(
 def _measurements(spec: SceneSpec, camera: SyntheticCamera) -> list[DistanceMeasurement]:
     # tape measurements between ground points sampled through the image, so
     # any camera that sees road surface at all can be evaluated
-    rng = _substream(spec.seed, 10**6 + 1)
+    (rng,) = _substreams(spec.seed, [10**6 + 1])
     w, h = camera.image_size
     out: list[DistanceMeasurement] = []
     attempts = 0
@@ -560,6 +651,10 @@ def _measurements(spec: SceneSpec, camera: SyntheticCamera) -> list[DistanceMeas
             continue
         a = camera.project_point(a_world)
         b = camera.project_point(b_world)
+        # with a tiny f, a ray lies almost in the image plane, and its
+        # ground point can round to behind the camera
+        if a is None or b is None:
+            continue
         out.append(DistanceMeasurement(a, b, distance))
     if len(out) < spec.n_measurements:
         raise InsufficientMeasurements(

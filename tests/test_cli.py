@@ -507,6 +507,14 @@ class TestErrorPaths:
         "scene-f-zero": (
             "synth", [], {"spec.json": '{"seed": 1, "n_vehicles": 5, "f": 0}'},
             "InputFormatError", "spec.json"),
+        # a subnormal f would overflow the ground-point rays into numpy warnings
+        "scene-f-subnormal": (
+            "synth", [], {"spec.json": '{"seed": 1, "n_vehicles": 5, "f": 1e-310}'},
+            "InputFormatError", "f must be a finite number in [1e-60, 1e+60]"),
+        # vehicle 200000's noise stream would be the outlier stream
+        "scene-too-many-vehicles": (
+            "synth", [], {"spec.json": '{"seed": 1, "n_vehicles": 400000}'},
+            "InputFormatError", "n_vehicles must be at most 333333"),
         "scene-seed-not-integer": (
             "synth", [], {"spec.json": '{"seed": 1.5, "n_vehicles": 5}'},
             "InputFormatError", "spec.json"),
@@ -760,7 +768,7 @@ class TestErrorPaths:
         assert str(out_dir) in self._fails(argv, capsys, "OutputError", tmp_path)
 
     @pytest.mark.parametrize("spec", [
-        '{"f": 1e308}', '{"noise_sigma_px": 1e300}',
+        '{"f": 1e55}', '{"noise_sigma_px": 1e300}',
         '{"image_size": [1e308, 1e308], "outlier_fraction": 0.5}',
     ])
     def test_synth_spec_beyond_max_coordinate(self, tmp_path, capsys, spec):

@@ -220,3 +220,69 @@ def test_calibrate_ends_in_a_calibration_or_the_error_json(heatmap_scene, tmp_pa
         assert code == 1 and not out.exists()
         error = json.loads(stderr.getvalue())
         assert set(error) == {"error", "message"}
+
+
+# A valid scene, and what may replace one or two of its values: extreme
+# numbers, values just past each bound, seeds across 32-bit word boundaries
+# and JSON values of the wrong type. Counts stay small, so every scene that
+# builds is generated in milliseconds.
+SCENE = {"seed": 3, "n_vehicles": 20, "f": 1200.0, "tilt_deg": 25.0, "roll_deg": 2.0,
+         "image_size": [1920, 1080], "noise_sigma_px": 1.0, "outlier_fraction": 0.1,
+         "n_measurements": 5, "camera_height": 10.0}
+EXTREME_REALS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-60, 9.9e-61, 1e60, 1.1e60, 1e300, -1e300,
+    8.3e57, 8.4e57, 1e50, 1.0000000000000002e50, 1.0000000000000002, -1e-9, 90.0, -90.0,
+])
+REALS = EXTREME_REALS | st.floats() | st.floats(-100.0, 3000.0) | st.integers(-3, 3)
+WRONG_TYPES = st.sampled_from([True, False, "1", None, [1]])
+SCENE_VALUES = {
+    "seed": st.sampled_from([-1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 10**40])
+    | st.integers(0, 2**200),
+    "n_vehicles": st.integers(-1, 50) | st.just(333_334),
+    "n_measurements": st.integers(-1, 20),
+    "image_size": st.lists(REALS | WRONG_TYPES, min_size=1, max_size=3)
+    | st.tuples(REALS, st.just(1080)).map(list),
+    **{field: REALS for field in ("f", "tilt_deg", "roll_deg", "noise_sigma_px",
+                                  "outlier_fraction", "camera_height")},
+}
+SCENE_EDITS = st.lists(
+    st.sampled_from(sorted(SCENE_VALUES)).flatmap(
+        lambda field: st.tuples(st.just(field), SCENE_VALUES[field] | WRONG_TYPES)),
+    min_size=1, max_size=2)
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [value] if isinstance(value, float) else []
+
+
+@BOUNDED
+@given(edits=SCENE_EDITS)
+@example(edits=[("f", 1e-310)])
+# a ground point seen at such an f rounded to behind the camera: a traceback
+@example(edits=[("f", 1e-60)])
+@example(edits=[("seed", 2**64), ("noise_sigma_px", 5e-324)])
+@example(edits=[("n_vehicles", 333_334)])
+def test_synth_ends_in_a_scene_or_the_error_json(tmp_path_factory, edits):
+    directory = tmp_path_factory.mktemp("synth", numbered=True)
+    (directory / "spec.json").write_text(json.dumps({**SCENE, **dict(edits)}))
+    out = directory / "scene"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = cli.main(["synth", "--spec", str(directory / "spec.json"), "--out-dir", str(out)])
+    assert stdout.getvalue() == ""
+    if code == 0:
+        assert stderr.getvalue() == ""
+        texts = [(out / name).read_text() for name in ("measurements.json", "ground_truth.json")]
+        texts += (out / "detections.jsonl").read_text().splitlines()
+        numbers = [x for text in texts for x in _numbers(json.loads(text, parse_constant=float))]
+        assert all(map(math.isfinite, numbers))
+    else:
+        assert code == 1 and not out.exists()
+        error = json.loads(stderr.getvalue())
+        assert set(error) == {"error", "message"}
