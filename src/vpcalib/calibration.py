@@ -279,9 +279,12 @@ class CameraCalibration:
 # per-pair and aggregate estimators
 
 
-def _radicands(first, second, principal_point) -> np.ndarray:
-    """``-(u - p) . (v - p)`` of each row: the squared focal length it implies."""
-    return -row_dots(first - principal_point, second - principal_point)
+def _focal_rule(first, second, principal_point, epsilon) -> tuple[np.ndarray, ...]:
+    """The radicand ``-(u - p) . (v - p)`` of each pair, the squared focal
+    length it implies, and the masks of the pairs it rejects: imaginary
+    (radicand not positive) and near zero (below ``epsilon`` squared)."""
+    radicand = -row_dots(first - principal_point, second - principal_point)
+    return radicand, radicand <= 0.0, radicand < epsilon * epsilon
 
 
 def focal_from_pair(pair: VPPair, principal_point, epsilon: float = DEFAULT_FOCAL_EPSILON) -> float:
@@ -293,10 +296,11 @@ def focal_from_pair(pair: VPPair, principal_point, epsilon: float = DEFAULT_FOCA
     if not pair.finite:
         raise DegenerateInput("pair with a vanishing point at infinity has no focal constraint")
     p = as_float_array(principal_point, "principal_point", (2,))
-    radicand = float(_radicands(pair.first[None], pair.second[None], p)[0])
-    if radicand <= 0.0:
+    (radicand,), (imaginary,), (near_zero,) = _focal_rule(
+        pair.first[None], pair.second[None], p, epsilon)
+    if imaginary:
         raise ImaginaryFocal(f"(u - p) . (v - p) = {-radicand} >= 0")
-    if radicand < epsilon * epsilon:
+    if near_zero:
         raise NearZeroFocal(f"focal estimate {np.sqrt(radicand)} px below {epsilon} px")
     return float(np.sqrt(radicand))
 
@@ -304,8 +308,9 @@ def focal_from_pair(pair: VPPair, principal_point, epsilon: float = DEFAULT_FOCA
 def _usable_focals(pairs: PairSet, principal_point, min_pairs: int, epsilon: float) -> np.ndarray:
     """The focal lengths of the pairs :func:`focal_from_pair` accepts, at least ``min_pairs``."""
     finite = pairs.finite
-    radicand = _radicands(pairs.first[finite], pairs.second[finite], principal_point)
-    focals = np.sqrt(radicand[~(radicand <= 0.0) & ~(radicand < epsilon * epsilon)])
+    radicand, imaginary, near_zero = _focal_rule(
+        pairs.first[finite], pairs.second[finite], principal_point, epsilon)
+    focals = np.sqrt(radicand[~imaginary & ~near_zero])
     if len(focals) < min_pairs:
         raise InsufficientPairs(
             f"{len(focals)} usable pairs for focal estimation, need {min_pairs}"
@@ -406,6 +411,22 @@ def plane_normal_from_horizon(horizon, intrinsics: CameraIntrinsics) -> np.ndarr
     return n
 
 
+def _plane_points(points: np.ndarray, calibration: CameraCalibration) -> tuple[np.ndarray, ...]:
+    """The road-plane point of each ``(n, 2)`` image point, and where it has
+    one, as :func:`project_to_plane` rules; elsewhere the point is meaningless."""
+    p = calibration.intrinsics.principal_point
+    rays = np.concatenate([points - p, np.full((len(points), 1), calibration.intrinsics.f)], axis=1)
+    n = calibration.plane_normal
+    depth = row_dots(rays, np.broadcast_to(n, rays.shape))
+    limit = 1e-9 * np.linalg.norm(rays, axis=1) * np.linalg.norm(n)
+    on_plane = ~(depth > -limit)
+    return -(calibration.delta / np.where(on_plane, depth, -1.0))[:, None] * rays, on_plane
+
+
+_ON_HORIZON = ("point lies on, too near or beyond the horizon: "
+              "its ray meets the road plane behind the camera or nowhere")
+
+
 def project_to_plane(point, calibration: CameraCalibration) -> np.ndarray:
     """Back-project frame pixels onto the road plane ``Q . n = -delta``.
 
@@ -414,20 +435,10 @@ def project_to_plane(point, calibration: CameraCalibration) -> np.ndarray:
     at all is rejected: for ``n_y < 0``, as :func:`calibrate` gives, one on,
     too near or above the horizon.
     """
-    pts = as_points_2d(point, "point")
-    single = np.asarray(point, dtype=float).ndim == 1
-    p = calibration.intrinsics.principal_point
-    rays = np.concatenate(
-        [pts - p, np.full((len(pts), 1), calibration.intrinsics.f)], axis=1
-    )
-    n = calibration.plane_normal
-    depth = rays @ n
-    limit = 1e-9 * np.linalg.norm(rays, axis=1) * np.linalg.norm(n)
-    if np.any(depth > -limit):
-        raise PointOnHorizon("point lies on, too near or beyond the horizon: "
-                             "its ray meets the road plane behind the camera or nowhere")
-    out = -(calibration.delta / depth)[:, None] * rays
-    return out[0] if single else out
+    points, on_plane = _plane_points(as_points_2d(point, "point"), calibration)
+    if not on_plane.all():
+        raise PointOnHorizon(_ON_HORIZON)
+    return points[0] if np.asarray(point, dtype=float).ndim == 1 else points
 
 
 def calibrate(

@@ -133,7 +133,9 @@ def _detections_text(observations: SyntheticObservations) -> str:
     """
     n = len(observations)
     pairs = observations.pairs
-    columns = [10 * np.arange(n), *observations.boxes.T, 1.0 - 1e-4 * np.arange(n)]
+    # 1e-4 lower per vehicle, and 0 from vehicle 10,000 on
+    confidence = np.maximum(1.0 - 1e-4 * np.arange(n), 0.0)
+    columns = [10 * np.arange(n), *observations.boxes.T, confidence]
     for name, end, is_direction in (("vp_first", pairs.first, pairs.first_is_direction),
                                     ("vp_second", pairs.second, pairs.second_is_direction)):
         value = frame_to_box(end, is_direction, observations.boxes)

@@ -14,12 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import LENGTH_RANGE, as_point, check_real
-from .calibration import CameraCalibration, project_to_plane
-from .errors import (
-    InsufficientMeasurements,
-    PointOnHorizon,
-    UnprojectablePoint,
-)
+from .calibration import _ON_HORIZON, CameraCalibration, _plane_points
+from .errors import InsufficientMeasurements, UnprojectablePoint
+from .projective import row_norms
 
 __all__ = [
     "DistanceMeasurement",
@@ -75,14 +72,20 @@ class CalibrationReport:
         return tuple(zip(self.pair_i.tolist(), self.pair_j.tolist(), self.errors.tolist()))
 
 
+def _distances(a, b, calibration: CameraCalibration) -> tuple[np.ndarray, np.ndarray]:
+    """The road-plane distance between the endpoints of each measurement, given
+    as ``(n, 2)`` rows ``a`` and ``b``, and where both endpoints project."""
+    points, on_plane = _plane_points(np.concatenate([a, b]), calibration)
+    n = len(a)
+    return row_norms(points[:n] - points[n:]), on_plane[:n] & on_plane[n:]
+
+
 def measured_distance(measurement: DistanceMeasurement, calibration: CameraCalibration) -> float:
     """Distance between the two endpoints after projection onto the road plane."""
-    try:
-        qa = project_to_plane(measurement.a, calibration)
-        qb = project_to_plane(measurement.b, calibration)
-    except PointOnHorizon as exc:
-        raise UnprojectablePoint(str(exc)) from exc
-    return float(np.linalg.norm(qa - qb))
+    (distance,), (projects,) = _distances(measurement.a[None], measurement.b[None], calibration)
+    if not projects:
+        raise UnprojectablePoint(_ON_HORIZON)
+    return float(distance)
 
 
 def ratio_error(i, j, measured, ground_truth):
@@ -105,23 +108,21 @@ def evaluate(
 ) -> CalibrationReport:
     """Mean ratio error over all measurement pairs.
 
-    Measurements with an unprojectable endpoint are skipped and counted, not
-    failed. ``pair_mode`` picks how the asymmetric per-pair error is
-    aggregated: every ordered pair (i, j), i != j (the default), the minimum
-    of the two orientations, or only the i < j orientation. The summation
-    order is fixed by measurement index, so results are deterministic.
+    Every endpoint is projected in one pass. Measurements with an
+    unprojectable endpoint are skipped and counted, not failed. ``pair_mode``
+    picks how the asymmetric per-pair error is aggregated: every ordered
+    pair (i, j), i != j (the default), the minimum of the two orientations,
+    or only the i < j orientation. The summation order is fixed by
+    measurement index, so results are deterministic.
     """
     if pair_mode not in PAIR_MODES:
         raise ValueError(f"pair_mode must be one of {PAIR_MODES}, got {pair_mode!r}")
-    measured, truth = [], []
-    n_skipped = 0
-    for m in measurements:
-        try:
-            measured.append(measured_distance(m, calibration))
-        except UnprojectablePoint:
-            n_skipped += 1
-            continue
-        truth.append(m.ground_truth)
+    measurements = list(measurements)
+    a = np.reshape([m.a for m in measurements], (-1, 2))
+    b = np.reshape([m.b for m in measurements], (-1, 2))
+    distance, projects = _distances(a, b, calibration)
+    measured = distance[projects]
+    truth = np.array([m.ground_truth for m in measurements], dtype=float)[projects]
     if len(measured) < 2:
         raise InsufficientMeasurements(
             f"{len(measured)} projectable measurements, need at least 2"
@@ -142,6 +143,6 @@ def evaluate(
         errors=errors,
         mean_error=mean,
         n_measurements=len(measured),
-        n_skipped=n_skipped,
+        n_skipped=len(measurements) - len(measured),
         pair_mode=pair_mode,
     )

@@ -216,8 +216,8 @@ def box_to_frame(points, is_direction, boxes) -> np.ndarray:
     unit length. A zero-length or overflowing row comes out non-finite,
     without a warning.
     """
-    centre, half = bbox_arrays(boxes)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        centre, half = bbox_arrays(boxes)
         rows = np.asarray(points, dtype=float) * half
         rows[~is_direction] += centre[~is_direction]
         d = rows[is_direction]
@@ -228,8 +228,8 @@ def box_to_frame(points, is_direction, boxes) -> np.ndarray:
 def frame_to_box(points, is_direction, boxes) -> np.ndarray:
     """The inverse of :func:`box_to_frame`: :func:`bbox_normalize` row by row,
     and directions divided by the half sizes and scaled to unit length."""
-    centre, half = bbox_arrays(boxes)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        centre, half = bbox_arrays(boxes)
         rows = np.array(points, dtype=float)
         rows[~is_direction] -= centre[~is_direction]
         rows /= half

@@ -10,16 +10,17 @@ draws as numpy's ``default_rng(SeedSequence((seed, index)))``, so
 generation agrees bit for bit across platforms.
 
 A scene is generated by column: each step (seeding, placement with its
-rejection loop, vanishing points, boxes, noise, outliers) is one array pass
-over all vehicles, whose arithmetic is chosen to give the bits of the public
-scalar functions (``ground_point``, ``vehicle_vps``, ``vehicle_bbox_3d``
-with ``project_point``) that the tests take as the reference. A noisy
-10k-vehicle scene draws from about 19,000 substreams. On a 2-vCPU x86-64
-host their seed words take one pass of about 0.5 ms, numpy then builds each
-PCG64 and Generator in about 1.6 us, and the whole scene takes about
-0.06 s (0.19 s when numpy's SeedSequence hashed each stream). Of that, the
-scalar loop of the tape measurements takes some 13 ms; ``vpcalib synth``
-then spends some 35 ms formatting the detections.
+rejection loop, vanishing points, boxes, noise, outliers, tape
+measurements) is one array pass. Each camera rule is written once, as that
+column code; the public per-item functions (``project_point``,
+``ground_point``, ``project_direction``, ``vehicle_vps``,
+``vehicle_bbox_3d``) are one-row calls of it. A noisy 10k-vehicle scene
+draws from about 19,000 substreams. On a 2-vCPU x86-64 host their seed
+words take one pass of about 0.5 ms, numpy then builds each PCG64 and
+Generator in about 1.6 us, and the whole scene takes about 0.05 s (0.19 s
+when numpy's SeedSequence hashed each stream). Of that, 300 tape
+measurements take about 3 ms (13 ms when sampled one attempt at a time);
+``vpcalib synth`` then spends some 35 ms formatting the detections.
 """
 
 from __future__ import annotations
@@ -116,15 +117,8 @@ class SyntheticCamera:
 
     def project_direction(self, direction) -> np.ndarray | None:
         """Vanishing point of a world direction, or None if parallel to the image plane."""
-        d = self.rotation @ as_float_array(direction, "direction", (3,))
-        if abs(d[2]) < _DIRECTION_EPS * np.linalg.norm(d):
-            return None
-        return np.array(
-            [
-                self.f * d[0] / d[2] + self.principal_point[0],
-                self.f * d[1] / d[2] + self.principal_point[1],
-            ]
-        )
+        end, at_infinity = _direction_vps(self, as_float_array(direction, "direction", (3,))[None])
+        return None if at_infinity[0] else end[0]
 
     def image_direction(self, direction) -> np.ndarray:
         """Image-plane direction (for vanishing points at infinity)."""
@@ -134,15 +128,8 @@ class SyntheticCamera:
 
     def project_point(self, point_world) -> np.ndarray | None:
         """Pixel position of a world point, or None when behind the camera."""
-        q = self.rotation @ (as_float_array(point_world, "point", (3,)) - self.center)
-        if q[2] <= 1e-9:
-            return None
-        return np.array(
-            [
-                self.f * q[0] / q[2] + self.principal_point[0],
-                self.f * q[1] / q[2] + self.principal_point[1],
-            ]
-        )
+        pixel, visible = _project(self, as_float_array(point_world, "point", (3,)))
+        return pixel if visible else None
 
     def ground_point(self, pixel, max_range: float = 500.0) -> np.ndarray | None:
         """World road-plane point seen at a pixel, or None above the horizon.
@@ -151,22 +138,8 @@ class SyntheticCamera:
         camera foot, which keeps near-horizon pixels from producing
         kilometre-scale geometry.
         """
-        pixel = as_float_array(pixel, "pixel", (2,))
-        ray_cam = np.array(
-            [
-                (pixel[0] - self.principal_point[0]) / self.f,
-                (pixel[1] - self.principal_point[1]) / self.f,
-                1.0,
-            ]
-        )
-        ray_world = self.rotation.T @ ray_cam
-        if ray_world[2] >= -1e-12:
-            return None
-        t = self.height / -ray_world[2]
-        point = self.center + t * ray_world
-        if np.hypot(point[0], point[1]) > max_range:
-            return None
-        return np.array([point[0], point[1], 0.0])
+        (xy,) = _ground_points(self, as_float_array(pixel, "pixel", (2,))[None], max_range)
+        return None if np.isnan(xy[0]) else np.append(xy, 0.0)
 
 
 @dataclass(frozen=True)
@@ -264,34 +237,15 @@ def vehicle_vps(camera: SyntheticCamera, vehicle: SyntheticVehicle) -> VPPair:
     infinity; the pair member is then flagged and carries the unit image
     direction instead of a position.
     """
-    heading = np.array([np.cos(vehicle.heading), np.sin(vehicle.heading), 0.0])
-    axle = np.array([-np.sin(vehicle.heading), np.cos(vehicle.heading), 0.0])
-    first = camera.project_direction(heading)
-    second = camera.project_direction(axle)
-    return VPPair(
-        first=first if first is not None else camera.image_direction(heading),
-        second=second if second is not None else camera.image_direction(axle),
-        first_is_direction=first is None,
-        second_is_direction=second is None,
-    )
+    first, second, first_is_direction, second_is_direction = _vehicle_pairs(
+        camera, np.array([vehicle.heading], dtype=float))
+    return VPPair(first[0], second[0], bool(first_is_direction[0]), bool(second_is_direction[0]))
 
 
 def vehicle_bbox_3d(vehicle: SyntheticVehicle) -> np.ndarray:
     """World coordinates of the vehicle's eight cuboid corners."""
-    length, width, height = vehicle.dims
-    c, s = np.cos(vehicle.heading), np.sin(vehicle.heading)
-    corners = []
-    for dx in (-length / 2, length / 2):
-        for dy in (-width / 2, width / 2):
-            for dz in (0.0, height):
-                corners.append(
-                    [
-                        vehicle.position[0] + dx * c - dy * s,
-                        vehicle.position[1] + dx * s + dy * c,
-                        dz,
-                    ]
-                )
-    return np.array(corners)
+    heading, dims = np.array([vehicle.heading], dtype=float), np.array([vehicle.dims], dtype=float)
+    return _corners(vehicle.position[None], heading, dims)[0]
 
 
 def ground_truth_calibration(camera: SyntheticCamera) -> CameraCalibration:
@@ -403,10 +357,10 @@ _PLACEMENT_TRIES = 256
 
 
 def _project(camera: SyntheticCamera, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`SyntheticCamera.project_point` of each ``(..., 3)`` world point, bit for bit.
+    """The pixel of each ``(..., 3)`` world point, and where it is in front of the camera.
 
-    Returns the pixels and where they are in front of the camera; elsewhere
-    the pixel is meaningless (``project_point`` gives None).
+    Elsewhere the pixel is meaningless (:meth:`SyntheticCamera.project_point`
+    gives None).
     """
     q = np.matmul(camera.rotation, (points - camera.center)[..., None])[..., 0]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -415,13 +369,17 @@ def _project(camera: SyntheticCamera, points: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _ground_points(camera: SyntheticCamera, pixels: np.ndarray, max_range: float) -> np.ndarray:
-    """:meth:`SyntheticCamera.ground_point` ``(x, y)`` of each pixel row, bit for bit; NaN for None."""
+    """The road-plane ``(x, y)`` seen at each ``(N, 2)`` pixel.
+
+    NaN where the pixel's ray does not point down (at or above the horizon)
+    or meets the road farther than ``max_range`` from the camera foot.
+    """
     p = camera.principal_point
     rays = np.stack(
         [(pixels[:, 0] - p[0]) / camera.f, (pixels[:, 1] - p[1]) / camera.f, np.ones(len(pixels))],
         axis=1,
     )
-    # the transposed view, as ground_point multiplies: a contiguous copy rounds differently
+    # the transposed view: a contiguous copy of it rounds differently
     rays = np.matmul(camera.rotation.T, rays[:, :, None])[:, :, 0]
     down = np.flatnonzero(rays[:, 2] < -1e-12)
     xy = 0.0 + (camera.height / -rays[down, 2])[:, None] * rays[down, :2]
@@ -465,24 +423,43 @@ def _place_vehicles(
     return position, 2.0 * np.pi * window[:, 2], dims_low + (dims_high - dims_low) * window[:, 3:]
 
 
+def _direction_vps(camera: SyntheticCamera, directions: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The vanishing point of each ``(N, 3)`` world direction, and where it is at infinity.
+
+    A direction at infinity (parallel to the image plane) gets its unit
+    image direction in place of a point.
+    """
+    d = np.matmul(camera.rotation, directions[:, :, None])[:, :, 0]
+    at_infinity = np.abs(d[:, 2]) < _DIRECTION_EPS * row_norms(d)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        end = camera.f * d[:, :2] / d[:, 2:] + camera.principal_point
+    d = d[at_infinity, :2]
+    end[at_infinity] = d / row_norms(d)[:, None]
+    return end, at_infinity
+
+
 def _vehicle_pairs(camera: SyntheticCamera, heading: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`vehicle_vps` of each heading as pair columns, bit for bit.
+    """The vanishing points of each heading and its axle, as pair columns.
 
     Returns ``(first, second, first_is_direction, second_is_direction)``.
     """
     c, s = np.cos(heading), np.sin(heading)
     zero = np.zeros_like(heading)
-    columns = []
-    for direction in (np.stack([c, s, zero], axis=1), np.stack([-s, c, zero], axis=1)):
-        d = np.matmul(camera.rotation, direction[:, :, None])[:, :, 0]
-        at_infinity = np.abs(d[:, 2]) < _DIRECTION_EPS * row_norms(d)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            end = camera.f * d[:, :2] / d[:, 2:] + camera.principal_point
-        d = d[at_infinity, :2]
-        end[at_infinity] = d / row_norms(d)[:, None]
-        columns += [end, at_infinity]
-    first, first_is_direction, second, second_is_direction = columns
+    first, first_is_direction = _direction_vps(camera, np.stack([c, s, zero], axis=1))
+    second, second_is_direction = _direction_vps(camera, np.stack([-s, c, zero], axis=1))
     return first, second, first_is_direction, second_is_direction
+
+
+def _corners(position: np.ndarray, heading: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """``(N, 8, 3)`` world corners of the vehicles' cuboids, in the order dx, dy, dz."""
+    c, s = np.cos(heading)[:, None, None, None], np.sin(heading)[:, None, None, None]
+    length, width, height = dims.T
+    dx = np.stack([-length / 2, length / 2], axis=1)[:, :, None, None]
+    dy = np.stack([-width / 2, width / 2], axis=1)[:, None, :, None]
+    dz = np.stack([np.zeros_like(height), height], axis=1)[:, None, None, :]
+    x = position[:, 0, None, None, None] + dx * c - dy * s
+    y = position[:, 1, None, None, None] + dx * s + dy * c
+    return np.stack(np.broadcast_arrays(x, y, dz), axis=-1).reshape(-1, 8, 3)
 
 
 def _image_boxes(
@@ -495,14 +472,7 @@ def _image_boxes(
     the box is 100 px square around the projected position (or the
     principal point, if that is behind the camera too).
     """
-    c, s = np.cos(heading)[:, None, None, None], np.sin(heading)[:, None, None, None]
-    length, width, height = dims.T
-    dx = np.stack([-length / 2, length / 2], axis=1)[:, :, None, None]
-    dy = np.stack([-width / 2, width / 2], axis=1)[:, None, :, None]
-    dz = np.stack([np.zeros_like(height), height], axis=1)[:, None, None, :]
-    x = position[:, 0, None, None, None] + dx * c - dy * s
-    y = position[:, 1, None, None, None] + dx * s + dy * c
-    corners = np.stack(np.broadcast_arrays(x, y, dz), axis=-1).reshape(-1, 8, 3)
+    corners = _corners(position, heading, dims)
     pixels, visible = _project(camera, corners)
     low, high = pixels.min(axis=1), pixels.max(axis=1)
     boxes = np.concatenate([low, high], axis=1)
@@ -630,37 +600,47 @@ def generate_scene(
     return observations.pairs, measurements, truth
 
 
+# The most sampler attempts drawn and tested at once: n_measurements has no bound.
+_MEASUREMENT_BATCH = 4096
+
+
 def _measurements(spec: SceneSpec, camera: SyntheticCamera) -> list[DistanceMeasurement]:
-    # tape measurements between ground points sampled through the image, so
-    # any camera that sees road surface at all can be evaluated
+    """Tape measurements between ground points sampled through the image, so
+    that any camera that sees road surface at all can be evaluated.
+
+    Attempt ``k`` draws the pixels ``pa`` and ``pb`` from stream
+    ``(seed, 10**6 + 1)``. It fails where either sees no road within range,
+    where their ground points lie under 1 m apart, or where either projects
+    behind the camera (with a tiny ``f``, a ray lies almost in the image
+    plane). The first ``n_measurements`` passing attempts of at most
+    ``500 * n_measurements`` are kept. Attempts come in batches of twice the
+    measurements still missing; the stream serves nothing else, so draws
+    past the last attempt used are harmless.
+    """
     (rng,) = _substreams(spec.seed, [10**6 + 1])
     w, h = camera.image_size
-    out: list[DistanceMeasurement] = []
-    attempts = 0
+    low, high = [0.05 * w, 0.05 * h] * 2, [0.95 * w, 0.95 * h] * 2
     max_range = 60.0 * camera.height
-    while len(out) < spec.n_measurements and attempts < 500 * spec.n_measurements:
-        attempts += 1
-        pa = rng.uniform([0.05 * w, 0.05 * h], [0.95 * w, 0.95 * h])
-        pb = rng.uniform([0.05 * w, 0.05 * h], [0.95 * w, 0.95 * h])
-        a_world = camera.ground_point(pa, max_range)
-        b_world = camera.ground_point(pb, max_range)
-        if a_world is None or b_world is None:
-            continue
-        distance = float(np.linalg.norm(a_world - b_world))
-        if distance < 1.0:
-            continue
-        a = camera.project_point(a_world)
-        b = camera.project_point(b_world)
-        # with a tiny f, a ray lies almost in the image plane, and its
-        # ground point can round to behind the camera
-        if a is None or b is None:
-            continue
-        out.append(DistanceMeasurement(a, b, distance))
-    if len(out) < spec.n_measurements:
+    kept, n_kept, budget = [], 0, 500 * spec.n_measurements
+    while n_kept < spec.n_measurements and budget > 0:
+        k = min(2 * (spec.n_measurements - n_kept), _MEASUREMENT_BATCH, budget)
+        budget -= k
+        # each row: pa, then pb
+        ground = _ground_points(camera, rng.uniform(low, high, (k, 4)).reshape(-1, 2), max_range)
+        ends = np.concatenate([ground, np.zeros((2 * k, 1))], axis=1).reshape(k, 2, 3)
+        distance = row_norms(ends[:, 0] - ends[:, 1])
+        pixels, visible = _project(camera, ends)
+        # a pixel that sees no road in range makes the distance NaN, which fails
+        passed = (distance >= 1.0) & visible.all(axis=1)
+        kept.append(np.concatenate([pixels.reshape(k, 4), distance[:, None]], axis=1)[passed])
+        n_kept += len(kept[-1])
+    if n_kept < spec.n_measurements:
         raise InsufficientMeasurements(
             f"a camera at tilt_deg={spec.tilt_deg} sees too little road for the measurements"
         )
-    return out
+    rows = np.concatenate([np.empty((0, 5)), *kept])[: spec.n_measurements]
+    return [DistanceMeasurement(a, b, d)
+            for a, b, d in zip(rows[:, :2], rows[:, 2:4], rows[:, 4].tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,17 @@ class TestCalibrate:
         with pytest.raises(InsufficientPairs):
             calibrate(pairs, (1920, 1080), min_pairs=5)
 
+    def test_near_zero_focal_pairs_are_rejected(self):
+        # real focal lengths of 0.5 and 0.995 px: below the 1 px floor
+        tiny = [pair([0.5, 0], [-0.5, 0]), pair([0.99, 0], [-1.0, 0])]
+        for p in tiny:
+            with pytest.raises(NearZeroFocal):
+                focal_from_pair(p, [0.0, 0.0])
+        pairs = [pair([100 + k, 0], [-(100 + k), 0]) for k in range(5)] + tiny
+        cal = calibrate(pairs, None, principal_point=[0.0, 0.0])
+        assert (cal.n_pairs_used, cal.n_pairs_rejected) == (5, 2)
+        assert cal.intrinsics.f == 102.0
+
     def test_global_rescaling_consistency(self):
         spec = SceneSpec(seed=9, n_vehicles=15)
         pairs, _, _ = generate_scene(spec)

@@ -79,6 +79,23 @@ class TestSynth:
         for file, digest in digests.items():
             assert hashlib.sha256((tmp_path / "out" / file).read_bytes()).hexdigest() == digest, file
 
+    def test_more_than_ten_thousand_vehicles_calibrate(self, tmp_path):
+        # confidences fall by 1e-4 per vehicle and stop at 0, so vehicles
+        # 10,001 and 10,002 keep one in [0, 1]
+        spec = tmp_path / "scene.json"
+        spec.write_text(json.dumps({"seed": 1, "n_vehicles": 10_002}))
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "detections.jsonl").read_text().splitlines()
+        confidence = [json.loads(line)["confidence"] for line in lines]
+        assert min(confidence) == confidence[10_000] == confidence[10_001] == 0.0
+        # synth writes frame 10 k, so the default frame cap would keep 150
+        config, out = tmp_path / "cfg.json", tmp_path / "cal.json"
+        config.write_text('{"max_frames": 1000000}')
+        assert main(["calibrate", "--detections", str(tmp_path / "detections.jsonl"),
+                     "--out", str(out), "--image-size", "1920", "1080",
+                     "--config", str(config)]) == 0
+        assert json.loads(out.read_text())["n_records"] == 10_002
+
 
 class TestCalibrate:
     def test_recovers_ground_truth(self, tmp_path, scene_dir):
@@ -696,6 +713,21 @@ class TestErrorPaths:
             ("delta-huge", "100,900,100.0000000001,900,1e55", "delta must be a finite"),
             ("endpoint-huge", "1e300,900,100,900,10", "magnitude <= 1e+50 px"),
         ]
+    })
+    # boxes whose size or centre overflows float64: the records drop, as
+    # other overflowing records do, and no warning is printed
+    BAD_INPUTS.update({
+        f"detections-box-{name}-{kind}": (
+            "calibrate", ["--detections", "det.jsonl"],
+            {"det.jsonl": "".join(json.dumps({"frame": 10 * k, "box": box, **first,
+                                              "vp_second": [-0.5, 0.2]}) + "\n"
+                                  for k in range(8))},
+            "InsufficientPairs", "0 usable pairs")
+        for name, box in [("width-overflows", [-1.7e308, 490, 1.7e308, 590]),
+                          ("height-overflows", [910, -1.7e308, 1010, 1.7e308]),
+                          ("centre-overflows", [1.53e308, 490, 1.7e308, 590])]
+        for kind, first in [("point", {"vp_first": [0.5, 0.1]}),
+                            ("direction", {"vp_first_direction": [1.0, 0.1]})]
     })
     BAD_INPUTS["scale-reference-above-the-horizon"] = (
         "calibrate", ["--scale-reference", "100,-1e6,100,900,10"], {}, "UnprojectablePoint",

@@ -13,6 +13,7 @@ from vpcalib.evaluation import (
     ratio_error,
 )
 from vpcalib.synthetic import SceneSpec, generate_scene
+from synthetic_reference import measured_distance as reference_distance
 
 
 @pytest.fixture
@@ -56,7 +57,8 @@ class TestRatioError:
             horizon=truth.horizon,
             plane_normal=truth.plane_normal,
         )
-        d = [measured_distance(m, wrong) for m in measurements]
+        # the one-measurement reference, which evaluate's columns must match
+        d = [reference_distance(m, wrong) for m in measurements]
         g = [m.ground_truth for m in measurements]
 
         def scalar(a, b):

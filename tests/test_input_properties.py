@@ -6,6 +6,7 @@ are derandomized and bounded, so the suite stays deterministic and quick.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -284,5 +285,75 @@ def test_synth_ends_in_a_scene_or_the_error_json(tmp_path_factory, edits):
         assert all(map(math.isfinite, numbers))
     else:
         assert code == 1 and not out.exists()
+        error = json.loads(stderr.getvalue())
+        assert set(error) == {"error", "message"}
+
+
+# A valid calibration and six tape measurements of a seed-3 scene, and what
+# may replace one or two of their values: extreme numbers, values just past
+# each bound, wrong types and endpoints above the horizon, whose
+# measurements are skipped.
+EVAL_SCENE = SceneSpec(seed=3, n_vehicles=40, n_measurements=6)
+EXTREME_EVAL = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e50, 1.0000000000000003e50, -1e50,
+    1e150, 1.0000000000000002e150, 1e-60, 9.999999999999998e-61, 1e60, 1.0000000000000001e60,
+])
+ABOVE_HORIZON = st.sampled_from([[960.0, -1e6], [500.0, -2000.0], [1e50, -1e50]])
+EVAL_VALUES = EXTREME_EVAL | st.floats() | st.floats(-2000.0, 3000.0) | st.integers(-3, 3) \
+    | WRONG_TYPES | ABOVE_HORIZON
+# (file, key path): every calibration field and entry, and every field and
+# coordinate of the first two measurements
+EVAL_SITES = [("calibration", (field,)) for field in ("f", "principal_point", "horizon", "normal",
+                                                      "delta", "n_pairs_used", "n_pairs_rejected")]
+EVAL_SITES += [("calibration", (field, k)) for field, n in (("principal_point", 2), ("horizon", 3),
+                                                             ("normal", 3)) for k in range(n)]
+EVAL_SITES += [("measurements", (m, field)) for m in range(2) for field in ("a", "b", "distance")]
+EVAL_SITES += [("measurements", (m, field, k))
+               for m in range(2) for field in "ab" for k in range(2)]
+EVAL_EDITS = st.lists(st.tuples(st.sampled_from(EVAL_SITES), EVAL_VALUES), min_size=1, max_size=2)
+
+
+@pytest.fixture(scope="module")
+def evaluate_inputs():
+    _, measurements, truth = generate_observations(EVAL_SCENE)
+    items = [{"a": m.a.tolist(), "b": m.b.tolist(), "distance": m.ground_truth}
+             for m in measurements]
+    return {"calibration": truth.to_dict(), "measurements": items}
+
+
+@BOUNDED
+@given(edits=EVAL_EDITS)
+@example(edits=[(("measurements", (0, "b")), [960.0, -1e6])])
+@example(edits=[(("calibration", ("delta",)), 1.0000000000000001e60),
+                (("measurements", (1, "a", 0)), 1.0000000000000003e50)])
+@example(edits=[(("calibration", ("normal", 2)), 1e150), (("calibration", ("f",)), 5e-324)])
+def test_evaluate_ends_in_a_report_or_the_error_json(evaluate_inputs, tmp_path_factory, edits):
+    directory = tmp_path_factory.mktemp("evaluate", numbered=True)
+    inputs = copy.deepcopy(evaluate_inputs)
+    for (name, path), value in edits:
+        *keys, last = path
+        target = inputs[name]
+        for key in keys:
+            target = target[key]
+        # an entry of a value that the other edit replaced by a scalar or a shorter list is gone
+        if isinstance(target, dict) or isinstance(target, list) and last < len(target):
+            target[last] = copy.deepcopy(value)
+    for name, data in inputs.items():
+        (directory / f"{name}.json").write_text(json.dumps(data))
+    out = directory / "report.json"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = cli.main(["evaluate", "--calibration", str(directory / "calibration.json"),
+                         "--measurements", str(directory / "measurements.json"),
+                         "--out", str(out)])
+    if code == 0:
+        assert stderr.getvalue() == ""
+        report = json.loads(out.read_text(), parse_constant=float)
+        assert report["n_measurements"] + report["n_skipped"] == EVAL_SCENE.n_measurements
+        assert all(map(math.isfinite, _numbers(report)))
+    else:
+        assert code == 1 and not out.exists() and stdout.getvalue() == ""
         error = json.loads(stderr.getvalue())
         assert set(error) == {"error", "message"}

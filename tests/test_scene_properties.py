@@ -1,9 +1,11 @@
 """Property test: the columnar scene generator gives the bits of a per-vehicle loop.
 
 ``generate_observations`` builds every vehicle of a scene in array passes.
-The reference below builds them one at a time from the public scalar
-functions (``ground_point`` with its retry loop, ``vehicle_vps``,
-``vehicle_bbox_3d`` with ``project_point``) and the same seeded streams;
+The reference below builds them one at a time from the scalar bodies in
+``tests/synthetic_reference.py`` (``ground_point`` with its retry loop,
+``vehicle_vps``, ``vehicle_bbox_3d`` with ``project_point``), not from the
+public functions, which are one-row calls of the column code under test,
+and from the same seeded streams;
 every position, heading, dimension, box and vanishing point must agree bit
 for bit. The specs cover rejected first pixels (low tilt), direction-only
 vanishing points (a camera looking straight down) and fallback boxes (short
@@ -23,14 +25,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import synthetic_reference as ref  # noqa: E402
 from vpcalib.calibration import VPPair  # noqa: E402
 from vpcalib.synthetic import (  # noqa: E402
     SceneSpec,
     SyntheticVehicle,
     generate_observations,
     make_camera,
-    vehicle_bbox_3d,
-    vehicle_vps,
 )
 
 BOUNDED = settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -47,7 +48,7 @@ def _reference_vehicle(spec, camera, k, kinds):
     ground = None
     for attempt in range(256):
         pixel = rng.uniform([0.1 * w, 0.1 * h], [0.9 * w, 0.9 * h])
-        ground = camera.ground_point(pixel, max_range=60.0 * camera.height)
+        ground = ref.ground_point(camera, pixel, max_range=60.0 * camera.height)
         if ground is not None:
             break
     kinds["rejected first pixel"] += attempt > 0
@@ -57,7 +58,7 @@ def _reference_vehicle(spec, camera, k, kinds):
     dims = (rng.uniform(3.8, 5.2), rng.uniform(1.6, 2.0), rng.uniform(1.3, 1.8))
     vehicle = SyntheticVehicle(ground[:2], heading, dims)
 
-    pair = vehicle_vps(camera, vehicle)
+    pair = ref.vehicle_vps(camera, vehicle)
     kinds["direction-only pair"] += not pair.finite
     if spec.noise_sigma_px > 0 and pair.finite:
         noise = _stream(spec.seed, 2 * spec.n_vehicles + k)
@@ -66,7 +67,7 @@ def _reference_vehicle(spec, camera, k, kinds):
             second=pair.second + noise.normal(0.0, spec.noise_sigma_px, 2),
         )
 
-    corners = [camera.project_point(c) for c in vehicle_bbox_3d(vehicle)]
+    corners = [ref.project_point(camera, c) for c in ref.vehicle_bbox_3d(vehicle)]
     box = None
     if all(p is not None for p in corners):
         (x0, y0), (x1, y1) = np.min(corners, axis=0), np.max(corners, axis=0)
@@ -74,7 +75,7 @@ def _reference_vehicle(spec, camera, k, kinds):
             box = (x0, y0, x1, y1)
     if box is None:
         kinds["fallback box"] += 1
-        anchor = camera.project_point(np.array([ground[0], ground[1], 0.0]))
+        anchor = ref.project_point(camera, np.array([ground[0], ground[1], 0.0]))
         cx, cy = anchor if anchor is not None else camera.principal_point
         box = (cx - 50.0, cy - 50.0, cx + 50.0, cy + 50.0)
     return vehicle, pair, box
