@@ -17,7 +17,7 @@ class DegenerateInput(VPCalibError, ValueError):
 
 
 class InvalidScale(VPCalibError, ValueError):
-    """Scale factor must be strictly positive and finite."""
+    """Scale factor must be a positive, finite, normal number."""
 
 
 class OutOfDiamond(VPCalibError, ValueError):

@@ -23,6 +23,11 @@ float32 as DVP files store it.
 The decode works in box coordinates; :func:`box_to_frame` and its inverse
 :func:`frame_to_box` are the one array form of the box <-> frame convention.
 
+Each decode and box rule is written once, as that array code; the scalar
+functions (:func:`decode_heatmap`, :func:`accuracy_measure`, the
+:class:`BBox` helpers) are its one-grid or one-box calls. The tests hold
+them, bit for bit, to the scalar bodies kept in ``tests/diamond_reference.py``.
+
 Grid convention: ``values[row, col]`` with the rotated coordinates
 ``u = X + Y`` (column axis) and ``v = Y - X`` (row axis), each spanning
 [-1, 1] across pixel centres ``0 .. resolution - 1``.
@@ -42,7 +47,6 @@ from .errors import (
     AllScalesDegenerate,
     DegeneratePeak,
     EmptyHeatmap,
-    InvalidScale,
     OutOfDiamond,
 )
 
@@ -117,23 +121,14 @@ class BBox:
 
     @property
     def center(self) -> np.ndarray:
-        return np.array([(self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0])
+        return bbox_arrays([self])[0][0]
 
     @property
     def half_size(self) -> np.ndarray:
-        return np.array([(self.x_max - self.x_min) / 2.0, (self.y_max - self.y_min) / 2.0])
+        return bbox_arrays([self])[1][0]
 
     def iou(self, other: "BBox") -> float:
-        ix = min(self.x_max, other.x_max) - max(self.x_min, other.x_min)
-        iy = min(self.y_max, other.y_max) - max(self.y_min, other.y_min)
-        if ix <= 0 or iy <= 0:
-            return 0.0
-        inter = ix * iy
-        area = (self.x_max - self.x_min) * (self.y_max - self.y_min)
-        area_o = (other.x_max - other.x_min) * (other.y_max - other.y_min)
-        union = area + area_o - inter
-        # areas that underflow to zero or overflow leave no usable union
-        return inter / union if union > 0 else 0.0
+        return float(_ious(np.array([self.as_tuple()]), np.array([other.as_tuple()]))[0])
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
@@ -180,28 +175,50 @@ class VPDetection:
 
 
 def bbox_normalize(points, box: BBox) -> np.ndarray:
-    """Frame pixels -> box coordinates (centre at origin, corners at (+-1, +-1))."""
-    pts = np.asarray(points, dtype=float)
-    return (pts - box.center) / box.half_size
+    """Frame pixels -> box coordinates (centre at origin, corners at (+-1, +-1)):
+    :func:`frame_to_box` of any ``(..., 2)`` points in the one box."""
+    return _in_one_box(frame_to_box, points, box)
 
 
 def bbox_denormalize(points, box: BBox) -> np.ndarray:
-    """Inverse of :func:`bbox_normalize`."""
-    pts = np.asarray(points, dtype=float)
-    return pts * box.half_size + box.center
+    """Inverse of :func:`bbox_normalize`: :func:`box_to_frame` in the one box."""
+    return _in_one_box(box_to_frame, points, box)
+
+
+def _in_one_box(convert, points, box: BBox) -> np.ndarray:
+    rows = np.asarray(points, dtype=float).reshape(-1, 2)
+    boxes = np.broadcast_to(np.array(box.as_tuple()), (len(rows), 4))
+    return convert(rows, np.zeros(len(rows), dtype=bool), boxes).reshape(np.shape(points))
+
+
+def _ious(current, previous) -> np.ndarray:
+    """:meth:`BBox.iou` of each row of two ``(P, 4)`` arrays of :meth:`BBox.as_tuple`
+    rows; 0 where the boxes do not overlap or (as areas that underflow to zero
+    or overflow leave it) their union is not above 0."""
+    with np.errstate(all="ignore"):
+        ix = np.minimum(current[:, 2], previous[:, 2]) - np.maximum(current[:, 0], previous[:, 0])
+        iy = np.minimum(current[:, 3], previous[:, 3]) - np.maximum(current[:, 1], previous[:, 1])
+        inter = ix * iy
+        area = (current[:, 2] - current[:, 0]) * (current[:, 3] - current[:, 1])
+        area_o = (previous[:, 2] - previous[:, 0]) * (previous[:, 3] - previous[:, 1])
+        union = area + area_o - inter
+        iou = inter / union
+    return np.where((ix > 0) & (iy > 0) & (union > 0), iou, 0.0)
 
 
 def bbox_arrays(boxes) -> tuple[np.ndarray, np.ndarray]:
-    """``(N, 2)`` centres and half sizes of ``boxes``, bit for bit their
-    :attr:`BBox.center` and :attr:`BBox.half_size`.
+    """``(N, 2)`` centres and half sizes of ``boxes``: :attr:`BBox.center` and
+    :attr:`BBox.half_size` are its one-box call.
 
     ``boxes`` is a sequence of :class:`BBox` or an ``(N, 4)`` array of their
-    :meth:`BBox.as_tuple` rows.
+    :meth:`BBox.as_tuple` rows. An extent past float64 comes out infinite,
+    without a warning.
     """
     if not isinstance(boxes, np.ndarray):
         boxes = [box.as_tuple() for box in boxes]
     corners = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    return (corners[:, :2] + corners[:, 2:]) / 2.0, (corners[:, 2:] - corners[:, :2]) / 2.0
+    with np.errstate(over="ignore"):
+        return (corners[:, :2] + corners[:, 2:]) / 2.0, (corners[:, 2:] - corners[:, :2]) / 2.0
 
 
 def bbox_denormalize_direction(direction, box: BBox) -> np.ndarray:
@@ -210,11 +227,12 @@ def bbox_denormalize_direction(direction, box: BBox) -> np.ndarray:
 
 
 def box_to_frame(points, is_direction, boxes) -> np.ndarray:
-    """:func:`bbox_denormalize` of each ``(N, 2)`` row in its box (``boxes`` as
-    :func:`bbox_arrays` takes them). A row where the mask ``is_direction`` is
-    set is a direction: :func:`bbox_denormalize_direction` of it, scaled to
-    unit length. A zero-length or overflowing row comes out non-finite,
-    without a warning.
+    """Box coordinates -> frame pixels, for each ``(N, 2)`` row in its box
+    (``boxes`` as :func:`bbox_arrays` takes them): the row times the half
+    size, plus the centre. A row where the mask ``is_direction`` is set is a
+    direction: times the half size (:func:`bbox_denormalize_direction`),
+    scaled to unit length. A zero-length or overflowing row comes out
+    non-finite, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         centre, half = bbox_arrays(boxes)
@@ -226,8 +244,9 @@ def box_to_frame(points, is_direction, boxes) -> np.ndarray:
 
 
 def frame_to_box(points, is_direction, boxes) -> np.ndarray:
-    """The inverse of :func:`box_to_frame`: :func:`bbox_normalize` row by row,
-    and directions divided by the half sizes and scaled to unit length."""
+    """The inverse of :func:`box_to_frame`: each row less its box's centre,
+    over the half size, and directions over the half size, scaled to unit
+    length."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         centre, half = bbox_arrays(boxes)
         rows = np.array(points, dtype=float)
@@ -381,17 +400,14 @@ def decode_heatmap(
     Returns ``((i, j), candidates)`` where ``candidates`` is an (n, 2) int
     array in row-major order containing every cell with value at least
     ``peak_ratio`` times the maximum; the argmax tie-break is the first cell
-    in row-major order and is always a member of ``candidates``.
+    in row-major order and is always a member of ``candidates``. This is the
+    one-grid call of the near-maximum search of :func:`decode_stack`.
     """
     _check_peak_ratio(peak_ratio)
-    values = np.maximum(heatmap.values, 0.0)
-    top = values.max()
-    if top <= 0.0:
+    top, row, col, near = _near_maximum(heatmap.values[None, None], peak_ratio)
+    if top[0, 0] <= 0.0:
         raise EmptyHeatmap("all heatmap values are zero")
-    flat = int(np.argmax(values))
-    peak = (flat // heatmap.resolution, flat % heatmap.resolution)
-    candidates = np.argwhere(values >= peak_ratio * top)
-    return peak, candidates
+    return (int(row[0, 0]), int(col[0, 0])), np.argwhere(near[0, 0])
 
 
 def vp_of_pixel(
@@ -405,23 +421,8 @@ def vp_of_pixel(
     The returned triple may have ``w ~ 0`` for cells on the diamond boundary:
     those decode to directions rather than finite points.
     """
-    return pj.scale_point(np.stack(_unscaled_vp_of_pixel(row, col, resolution), axis=-1),
-                          1.0 / scale)
-
-
-def _unscaled_vp_of_pixel(row, col, resolution: int) -> tuple[np.ndarray, ...]:
-    """:func:`vp_of_pixel` before the division by the scale, as ``(x, y, w)``.
-
-    A position outside the diamond is first shrunk radially onto its
-    boundary (multiplied by ``1 / (|X| + |Y|)``).
-    """
-    X, Y = _diamond_of(np.asarray(row, dtype=float), np.asarray(col, dtype=float), resolution)
-    absum = np.abs(X) + np.abs(Y)
-    outside = absum > 1.0
-    if np.any(outside):
-        factor = np.where(outside, 1.0 / np.maximum(absum, 1e-300), 1.0)
-        X, Y = X * factor, Y * factor
-    return pj.from_diamond_columns(X, Y, 1.0)
+    pj.check_scale(scale)
+    return np.stack(_vp_by_scale((scale,), 0, row, col, resolution), axis=-1)
 
 
 def _finite_xy(x, y, w) -> tuple[np.ndarray, np.ndarray]:
@@ -447,29 +448,25 @@ def accuracy_measure(heatmap: Heatmap, peak: tuple[int, int], candidates: np.nda
 
     Each candidate cell decodes to a vanishing point in box coordinates; the
     measure is the mean of ``|v - v_peak| / |v_peak|``. Cells decoding to
-    points at infinity are skipped (their spread is unbounded). When the peak
-    itself decodes to a direction, the spread is computed on unit direction
-    vectors instead, so a detection at infinity still gets a finite, zero-
-    when-unanimous uncertainty.
+    points at infinity are skipped (their spread is unbounded; inf if no
+    cell is left). When the peak itself decodes to a direction, the spread
+    is computed on unit direction vectors instead, so a detection at
+    infinity still gets a finite, zero-when-unanimous uncertainty. This is
+    the one-grid call of :func:`_spread`; candidates may be fractional.
     """
     cand = np.asarray(candidates, dtype=float)
     if cand.ndim != 2 or cand.shape[0] == 0:
         raise ValueError("candidates must be a nonempty (n, 2) array")
-    vph = vp_of_pixel(cand[:, 0], cand[:, 1], heatmap.scale, heatmap.resolution)
-    peak_vph = vp_of_pixel(float(peak[0]), float(peak[1]), heatmap.scale, heatmap.resolution)
-
-    if pj.is_ideal(peak_vph, IDEAL_EPS):
-        dirs = _directions(*vph.T)
-        peak_dir = _directions(*peak_vph)
-        return float(np.mean(np.linalg.norm(dirs - peak_dir, axis=1)))
-
-    peak_xy = pj.dehomogenize(peak_vph)
-    peak_norm = float(np.linalg.norm(peak_xy))
-    if peak_norm < CENTER_EPS:
+    # the candidates' points, then the peak's, as the rows of one table
+    rows = np.append(cand[:, 0], float(peak[0]))
+    cols = np.append(cand[:, 1], float(peak[1]))
+    points = _point_table(vp_of_pixel(rows, cols, heatmap.scale, heatmap.resolution))
+    ideal, norm = points[1][-1], points[2][-1]
+    if not ideal and norm < CENTER_EPS:
         raise DegeneratePeak("peak decodes to the bounding-box centre")
-    finite = ~pj.is_ideal(vph, IDEAL_EPS)
-    xy = pj.dehomogenize(vph[finite])
-    return float(np.mean(np.linalg.norm(xy - peak_xy, axis=1)) / peak_norm)
+    n = len(cand)
+    (spread,) = _spread(*points, np.arange(n), np.zeros(n, dtype=int), np.array([n]))
+    return float(spread)
 
 
 def quantization_radius(
@@ -515,12 +512,18 @@ def _quantization_radii(scales, s, r, c, resolution: int, edge_samples: int) -> 
 
 def _vp_by_scale(scales, index, rows, cols, resolution: int) -> tuple[np.ndarray, ...]:
     """:func:`vp_of_pixel` at ``(rows, cols)`` on the grid ``scales[index]``,
-    as ``(x, y, w)``.
+    as ``(x, y, w)``; ``index`` runs along the first axis of ``rows``.
 
-    ``index`` runs along the first axis of ``rows`` and ``cols``; the
-    product with the same ``1.0 / scale`` gives the same bits.
+    A position outside the diamond is first shrunk radially onto its
+    boundary (multiplied by ``1 / (|X| + |Y|)``).
     """
-    x, y, w = _unscaled_vp_of_pixel(rows, cols, resolution)
+    X, Y = _diamond_of(np.asarray(rows, dtype=float), np.asarray(cols, dtype=float), resolution)
+    absum = np.abs(X) + np.abs(Y)
+    outside = absum > 1.0
+    if np.any(outside):
+        factor = np.where(outside, 1.0 / np.maximum(absum, 1e-300), 1.0)
+        X, Y = X * factor, Y * factor
+    x, y, w = pj.from_diamond_columns(X, Y, 1.0)
     inverse = (1.0 / np.asarray(scales, dtype=float))[index]
     inverse = inverse.reshape(inverse.shape + (1,) * (x.ndim - inverse.ndim))
     return x * inverse, y * inverse, w
@@ -530,15 +533,10 @@ class _CellTables:
     """What a decode needs to know about the cells of one grid.
 
     A grid is a scale set and a resolution; the entries depend on the cell
-    alone, are indexed ``[scale index, row, col]`` and are computed with the
-    numpy operations of the scalar functions, so every entry equals what
-    they return. The point tables are built whole when the grid is first
-    used:
-
-    - ``vp``: :func:`vp_of_pixel` at the cell;
-    - ``ideal``: ``projective.is_ideal`` of it (a point at infinity);
-    - ``direction``: its unit direction from the box centre;
-    - ``norm``: the length of its dehomogenized point (NaN where ideal).
+    alone and are indexed ``[scale index, row, col]``. The point tables,
+    the :func:`_point_table` of each cell's :func:`vp_of_pixel` (``vp``,
+    ``ideal``, ``norm``, ``direction``), are built whole when the grid is
+    first used.
 
     ``radius``, :func:`quantization_radius` at its defaults, takes 36
     boundary points per cell, so :meth:`radii` fills it only for the cells
@@ -546,18 +544,13 @@ class _CellTables:
     """
 
     def __init__(self, scales: tuple[float, ...], resolution: int):
-        if not all(np.isfinite(s) and s > 0 for s in scales):
-            raise InvalidScale(f"scales must be positive and finite, got {scales}")
+        for s in scales:
+            pj.check_scale(s)
         self.scales = scales
         self.resolution = resolution
         shape = (len(scales), resolution, resolution)
-        x, y, w = _vp_by_scale(scales, *np.indices(shape), resolution)
-        self.vp = np.stack([x, y, w], axis=-1)
-        self.ideal = pj.is_ideal(self.vp, IDEAL_EPS)
-        self.norm = np.full(shape, np.nan)
-        finite = self.vp[~self.ideal]
-        self.norm[~self.ideal] = pj.row_norms(pj.dehomogenize(finite))
-        self.direction = _directions(x, y, w)
+        vp = np.stack(_vp_by_scale(scales, *np.indices(shape), resolution), axis=-1)
+        self.vp, self.ideal, self.norm, self.direction = _point_table(vp)
         self.radius = np.zeros(shape)
         self._has_radius = np.zeros(shape, dtype=bool)
 
@@ -601,32 +594,39 @@ def _run_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return means
 
 
-def _spreads(tables: _CellTables, near, usable, row, col, ideal, norm) -> np.ndarray:
-    """:func:`accuracy_measure` of every usable grid; inf elsewhere."""
-    n_scales = usable.shape[1]
-    cn, cs, cr, cc = np.unravel_index(np.flatnonzero(near & usable[:, :, None, None]), near.shape)
-    # a finite peak's spread skips candidates at infinity
-    use = ideal[cn, cs] | ~tables.ideal[cs, cr, cc]
-    cn, cs, cr, cc = cn[use], cs[use], cr[use], cc[use]
-    pr, pc = row[cn, cs], col[cn, cs]
-    dist = np.empty(len(cn))
-    on = ideal[cn, cs]
-    dist[on] = np.linalg.norm(
-        tables.direction[cs[on], cr[on], cc[on]] - tables.direction[cs[on], pr[on], pc[on]],
-        axis=1,
+def _point_table(vp) -> tuple[np.ndarray, ...]:
+    """What a spread takes of the homogeneous points ``vp`` (``(..., 3)``):
+    the points, where they lie at infinity (``projective.is_ideal``), the
+    length of each finite one's dehomogenized point (NaN at infinity) and
+    each one's unit direction from the box centre."""
+    ideal = pj.is_ideal(vp, IDEAL_EPS)
+    norm = np.full(ideal.shape, np.nan)
+    norm[~ideal] = pj.row_norms(pj.dehomogenize(vp[~ideal]))
+    return vp, ideal, norm, _directions(vp[..., 0], vp[..., 1], vp[..., 2])
+
+
+def _spread(vp, ideal, norm, direction, cells, grid, peaks) -> np.ndarray:
+    """:func:`accuracy_measure` of each of ``len(peaks)`` grids, from the rows
+    of a flat :func:`_point_table`: ``cells`` are the rows of the grids'
+    near-maximum cells, ``grid`` the grid of each, in order, and ``peaks``
+    the row of each grid's peak. Distances are between unit directions where
+    the peak lies at infinity, else between points, cells at infinity
+    skipped. A grid left with no cell gets inf, so it ranks last."""
+    peak = peaks[grid]
+    on = ideal[peak]
+    use = on | ~ideal[cells]
+    cells, grid, peak, on = cells[use], grid[use], peak[use], on[use]
+    dist = np.empty(len(cells))
+    dist[on] = np.linalg.norm(direction[cells[on]] - direction[peak[on]], axis=1)
+    off = ~on
+    dist[off] = np.linalg.norm(
+        pj.dehomogenize(vp[cells[off]]) - pj.dehomogenize(vp[peak[off]]), axis=1
     )
-    on = ~on
-    dist[on] = np.linalg.norm(
-        pj.dehomogenize(tables.vp[cs[on], cr[on], cc[on]])
-        - pj.dehomogenize(tables.vp[cs[on], pr[on], pc[on]]),
-        axis=1,
-    )
-    grid = cn * n_scales + cs
     starts = np.flatnonzero(np.diff(grid, prepend=-1))
-    spread = np.full(usable.shape, np.inf)
-    spread.flat[grid[starts]] = _run_means(dist, starts)
-    finite = usable & ~ideal
-    spread[finite] /= norm[finite]
+    spread = np.full(len(peaks), np.inf)
+    spread[grid[starts]] = _run_means(dist, starts)
+    finite = grid[starts[~on[starts]]]
+    spread[finite] /= norm[peaks[finite]]
     return spread
 
 
@@ -791,17 +791,20 @@ def _round_up(threshold: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
-def _peaks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _near_maximum(values: np.ndarray, peak_ratio) -> tuple[np.ndarray, ...]:
     """The maximum of each grid of an ``(N, S, R, R)`` stack, as float64 and
-    at least zero, and the ``(row, col)`` of its first cell in row-major order.
-
-    The maximum is read at the argmax rather than found in a second pass;
-    ``np.maximum`` with ``0.0`` turns a maximum of -0.0 into +0.0 either way.
+    at least zero (read at the argmax: -0.0 becomes +0.0), the ``(row, col)``
+    of its first cell in row-major order, and the mask of the cells at least
+    ``peak_ratio`` times the maximum, compared in the stack's own precision.
+    Negative responses count as zero, so all of them reach a zero threshold.
     """
     flat = values.reshape(values.shape[:2] + (values.shape[2] * values.shape[3],))
     peak = flat.argmax(axis=2)
-    top = np.take_along_axis(flat, peak[..., None], axis=2)[..., 0]
-    return (np.maximum(top, 0.0).astype(float),) + np.divmod(peak, values.shape[-1])
+    top = np.maximum(np.take_along_axis(flat, peak[..., None], axis=2)[..., 0], 0.0).astype(float)
+    threshold = peak_ratio * top
+    near = values >= _round_up(threshold, values.dtype)[:, :, None, None]
+    near[threshold == 0.0] = True
+    return (top, *np.divmod(peak, values.shape[-1]), near)
 
 
 def _decode_stack(values, scales, peak_ratio, sample_cells: _SampleCells):
@@ -825,13 +828,7 @@ def _decode_stack(values, scales, peak_ratio, sample_cells: _SampleCells):
     tables = _cell_tables(tuple(float(s) for s in scales), resolution)
     scale_index = np.broadcast_to(np.arange(n_scales), (n, n_scales))
 
-    # argmax and near-maximum cells of every grid (decode_heatmap): the cells
-    # at or above the float64 threshold, found in the stack's own precision;
-    # negative responses count as zero, so all of them reach a zero threshold
-    top, row, col = _peaks(values)
-    threshold = peak_ratio * top
-    near = values >= _round_up(threshold, values.dtype)[:, :, None, None]
-    near[threshold == 0.0] = True
+    top, row, col, near = _near_maximum(values, peak_ratio)
     nonempty = top > 0.0
 
     # skip empty grids and peaks on the box centre; rank the rest by spread,
@@ -839,7 +836,12 @@ def _decode_stack(values, scales, peak_ratio, sample_cells: _SampleCells):
     ideal = tables.ideal[scale_index, row, col]
     norm = tables.norm[scale_index, row, col]
     usable = nonempty & (ideal | (norm >= CENTER_EPS))
-    spread = _spreads(tables, near, usable, row, col, ideal, norm)
+    cn, cs, cr, cc = np.unravel_index(np.flatnonzero(near & usable[:, :, None, None]), near.shape)
+    cells = np.ravel_multi_index((cs, cr, cc), tables.ideal.shape)
+    peaks = np.ravel_multi_index((scale_index, row, col), tables.ideal.shape).ravel()
+    spread = _spread(tables.vp.reshape(-1, 3), tables.ideal.ravel(), tables.norm.ravel(),
+                     tables.direction.reshape(-1, 2), cells, cn * n_scales + cs, peaks)
+    spread = spread.reshape(n, n_scales)
     radius = np.full((n, n_scales), np.inf)
     radius[usable] = tables.radii(scale_index[usable], row[usable], col[usable])
     best = usable & (spread == spread.min(axis=1, keepdims=True))

@@ -48,6 +48,7 @@ from .heatmap import (
     DEFAULT_PEAK_RATIO,
     BBox,
     _decode_stack,
+    _ious,
     _SampleCells,
     box_to_frame,
     select_vp,  # noqa: F401  (kept importable from here: perfbench/tracing.py wraps it)
@@ -409,19 +410,6 @@ def _sampled_top(frames, confidence, config: PipelineConfig) -> np.ndarray:
     return rows[np.lexsort((rows, frames[rows]))]
 
 
-def _ious_above(current, previous, threshold) -> np.ndarray:
-    """Where ``BBox.iou`` of rows of two ``(P, 4)`` box arrays exceeds ``threshold``,
-    by its float operations."""
-    # boxes of infinite or underflowing area give NaN here, and no match
-    with np.errstate(all="ignore"):
-        ix = np.minimum(current[:, 2], previous[:, 2]) - np.maximum(current[:, 0], previous[:, 0])
-        iy = np.minimum(current[:, 3], previous[:, 3]) - np.maximum(current[:, 1], previous[:, 1])
-        inter = ix * iy
-        area = (current[:, 2] - current[:, 0]) * (current[:, 3] - current[:, 1])
-        area_o = (previous[:, 2] - previous[:, 0]) * (previous[:, 3] - previous[:, 1])
-        return (ix > 0) & (iy > 0) & (inter / (area + area_o - inter) > threshold)
-
-
 def _static_kept(boxes, frames, config: PipelineConfig) -> np.ndarray:
     """Mask of the rows that static suppression keeps, rows in (frame, input) order.
 
@@ -445,7 +433,7 @@ def _static_kept(boxes, frames, config: PipelineConfig) -> np.ndarray:
         b = max(a + 1, int(np.searchsorted(ends, base + _PAIRS, side="right")))
         cur = np.repeat(np.arange(a, b), count[a:b])
         prev = np.arange(base, ends[b - 1]) - np.repeat(ends[a:b] - count[a:b] - lo[a:b], count[a:b])
-        hit = np.flatnonzero(_ious_above(boxes[cur], boxes[prev], config.static_iou))
+        hit = np.flatnonzero(_ious(boxes[cur], boxes[prev]) > config.static_iou)
         first = np.diff(cur[hit], prepend=-1) != 0
         track[cur[hit[first]]] = prev[hit[first]]
         a = b

@@ -182,9 +182,10 @@ def scale_point(p, s: float) -> np.ndarray:
 
 
 def check_scale(s) -> None:
-    """Raise :class:`InvalidScale` unless ``s`` is a positive finite number."""
-    if not np.isfinite(s) or s <= 0:
-        raise InvalidScale(f"scale must be positive and finite, got {s!r}")
+    """Raise :class:`InvalidScale` unless ``s`` is a positive, finite, normal
+    number: a decode divides by it, and a subnormal one has no finite inverse."""
+    if not (np.isfinite(s) and s >= np.finfo(float).tiny):
+        raise InvalidScale(f"scale must be a positive, finite, normal number, got {s!r}")
 
 
 def is_ideal(p, rel_eps: float = 1e-9) -> np.ndarray:

@@ -33,6 +33,7 @@ import numpy as np
 
 from ._validation import (
     LENGTH_RANGE,
+    MAX_COORDINATE,
     as_float_array,
     check_image_size,
     check_integer,
@@ -103,7 +104,7 @@ class SyntheticCamera:
         if not np.isclose(np.linalg.det(R), 1.0, atol=1e-9):
             raise ValueError("rotation must have determinant +1")
         object.__setattr__(self, "rotation", R)
-        check_positive(self.f, "f")
+        check_real(self.f, "f", *LENGTH_RANGE)
         check_positive(self.height, "camera height")
 
     @property
@@ -655,8 +656,8 @@ class AugmentationParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_real(self.corner_sigma, "corner_sigma", 0.0)
-        check_real(self.bbox_jitter, "bbox_jitter", 0.0)
+        check_real(self.corner_sigma, "corner_sigma", 0.0, MAX_COORDINATE)
+        check_real(self.bbox_jitter, "bbox_jitter", 0.0, MAX_COORDINATE)
         check_real(self.flip_prob, "flip_prob", 0.0, 1.0)
         object.__setattr__(self, "rng_seed", check_integer(self.rng_seed, "rng_seed", 0))
 
@@ -676,8 +677,10 @@ def homography_from_corners(src, dst) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise DegenerateHomography(f"corner configuration is degenerate: {exc}") from exc
     H = np.append(sol, 1.0).reshape(3, 3)
-    if abs(np.linalg.det(H)) < 1e-12:
-        raise DegenerateHomography("homography is singular")
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(H)
+    if not (np.isfinite(H).all() and 1e-12 <= abs(det) < np.inf):
+        raise DegenerateHomography("homography is singular or not finite")
     return H
 
 
@@ -724,19 +727,24 @@ def augment(
             )
 
     flipped = bool(rng.random() < params.flip_prob) if params.flip_prob > 0 else False
-    if flipped:
-        flip = np.array([[-1.0, 0.0, w - 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        H = flip @ H
-
-    moved = apply_homography(H, box_pts)
-    x0, y0 = moved.min(axis=0)
-    x1, y1 = moved.max(axis=0)
+    # no finite box from a box point on the warp's line at infinity or past float64
+    with np.errstate(all="ignore"):
+        if flipped:
+            flip = np.array([[-1.0, 0.0, w - 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+            H = flip @ H
+        moved = apply_homography(H, box_pts)
+    if not (np.isfinite(H).all() and np.isfinite(moved).all()):
+        raise DegenerateHomography("the warped box is not finite")
+    # in Python floats, whose overflow is quiet
+    x0, y0 = moved.min(axis=0).tolist()
+    x1, y1 = moved.max(axis=0).tolist()
     if params.bbox_jitter > 0:
-        jit = rng.uniform(-params.bbox_jitter, params.bbox_jitter, 4)
+        jit = rng.uniform(-params.bbox_jitter, params.bbox_jitter, 4).tolist()
         x0, y0, x1, y1 = x0 + jit[0], y0 + jit[1], x1 + jit[2], y1 + jit[3]
     # jitter can invert a degenerate-thin box; keep the corners ordered
     x0, x1 = min(x0, x1), max(x0, x1)
     y0, y1 = min(y0, y1), max(y0, y1)
     if x1 - x0 < 1e-9 or y1 - y0 < 1e-9:
-        x1, y1 = x0 + 1e-9, y0 + 1e-9
+        # 1e-9 px, or the next float where that adds nothing
+        x1, y1 = (max(v + 1e-9, float(np.nextafter(v, np.inf))) for v in (x0, y0))
     return H, BBox(x0, y0, x1, y1), flipped

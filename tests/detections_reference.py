@@ -1,9 +1,11 @@
 """Record-by-record detections reader and filter, kept as references.
 
-These are the per-line parser and the per-frame filter loop that
-:mod:`vpcalib.pipeline` replaced with its columnar ``DetectionTable``
-stages. The tests require the columnar forms to give the same records, the
-same kept rows in the same order and the same error messages. They build
+These are the per-line parser, the per-frame filter loop and the one-pair
+IoU that :mod:`vpcalib.pipeline` replaced with its columnar
+``DetectionTable`` stages and :mod:`vpcalib.heatmap` with its column
+``_ious``. The tests require the columnar forms to give the same records,
+the same kept rows in the same order, the same IoUs and the same error
+messages. They build
 the library's own :class:`DetectionRecord`, whose checks include the one
 on frame indices beyond the int64 column.
 """
@@ -75,6 +77,20 @@ def parse_lines(path):
     return records
 
 
+def iou(a, b):
+    """Intersection over union of two boxes, one pair in Python floats; 0
+    when they do not overlap or when their areas leave no usable union."""
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    area = (a.x_max - a.x_min) * (a.y_max - a.y_min)
+    area_o = (b.x_max - b.x_min) * (b.y_max - b.y_min)
+    union = area + area_o - inter
+    return inter / union if union > 0 else 0.0
+
+
 def filter_loop(records, config):
     """The kept records, one frame and one IoU comparison at a time."""
     by_frame = {}
@@ -100,7 +116,7 @@ def filter_loop(records, config):
         for rec in frame_records:
             hits = 1
             for prev_box, prev_hits in previous:
-                if rec.box.iou(prev_box) > config.static_iou:
+                if iou(rec.box, prev_box) > config.static_iou:
                     hits = prev_hits + 1
                     break
             current.append((rec.box, hits))

@@ -1,4 +1,4 @@
-"""The ``(..., 3)`` diamond-space kernels, kept as references.
+"""The ``(..., 3)`` diamond-space kernels and the one-grid decode, kept as references.
 
 :mod:`vpcalib.projective` and :mod:`vpcalib.heatmap` map points between the
 projective plane, the diamond and the grid on separate ``x``, ``y`` and
@@ -6,12 +6,20 @@ projective plane, the diamond and the grid on separate ``x``, ``y`` and
 replaced: each point a trailing triple, each scale a stacked copy. The
 tests require the column kernels to give the same bits, and the same
 errors, as these.
+
+The decode and box rules exist once in :mod:`vpcalib.heatmap`, as the
+array code of a stack decode; ``decode_heatmap``, ``accuracy_measure`` and
+the box helpers there are its one-grid and one-box calls. Their former
+scalar bodies are kept here, at the end, so that the tests have a second
+implementation to hold the array code to.
 """
+
+import math
 
 import numpy as np
 
-from vpcalib.errors import InvalidScale, OutOfDiamond
-from vpcalib.heatmap import IDEAL_EPS
+from vpcalib.errors import DegeneratePeak, EmptyHeatmap, InvalidScale, OutOfDiamond
+from vpcalib.heatmap import CENTER_EPS, IDEAL_EPS
 
 
 def columns(p):
@@ -148,3 +156,54 @@ def quantization_radius(row, col, scale, resolution, edge_samples=9):
         return np.inf
     cosines = np.clip((xy / norms[:, None]) @ c_dir, -1.0, 1.0)
     return float(np.max(np.arccos(cosines)))
+
+
+def decode_heatmap(heatmap, peak_ratio=0.8):
+    """The grid argmax of one heatmap, as Python ints, and its near-maximum
+    cells in row-major order; ``peak_ratio`` is taken as valid."""
+    values = np.maximum(heatmap.values, 0.0)
+    top = values.max()
+    if top <= 0.0:
+        raise EmptyHeatmap("all heatmap values are zero")
+    flat = int(np.argmax(values))
+    peak = (flat // heatmap.resolution, flat % heatmap.resolution)
+    return peak, np.argwhere(values >= peak_ratio * top)
+
+
+def accuracy_measure(heatmap, peak, candidates):
+    """Mean relative spread of candidate positions around the peak, one
+    candidate at a time: directions when the peak is at infinity, else
+    finite points only, and inf when no candidate is finite."""
+    cand = np.asarray(candidates, dtype=float)
+    if cand.ndim != 2 or cand.shape[0] == 0:
+        raise ValueError("candidates must be a nonempty (n, 2) array")
+    vph = vp_of_pixel(cand[:, 0], cand[:, 1], heatmap.scale, heatmap.resolution)
+    peak_vph = vp_of_pixel(float(peak[0]), float(peak[1]), heatmap.scale, heatmap.resolution)
+    if is_ideal(peak_vph):
+        peak_dir = directions(peak_vph)[0]
+        return float(np.mean(np.linalg.norm(directions(vph) - peak_dir, axis=1)))
+    peak_xy = dehomogenize(peak_vph)
+    peak_norm = float(np.linalg.norm(peak_xy))
+    if peak_norm < CENTER_EPS:
+        raise DegeneratePeak("peak decodes to the bounding-box centre")
+    finite = ~is_ideal(vph)
+    if not finite.any():
+        return math.inf
+    xy = dehomogenize(vph[finite])
+    return float(np.mean(np.linalg.norm(xy - peak_xy, axis=1)) / peak_norm)
+
+
+def box_center(box):
+    return np.array([(box.x_min + box.x_max) / 2.0, (box.y_min + box.y_max) / 2.0])
+
+
+def box_half_size(box):
+    return np.array([(box.x_max - box.x_min) / 2.0, (box.y_max - box.y_min) / 2.0])
+
+
+def bbox_normalize(points, box):
+    return (np.asarray(points, dtype=float) - box_center(box)) / box_half_size(box)
+
+
+def bbox_denormalize(points, box):
+    return np.asarray(points, dtype=float) * box_half_size(box) + box_center(box)

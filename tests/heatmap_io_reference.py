@@ -66,7 +66,9 @@ def read_stack(refs, grid, base_dir):
                                    f"{values.shape[-1]}, the run's first heatmap file {first} "
                                    f"has scales {run_scales} at resolution {run_resolution}")
         if stack is None:
-            stack = np.empty((2, len(refs)) + values.shape[1:], dtype=values.dtype)
+            # zeros: casting the unwritten rows of an np.empty buffer can meet a
+            # signalling NaN in its garbage and warn
+            stack = np.zeros((2, len(refs)) + values.shape[1:], dtype=values.dtype)
         elif not np.can_cast(values.dtype, stack.dtype):
             stack = stack.astype(values.dtype)
         stack[:, k] = values

@@ -1,6 +1,6 @@
 """Property tests: the columnar detections reader and filter against the
-record-by-record ones in ``detections_reference``, and ``BBox.iou`` against
-the filter's array comparison.
+record-by-record ones in ``detections_reference``, and the IoU of the
+filter's column comparison and of ``BBox.iou`` against the reference's.
 
 Needs Hypothesis (the ``test`` extra) and is skipped without it. The examples
 are derandomized and bounded, so the suite stays deterministic and quick.
@@ -16,14 +16,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from detections_reference import GOOD, filter_loop, record, same_as_line_parser  # noqa: E402
-from vpcalib.heatmap import BBox  # noqa: E402
-from vpcalib.pipeline import (  # noqa: E402
-    DetectionTable,
-    PipelineConfig,
-    _ious_above,
-    filter_detections,
-)
+from detections_reference import GOOD, filter_loop, iou, record, same_as_line_parser  # noqa: E402
+from vpcalib.heatmap import BBox, _ious  # noqa: E402
+from vpcalib.pipeline import DetectionTable, PipelineConfig, filter_detections  # noqa: E402
 
 BOUNDED = settings(max_examples=200, derandomize=True, deadline=None, database=None)
 
@@ -137,9 +132,11 @@ def boxes(draw):
 @given(a=boxes(), b=boxes() | st.just(None), threshold=st.sampled_from([0.0, 0.5, 0.9, 1.0]))
 @example(a=BBox(0, 0, 1e-200, 1e-200), b=None, threshold=0.0)
 @example(a=BBox(-1e308, -1e308, 1e308, 1e308), b=None, threshold=0.5)
-def test_iou_above_a_threshold_is_the_filters_comparison(a, b, threshold):
+def test_the_filters_iou_is_the_reference_iou(a, b, threshold):
     b = a if b is None else b
-    iou = a.iou(b)
-    assert 0.0 <= iou <= 1.0
-    rows = (np.array([a.as_tuple()]), np.array([b.as_tuple()]))
-    assert _ious_above(*rows, threshold).tolist() == [iou > threshold]
+    expected = iou(a, b)
+    assert 0.0 <= expected <= 1.0
+    rows = (np.array([a.as_tuple(), b.as_tuple()]), np.array([b.as_tuple(), a.as_tuple()]))
+    assert _ious(*rows).tobytes() == np.array([expected, iou(b, a)]).tobytes()
+    assert (_ious(*rows)[:1] > threshold).tolist() == [expected > threshold]
+    assert type(a.iou(b)) is float and a.iou(b) == expected

@@ -134,6 +134,37 @@ class TestFilter:
                                 max_boxes_per_frame=10**30, static_min_hits=10**30)
         assert filter_detections(records, config) == filter_loop(records, config) == records[:1]
 
+    @pytest.mark.parametrize("stride", [2**63 - 1, 2**63])
+    def test_a_stride_at_the_frame_limit_keeps_frame_zero_only(self, stride):
+        # 2**63 is past the int64 frame column, so no modulo may be taken with it
+        records = [record(frame, (0, 0, 9, 9)) for frame in (0, 10, 2**63 - 1)]
+        config = PipelineConfig(frame_stride=stride, max_frames=2**63)
+        kept = filter_detections(records, config)
+        assert kept == filter_loop(records, config)
+        assert kept == ([records[0], records[2]] if stride < 2**63 else [records[0]])
+
+    def test_an_iou_equal_to_static_iou_is_no_match(self):
+        # boxes 25 px apart along x overlap by IoU 7500 / 12500 = 0.6 exactly
+        records = [record(10 * k, (25 * (k % 2), 0, 100 + 25 * (k % 2), 100)) for k in range(4)]
+        config = PipelineConfig(static_iou=0.6, static_min_hits=1)
+        assert filter_detections(records, config) == filter_loop(records, config) == records
+
+    @pytest.mark.parametrize("crowd", [[20] * 30, [4097, 1, 1, 1]])
+    def test_frames_whose_pairs_fill_several_blocks_match_the_loop(self, crowd):
+        # 400 box pairs a frame, or a previous frame of more boxes than a
+        # block of the static filter holds (4096 pairs); a box at one of
+        # four places, so that tracks grow past static_min_hits
+        rng = np.random.default_rng(len(crowd))
+        records = []
+        for frame, n in enumerate(crowd):
+            corner = rng.integers(0, 2, (n, 2)) * 3.0 if n > 1 else np.zeros((1, 2))
+            records += [record(10 * frame, (x, y, x + 40, y + 40), float(c))
+                        for (x, y), c in zip(corner, rng.random(n))]
+        config = PipelineConfig(max_boxes_per_frame=5000, static_min_hits=2)
+        kept = filter_detections(records, config)
+        assert kept == filter_loop(records, config)
+        assert 0 < len(kept) < len(records)
+
     def test_underflowing_boxes_match_nothing(self):
         # BBox.iou divides 0 by 0 here; the columnar filter finds no match
         records = [record(10 * k, (0, 0, 1e-200, 1e-200)) for k in range(5)]

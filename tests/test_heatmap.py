@@ -10,6 +10,7 @@ from vpcalib.errors import (
     AllScalesDegenerate,
     DegeneratePeak,
     EmptyHeatmap,
+    InvalidScale,
     OutOfDiamond,
 )
 from vpcalib.heatmap import (
@@ -23,7 +24,7 @@ from vpcalib.heatmap import (
     _SUBPIXEL,
     _cell_tables,
     _decode_stack,
-    _peaks,
+    _near_maximum,
     _run_means,
     accuracy_measure,
     bbox_denormalize,
@@ -79,30 +80,30 @@ class TestBBoxCoordinates:
         rows = rng.normal(size=(n, 2)) * np.exp(rng.uniform(-5.0, 12.0, (n, 1)))
         return boxes, rows, rng.random(n) < 0.4
 
-    def test_box_to_frame_is_the_scalar_helpers_row_by_row(self, rng):
+    def test_box_to_frame_is_the_reference_row_by_row(self, rng):
         boxes, rows, is_direction = self._rows(rng)
         bboxes = [BBox(*b) for b in boxes]
         for given in (boxes, bboxes):
             frame = box_to_frame(rows, is_direction, given)
             for row, direction, box, got in zip(rows, is_direction, bboxes, frame):
                 if direction:
-                    expected = bbox_denormalize_direction(row, box)
+                    expected = row * ref.box_half_size(box)
                     expected = expected / np.linalg.norm(expected)
                 else:
-                    expected = bbox_denormalize(row, box)
+                    expected = ref.bbox_denormalize(row, box)
                 assert np.array_equal(got, expected)
 
-    def test_frame_to_box_is_the_scalar_helpers_row_by_row(self, rng):
+    def test_frame_to_box_is_the_reference_row_by_row(self, rng):
         boxes, rows, is_direction = self._rows(rng)
         bboxes = [BBox(*b) for b in boxes]
         for given in (boxes, bboxes):
             in_box = frame_to_box(rows, is_direction, given)
             for row, direction, box, got in zip(rows, is_direction, bboxes, in_box):
                 if direction:
-                    expected = row / box.half_size
+                    expected = row / ref.box_half_size(box)
                     expected = expected / np.linalg.norm(expected)
                 else:
-                    expected = bbox_normalize(row, box)
+                    expected = ref.bbox_normalize(row, box)
                 assert np.array_equal(got, expected)
         # and it inverts box_to_frame, up to rounding
         back = frame_to_box(box_to_frame(rows, is_direction, boxes), is_direction, boxes)
@@ -297,6 +298,14 @@ class TestAccuracyMeasure:
         with pytest.raises(DegeneratePeak):
             accuracy_measure(h, peak, cands)
 
+    def test_a_finite_peak_with_every_candidate_at_infinity_has_an_infinite_spread(self):
+        # diagonal cells decode to points at infinity, which a finite peak's
+        # spread skips: none is left, and the grid ranks last, as in decode_stack
+        h = encode_vp([5.0, 3.0], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert accuracy_measure(h, (18, 10), np.array([[10, 10], [0, 0]])) == np.inf
+
     def test_run_means_are_np_mean_bit_for_bit(self, rng):
         # runs of one length are averaged together; numpy sums a run in an
         # order that depends on its length, so each must equal np.mean alone
@@ -333,7 +342,7 @@ class TestSelectVP:
             det = codec.decode(codec.encode(vp), box)
             assert not det.direction_only
             # the chosen scale's rounded pixel must contain the true position
-            vp_again = bbox_normalize(det.point, box)
+            vp_again = ref.bbox_normalize(det.point, box)
             d = to_diamond(scale_point([vp[0], vp[1], 1.0], det.chosen_scale))
             rc_true = diamond_to_pixel(dehomogenize(d), 64)
             d2 = to_diamond(scale_point([vp_again[0], vp_again[1], 1.0], det.chosen_scale))
@@ -347,11 +356,11 @@ class TestSelectVP:
             maps = codec.encode(vp)
             det = codec.decode(maps, box)
             for h in maps:
-                peak, cands = decode_heatmap(h)
-                vph = vp_of_pixel(float(peak[0]), float(peak[1]), h.scale, 64)
+                peak, cands = ref.decode_heatmap(h)
+                vph = ref.vp_of_pixel(float(peak[0]), float(peak[1]), h.scale, 64)
                 if is_ideal(vph) or np.linalg.norm(dehomogenize(vph)) < 1e-9:
                     continue
-                assert det.uncertainty <= accuracy_measure(h, peak, cands) + 1e-12
+                assert det.uncertainty <= ref.accuracy_measure(h, peak, cands) + 1e-12
 
     def test_only_valid_scale_wins(self, box):
         maps = [Heatmap(np.zeros((64, 64)), s) for s in (0.03, 0.3, 1.0)]
@@ -376,13 +385,13 @@ class TestSelectVP:
             maps[empty] = Heatmap(np.zeros((64, 64)), DEFAULT_SCALES[empty])
             det = select_vp(maps, box)
             chosen = maps[DEFAULT_SCALES.index(det.chosen_scale)]
-            peak, _ = decode_heatmap(chosen)
-            centre = bbox_denormalize(
-                dehomogenize(vp_of_pixel(float(peak[0]), float(peak[1]), chosen.scale)), box
+            peak, _ = ref.decode_heatmap(chosen)
+            centre = ref.bbox_denormalize(
+                dehomogenize(ref.vp_of_pixel(float(peak[0]), float(peak[1]), chosen.scale, 64)), box
             )
             # the other scales moved the point off the cell centre, not out of the cell
             assert np.linalg.norm(det.point - centre) > 1e-6
-            x, y = bbox_normalize(det.point, box)
+            x, y = ref.bbox_normalize(det.point, box)
             rc = diamond_to_pixel(dehomogenize(to_diamond(scale_point([x, y, 1.0], chosen.scale))))
             assert tuple(np.floor(rc + 0.5).astype(int)) == peak
 
@@ -392,10 +401,10 @@ class TestSelectVP:
         maps = [encode_vp(vp, s) for vp, s in zip(vps, DEFAULT_SCALES)]
         det = select_vp(maps, box)
         chosen = maps[DEFAULT_SCALES.index(det.chosen_scale)]
-        peak, _ = decode_heatmap(chosen)
-        centre = vp_of_pixel(float(peak[0]), float(peak[1]), chosen.scale)
+        peak, _ = ref.decode_heatmap(chosen)
+        centre = ref.vp_of_pixel(float(peak[0]), float(peak[1]), chosen.scale, 64)
         assert not det.direction_only
-        assert np.array_equal(det.point, bbox_denormalize(dehomogenize(centre), box))
+        assert np.array_equal(det.point, ref.bbox_denormalize(dehomogenize(centre), box))
 
     @pytest.mark.parametrize("vp", [[3.0, 1.0, 0.0], [-14500.0, 142400.0, 1.0]])
     def test_direction_at_infinity_stays_a_unit_direction(self, box, vp):
@@ -405,8 +414,8 @@ class TestSelectVP:
         assert det.direction_only
         assert np.linalg.norm(det.point) == pytest.approx(1.0, abs=1e-12)
         chosen = maps[DEFAULT_SCALES.index(det.chosen_scale)]
-        peak, _ = decode_heatmap(chosen)
-        centre = vp_of_pixel(float(peak[0]), float(peak[1]), chosen.scale)
+        peak, _ = ref.decode_heatmap(chosen)
+        centre = ref.vp_of_pixel(float(peak[0]), float(peak[1]), chosen.scale, 64)
         centre_dir = bbox_denormalize_direction(centre[:2], box)
         # oriented like the cell centre's direction, and close to it
         assert det.point @ centre_dir / np.linalg.norm(centre_dir) > 0.999
@@ -423,7 +432,8 @@ class TestCellTables:
         s, r, c = np.indices(tables.radius.shape).reshape(3, -1)
         tables.radii(s, r, c)
         cells = list(zip(s.tolist(), r.tolist(), c.tolist()))
-        vp = np.array([vp_of_pixel(float(i), float(j), DEFAULT_SCALES[k]) for k, i, j in cells])
+        vp = np.array([ref.vp_of_pixel(float(i), float(j), DEFAULT_SCALES[k], 64)
+                       for k, i, j in cells])
         ideal = is_ideal(vp)
         assert np.array_equal(tables.vp.reshape(-1, 3), vp)
         assert np.array_equal(tables.ideal.ravel(), ideal)
@@ -446,9 +456,22 @@ class TestCellTables:
         assert np.isinf(want).any() and np.isfinite(want).any()
         assert ref.same_bits(got, want)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan, 1e-320])
+    def test_a_bad_scale_raises_the_one_scale_error(self, scale):
+        # the tables, the one-cell calls and the encoder share projective.check_scale;
+        # a subnormal scale has no finite inverse
+        message = f"scale must be a positive, finite, normal number, got {scale!r}"
+        for call in (lambda: _CellTables((scale, 1.0), 8),
+                     lambda: vp_of_pixel(3.0, 4.0, scale, 8),
+                     lambda: quantization_radius(3, 4, scale, 8),
+                     lambda: encode_vp([3.0, 4.0], scale, 8)):
+            with pytest.raises(InvalidScale) as raised:
+                call()
+            assert str(raised.value) == message
+
     def test_the_point_tables_are_complete_after_construction(self):
         tables = _CellTables(DEFAULT_SCALES, 16)
-        vp = vp_of_pixel(*np.indices((16, 16)), DEFAULT_SCALES[2], 16)
+        vp = ref.vp_of_pixel(*np.indices((16, 16)), DEFAULT_SCALES[2], 16)
         assert np.array_equal(tables.vp[2], vp)
         assert np.array_equal(tables.ideal[2], is_ideal(vp))
         assert np.isfinite(tables.direction).all()
@@ -490,22 +513,23 @@ def _mixed_chunk(rng):
 
 
 def _reference_select_vp(heatmaps, box, peak_ratio=0.8):
-    """The scalar decode that decode_stack replaced, one heatmap at a time."""
+    """The scalar decode that decode_stack replaced, one heatmap at a time,
+    every step taken from the references in ``diamond_reference``."""
     candidates, near_max_sets = [], []
     for index, h in enumerate(heatmaps):
         try:
-            peak, near_max = decode_heatmap(h, peak_ratio)
+            peak, near_max = ref.decode_heatmap(h, peak_ratio)
         except EmptyHeatmap:
             continue
         mask = np.zeros(h.values.shape, dtype=bool)
         mask[near_max[:, 0], near_max[:, 1]] = True
         near_max_sets.append((index, h, mask))
-        vph = vp_of_pixel(float(peak[0]), float(peak[1]), h.scale, h.resolution)
-        ideal = bool(is_ideal(vph))
-        if not ideal and np.linalg.norm(dehomogenize(vph)) < 1e-9:
+        vph = ref.vp_of_pixel(float(peak[0]), float(peak[1]), h.scale, h.resolution)
+        ideal = bool(ref.is_ideal(vph))
+        if not ideal and np.linalg.norm(ref.dehomogenize(vph)) < 1e-9:
             continue
-        spread = accuracy_measure(h, peak, near_max)
-        radius = quantization_radius(peak[0], peak[1], h.scale, h.resolution)
+        spread = ref.accuracy_measure(h, peak, near_max)
+        radius = ref.quantization_radius(peak[0], peak[1], h.scale, h.resolution)
         candidates.append((spread, radius, index, h, peak, vph, ideal))
     if not candidates:
         return None
@@ -514,13 +538,13 @@ def _reference_select_vp(heatmaps, box, peak_ratio=0.8):
     others = [(o, mask) for i, o, mask in near_max_sets if i != index]
     if others:
         rc = np.asarray(peak) + _SUBPIXEL
-        samples = vp_of_pixel(rc[:, 0], rc[:, 1], h.scale, h.resolution)
+        samples = ref.vp_of_pixel(rc[:, 0], rc[:, 1], h.scale, h.resolution)
         cells = ref.nearest_cells(samples, [o.scale for o, _ in others], h.resolution)
         keep = np.ones(len(rc), dtype=bool)
         for (_, mask), cell in zip(others, cells):
             keep &= mask[cell[:, 0], cell[:, 1]]
         if keep.any():
-            fused = vp_of_pixel(*rc[keep].mean(axis=0), h.scale, h.resolution)
+            fused = ref.vp_of_pixel(*rc[keep].mean(axis=0), h.scale, h.resolution)
             if ideal:
                 xy = fused[:2] if fused[:2] @ center[:2] >= 0.0 else -fused[:2]
                 fused = np.append(xy, 0.0)
@@ -532,9 +556,9 @@ def _reference_select_vp(heatmaps, box, peak_ratio=0.8):
 
             vph = center if worst(dirs[0]) > worst(dirs[1]) else fused
     if ideal:
-        direction = bbox_denormalize_direction(vph[:2], box)
+        direction = vph[:2] * ref.box_half_size(box)
         return VPDetection(direction / np.linalg.norm(direction), spread, h.scale, True)
-    return VPDetection(bbox_denormalize(dehomogenize(vph), box), spread, h.scale, False)
+    return VPDetection(ref.bbox_denormalize(ref.dehomogenize(vph), box), spread, h.scale, False)
 
 
 def _same_detection(a, b) -> bool:
@@ -591,7 +615,7 @@ class TestDecodeStack:
         flat = values.reshape(6, 4, -1)
         expected = (np.maximum(flat.max(axis=2), 0.0).astype(float),
                     *np.divmod(flat.argmax(axis=2), 16))
-        got = _peaks(values)
+        got = _near_maximum(values, 1.0)[:3]
         assert all(g.dtype == e.dtype and g.tobytes() == e.tobytes()
                    for g, e in zip(got, expected))
         assert np.signbit(got[0][1:5]).sum() == 0
@@ -615,7 +639,7 @@ class TestSampleCells:
         assert directions.shape == (len(s), len(_SUBPIXEL), 2)
         for k, i, j, got, got_dirs in zip(s, r, c, cells, directions):
             rc = np.array([i, j]) + _SUBPIXEL
-            samples = vp_of_pixel(rc[:, 0], rc[:, 1], DEFAULT_SCALES[k], 16)
+            samples = ref.vp_of_pixel(rc[:, 0], rc[:, 1], DEFAULT_SCALES[k], 16)
             expected = ref.nearest_cells(samples, DEFAULT_SCALES, 16)
             assert np.array_equal(got, expected[..., 0] * 16 + expected[..., 1])
             # bit for bit the direction of each sample's own point

@@ -357,3 +357,69 @@ def test_evaluate_ends_in_a_report_or_the_error_json(evaluate_inputs, tmp_path_f
         assert code == 1 and not out.exists() and stdout.getvalue() == ""
         error = json.loads(stderr.getvalue())
         assert set(error) == {"error", "message"}
+
+
+# A valid augment spec, and what may replace one or two of its values:
+# extreme numbers, values just past each bound and wrong types, at every
+# field, every image-size entry and every coordinate of the first two box points.
+AUGMENT_SPEC = {"image_size": [128, 128],
+                "bbox_3d": [[20, 20], [100, 20], [100, 90], [20, 90],
+                            [25, 30], [95, 30], [95, 100], [25, 100]],
+                "corner_sigma": 12.5, "bbox_jitter": 5.0, "flip_prob": 0.5, "rng_seed": 7}
+EXTREME_AUGMENT = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e50, 1.0000000000000002e50, -1e50,
+    1.0000000000000002, 0.9999999999999999, -1e-9, 1e-9, 2**64, 2**64 - 1, -1,
+])
+AUGMENT_VALUES = EXTREME_AUGMENT | st.floats() | st.floats(-200.0, 300.0) | st.integers(-3, 3) \
+    | WRONG_TYPES
+AUGMENT_SITES = [(field,) for field in AUGMENT_SPEC] + [("image_size", k) for k in range(2)]
+AUGMENT_SITES += [("bbox_3d", k) for k in range(2)]
+AUGMENT_SITES += [("bbox_3d", k, j) for k in range(2) for j in range(2)]
+AUGMENT_EDITS = st.lists(st.tuples(st.sampled_from(AUGMENT_SITES), AUGMENT_VALUES),
+                         min_size=1, max_size=2)
+
+
+def _has(container, key) -> bool:
+    return isinstance(container, dict) or isinstance(container, list) and key < len(container)
+
+
+@BOUNDED
+@given(edits=AUGMENT_EDITS)
+@example(edits=[(("corner_sigma",), 1e300)])
+# a homography whose determinant overflows, and a jitter range past float64
+@example(edits=[(("corner_sigma",), 1e50)])
+@example(edits=[(("bbox_jitter",), 1.7976931348623157e308)])
+# the flip puts every box point at x = 1e50, where 1e-9 px adds nothing
+@example(edits=[(("image_size", 0), 1e50), (("flip_prob",), 1.0)])
+# a box whose width overflows float64
+@example(edits=[(("bbox_3d", 0, 0), -1.7e308), (("bbox_3d", 1, 0), 1.7e308),
+                (("corner_sigma",), 0.0)])
+@example(edits=[(("bbox_3d", 0, 0), 1e300), (("bbox_jitter",), 0.0)])
+def test_augment_ends_in_a_transform_or_the_error_json(tmp_path_factory, edits):
+    directory = tmp_path_factory.mktemp("augment", numbered=True)
+    spec = copy.deepcopy(AUGMENT_SPEC)
+    for path, value in edits:
+        target = spec
+        for key in path[:-1]:
+            target = target[key] if _has(target, key) else None
+        # an entry of a value that the other edit replaced by a scalar or a shorter list is gone
+        if _has(target, path[-1]):
+            target[path[-1]] = copy.deepcopy(value)
+    (directory / "aug.json").write_text(json.dumps(spec))
+    out = directory / "out.json"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = cli.main(["augment", "--spec", str(directory / "aug.json"), "--out", str(out)])
+    assert stdout.getvalue() == ""
+    if code == 0:
+        assert stderr.getvalue() == ""
+        result = json.loads(out.read_text(), parse_constant=float)
+        assert all(map(math.isfinite, _numbers(result)))
+        x0, y0, x1, y1 = result["bbox"]
+        assert x0 < x1 and y0 < y1
+    else:
+        assert code == 1 and not out.exists()
+        error = json.loads(stderr.getvalue())
+        assert set(error) == {"error", "message"}

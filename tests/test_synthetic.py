@@ -100,6 +100,18 @@ class TestGroundTruth:
             )
 
 
+    @pytest.mark.parametrize("f", [1e-320, 9.9e-61, 1.1e60, 1e300])
+    def test_focal_lengths_outside_the_length_range_are_rejected(self, f):
+        # at f = 1e-320 every point projected onto the principal point
+        with pytest.raises(ValueError, match="f must be a finite number in"):
+            SyntheticCamera(f=f, principal_point=np.array([960.0, 540.0]),
+                            rotation=camera_rotation(25.0, 2.0), image_size=(1920.0, 1080.0))
+
+    @pytest.mark.parametrize("f", [1e-60, 1e60])
+    def test_every_valid_scene_builds_its_camera(self, f):
+        assert make_camera(SceneSpec(seed=1, n_vehicles=1, f=f)).f == f
+
+
 class TestGenerateScene:
     def test_deterministic_for_seed(self):
         spec = SceneSpec(seed=99, n_vehicles=12, noise_sigma_px=1.5, outlier_fraction=0.25)
