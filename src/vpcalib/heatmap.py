@@ -410,12 +410,7 @@ def decode_heatmap(
     return (int(row[0, 0]), int(col[0, 0])), np.argwhere(near[0, 0])
 
 
-def vp_of_pixel(
-    row,
-    col,
-    scale: float,
-    resolution: int = DEFAULT_RESOLUTION,
-) -> np.ndarray:
+def vp_of_pixel(row, col, scale: float, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     """Homogeneous box-coordinate vanishing point of a (possibly fractional) grid cell.
 
     The returned triple may have ``w ~ 0`` for cells on the diamond boundary:

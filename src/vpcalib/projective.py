@@ -171,7 +171,8 @@ def line_through(p, q) -> np.ndarray:
 def scale_point(p, s: float) -> np.ndarray:
     """Scale the Cartesian position by ``s``: (x, y, w) -> (s*x, s*y, w).
 
-    Points at infinity are fixed points of this map.
+    Points at infinity are fixed points of this map. ``s`` must pass
+    :func:`check_scale`, which rejects a subnormal ``s``.
     """
     check_scale(s)
     p = _as_homogeneous(p)

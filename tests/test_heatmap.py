@@ -458,13 +458,14 @@ class TestCellTables:
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan, 1e-320])
     def test_a_bad_scale_raises_the_one_scale_error(self, scale):
-        # the tables, the one-cell calls and the encoder share projective.check_scale;
-        # a subnormal scale has no finite inverse
+        # the tables, the one-cell calls, the encoder and scale_point share
+        # projective.check_scale; a subnormal scale has no finite inverse
         message = f"scale must be a positive, finite, normal number, got {scale!r}"
         for call in (lambda: _CellTables((scale, 1.0), 8),
                      lambda: vp_of_pixel(3.0, 4.0, scale, 8),
                      lambda: quantization_radius(3, 4, scale, 8),
-                     lambda: encode_vp([3.0, 4.0], scale, 8)):
+                     lambda: encode_vp([3.0, 4.0], scale, 8),
+                     lambda: scale_point([3.0, 4.0, 1.0], scale)):
             with pytest.raises(InvalidScale) as raised:
                 call()
             assert str(raised.value) == message

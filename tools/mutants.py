@@ -17,19 +17,20 @@ function in source order:
 Each survivor carries a classification: ``equivalent``, with the reason;
 ``killed``, once a test added for it fails on it, with that test's name;
 or ``open``. The classifications are kept in the output file and carried
-over, by mutant key, when the runner writes it again. Runs take minutes,
-not seconds, so the runner is no part of the test suite; a toy run of it
-is. Only the standard library is used.
+over, by mutant key, when the runner writes it again. Each run covers every
+mutant, one per CPU at a time, and writes ``MUTANTS.json`` at the
+repository root; a rerun whose results have not changed leaves that file
+byte for byte as it was. Runs take minutes, not seconds, so the runner is
+no part of the test suite; a toy run of it is. Only the standard library
+is used.
 
-Usage, from the repository root::
+Usage::
 
-    python tools/mutants.py                 # every target, writes MUTANTS.json
-    python tools/mutants.py --only heatmap._ious --only pipeline. --jobs 2
+    python tools/mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import concurrent.futures
 import json
@@ -39,8 +40,10 @@ import subprocess
 import sys
 import tempfile
 import textwrap
-import time
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 600.0  # seconds per mutant; a mutant that loops forever counts as killed
 
 # the merged decode, box and filter rules, and the tests that cover them
 TARGETS = [
@@ -165,26 +168,25 @@ def _copy_tree(root: Path, into: Path) -> None:
             shutil.copy(path, into / path.name)
 
 
-def run_tests(tree: Path, tests: list[str], timeout: float) -> tuple[str, float]:
+def run_tests(tree: Path, tests: list[str]) -> str:
     """``"passed"``, ``"failed"`` or ``"timeout"`` of the listed tests in ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    start = time.perf_counter()
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-            cwd=tree, env=env, capture_output=True, timeout=timeout,
+            cwd=tree, env=env, capture_output=True, timeout=TIMEOUT,
         )
     except subprocess.TimeoutExpired:
-        return "timeout", time.perf_counter() - start
-    return ("passed" if done.returncode == 0 else "failed"), time.perf_counter() - start
+        return "timeout"
+    return "passed" if done.returncode == 0 else "failed"
 
 
-def _run_one(root: Path, mutant: dict, tests: list[str], timeout: float) -> tuple[str, float]:
+def _run_one(root: Path, mutant: dict, tests: list[str]) -> str:
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp)
         _copy_tree(root, tree)
         (tree / mutant["module"]).write_text(mutant["source"])
-        return run_tests(tree, tests, timeout)
+        return run_tests(tree, tests)
 
 
 def _classified(entry: dict, before: dict) -> dict:
@@ -208,37 +210,26 @@ def _classified(entry: dict, before: dict) -> dict:
     return {}
 
 
-def run(root: Path, targets: list[dict], out: Path, timeout: float = 600.0, jobs: int = 1,
-        only: tuple[str, ...] = ()) -> dict:
+def run(root: Path, targets: list[dict], out: Path) -> dict:
     """Run every mutant of ``targets`` and write the results to ``out``."""
-    root = Path(root)
     previous = {}
     if out.is_file():
         previous = {m["key"]: m for m in json.loads(out.read_text())["mutants"]}
-    work = []
-    for target in targets:
-        for mutant in mutants(root, target):
-            if not only or mutant["key"].startswith(tuple(only)):
-                work.append((mutant, target["tests"]))
+    work = [(mutant, target["tests"]) for target in targets for mutant in mutants(root, target)]
     # the functions written back unmutated must pass, or no survivor would mean anything
-    for target in (t for t in targets if any(w[0]["module"] == t["module"] for w in work)):
-        status, _ = _run_one(root, {"module": target["module"], "source": unmutated(root, target)},
-                             target["tests"], timeout)
+    for target in targets:
+        status = _run_one(root, {"module": target["module"], "source": unmutated(root, target)},
+                          target["tests"])
         if status != "passed":
             raise SystemExit(f"the unmutated {target['module']} fails its tests: {status}")
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        outcomes = list(pool.map(lambda w: _run_one(root, w[0], w[1], timeout), work))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        outcomes = list(pool.map(lambda w: _run_one(root, *w), work))
     results = []
-    for (mutant, tests), (status, seconds) in zip(work, outcomes):
+    for (mutant, _), status in zip(work, outcomes):
         entry = {k: v for k, v in mutant.items() if k != "source"}
         entry["status"] = {"passed": "survived", "failed": "killed"}.get(status, status)
-        entry["seconds"] = round(seconds, 1)
         entry.update(_classified(entry, previous.get(mutant["key"], {})))
         results.append(entry)
-    if only:
-        # a partial run updates its own mutants and keeps the others
-        done = {m["key"] for m in results}
-        results = [m for m in previous.values() if m["key"] not in done] + results
     survivors = [m for m in results if m["status"] == "survived"]
     report = {
         "operators": ["< <=", "> >=", "== !=", "& |", "and or", "+ -", "* /", "c -> c + 1"],
@@ -256,17 +247,8 @@ def run(root: Path, targets: list[dict], out: Path, timeout: float = 600.0, jobs
     return report
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    parser.add_argument("--out", type=Path, default=None, help="default: ROOT/MUTANTS.json")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
-    parser.add_argument("--jobs", type=int, default=1, help="mutants run at once")
-    parser.add_argument("--only", action="append", default=[],
-                        help="run only the mutants whose key starts with this (repeatable)")
-    args = parser.parse_args(argv)
-    out = args.out or args.root / "MUTANTS.json"
-    report = run(args.root, TARGETS, out, args.timeout, args.jobs, args.only)
+def main() -> int:
+    report = run(ROOT, TARGETS, ROOT / "MUTANTS.json")
     print(json.dumps(report["summary"]))
     return 0
 
