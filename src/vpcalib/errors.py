@@ -17,7 +17,7 @@ class DegenerateInput(VPCalibError, ValueError):
 
 
 class InvalidScale(VPCalibError, ValueError):
-    """Scale factor must be a positive, finite, normal number."""
+    """Scale factor must lie in ``LENGTH_RANGE``, [1e-60, 1e60]."""
 
 
 class OutOfDiamond(VPCalibError, ValueError):

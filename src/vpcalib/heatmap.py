@@ -13,20 +13,25 @@ per-grid tables that persist for the process: the cells' points are tabled
 whole the first time a grid is used, their quantization radius the first
 time a decode needs it. Where the sub-pixel samples of a chosen peak cell
 land at every scale, and which way they point, goes into a table that
-lives for one run instead (:class:`_SampleCells`, 5.4 KB per distinct cell
-at four 64 x 64 scales): its owner passes it to every decode of the run and
-drops it afterwards. Points go between the plane, the diamond and the
-grid as separate ``x``, ``y`` and ``w`` arrays (the column form of
-:mod:`~vpcalib.projective`), every scale at once along a leading axis.
-The near-maximum cells of a grid are found in the stack's own precision,
-float32 as DVP files store it.
+lives for one run or one codec instead (:class:`_SampleCells`, 5.4 KB per
+distinct cell at four 64 x 64 scales): its owner passes it to every decode
+it runs and drops it with the run or the codec. Points go between the
+plane, the diamond and the grid as separate ``x``, ``y`` and ``w`` arrays
+(the column form of :mod:`~vpcalib.projective`), every scale at once along
+a leading axis. The near-maximum cells of a grid are found in the stack's
+own precision, float32 as DVP files store it.
 The decode works in box coordinates; :func:`box_to_frame` and its inverse
 :func:`frame_to_box` are the one array form of the box <-> frame convention.
 
-Each decode and box rule is written once, as that array code; the scalar
-functions (:func:`decode_heatmap`, :func:`accuracy_measure`, the
-:class:`BBox` helpers) are its one-grid or one-box calls. The tests hold
-them, bit for bit, to the scalar bodies kept in ``tests/diamond_reference.py``.
+An encode rasterizes every channel and scale it makes into one zeroed
+``(C, S, R, R)`` float64 block, checks the block once and hands out its
+grids as :class:`Heatmap` views (:func:`_encoded`, :func:`_heatmaps`).
+
+Each decode, box and encode rule is written once, as that array code; the
+scalar functions (:func:`decode_heatmap`, :func:`accuracy_measure`,
+:func:`encode_vp`, the :class:`BBox` helpers) are its one-grid or one-box
+calls. The tests hold them, bit for bit, to the scalar bodies kept in
+``tests/diamond_reference.py``.
 
 Grid convention: ``values[row, col]`` with the rotated coordinates
 ``u = X + Y`` (column axis) and ``v = Y - X`` (row axis), each spanning
@@ -36,13 +41,12 @@ Grid convention: ``values[row, col]`` with the rotated coordinates
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import projective as pj
-from ._validation import as_float_array, check_integer, check_positive, is_real
+from ._validation import LENGTH_RANGE, as_float_array, check_integer, check_positive, is_real
 from .errors import (
     AllScalesDegenerate,
     DegeneratePeak,
@@ -92,15 +96,17 @@ _FLOAT = frozenset((float,))
 
 
 def check_scales(scales) -> tuple[float, ...]:
-    """Validate a scale set: strictly increasing positive reals, as a tuple of
-    floats. A tuple of floats, as a heatmap file's header gives, skips numpy."""
+    """Validate a scale set: strictly increasing reals in :data:`LENGTH_RANGE`
+    (the range of :func:`projective.check_scale`), as a tuple of floats. A
+    tuple of floats, as a heatmap file's header gives, skips numpy."""
     values = scales
     if not (type(scales) is tuple and _FLOAT.issuperset(map(type, scales))):
         out = as_float_array(scales, "scales")
         values = tuple(out.tolist()) if out.ndim == 1 else ()
-    if not (values and all(0 < a < b for a, b in zip(values, values[1:] + (math.inf,)))):
+    if not (values and LENGTH_RANGE[0] <= values[0] and values[-1] <= LENGTH_RANGE[1]
+            and all(a < b for a, b in zip(values, values[1:]))):
         raise ValueError(f"scales must be a nonempty, strictly increasing sequence of "
-                         f"positive numbers, got {scales!r}")
+                         f"numbers in [{LENGTH_RANGE[0]:g}, {LENGTH_RANGE[1]:g}], got {scales!r}")
     return values
 
 
@@ -136,20 +142,49 @@ class BBox:
 
 @dataclass
 class Heatmap:
-    """One square response grid over the rotated diamond at a single scale."""
+    """One square response grid over the rotated diamond at a single scale.
+
+    ``values`` comes out as a float64 array; this is the one-grid call of
+    the check that :func:`_heatmaps` makes of a whole block of grids."""
 
     values: np.ndarray
     scale: float
 
     def __post_init__(self):
-        self.values = as_float_array(self.values, "heatmap values")
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ValueError(f"heatmap must be square, got shape {self.values.shape}")
-        check_positive(self.scale, "heatmap scale")
+        self.values = _checked_grids(self.values, (self.scale,), 2)
 
     @property
     def resolution(self) -> int:
         return self.values.shape[0]
+
+
+def _checked_grids(values, scales, ndim: int) -> np.ndarray:
+    """``values`` as a float64 array, if it holds real, finite numbers in
+    square grids over its last two axes, ``ndim`` axes in all, and every
+    scale of ``scales`` is positive and finite."""
+    values = as_float_array(values, "heatmap values")
+    if values.ndim != ndim or values.shape[-1] != values.shape[-2]:
+        raise ValueError(f"heatmap must be square, got shape {values.shape}")
+    for s in scales:
+        check_positive(s, "heatmap scale")
+    return values
+
+
+def _heatmaps(values, scales) -> list[list[Heatmap]]:
+    """The heatmaps of a ``(C, S, R, R)`` block of grids, channel-major:
+    ``[c][s]`` holds grid ``values[c, s]`` at ``scales[s]``. The block is
+    checked once, as :class:`Heatmap` checks one grid, and each heatmap's
+    ``values`` is a view of it; the views do not overlap."""
+    block = _checked_grids(values, scales, 4)
+    out = []
+    for channel in block:
+        maps = []
+        for grid, scale in zip(channel, scales):
+            h = object.__new__(Heatmap)
+            h.values, h.scale = grid, scale
+            maps.append(h)
+        out.append(maps)
+    return out
 
 
 @dataclass(frozen=True)
@@ -355,11 +390,30 @@ def encode_vp(
     triple (points at infinity allowed). The peak has value exactly 1 at the
     grid cell nearest the mapped position; the Gaussian is truncated at three
     standard deviations and values below 1e-4 are zeroed, which keeps targets
-    sparse without moving the argmax.
+    sparse without moving the argmax. This is the one-grid call of
+    :func:`_encoded`.
     """
     check_positive(sigma, "sigma")
-    ((i0,), (j0,)) = _nearest_cells(*_as_vp_homogeneous(vp), [scale], resolution)
-    return Heatmap(_rasterize(int(i0), int(j0), resolution, sigma), scale)
+    ((heatmap,),) = _encoded(_as_vp_homogeneous(vp)[None], (scale,), resolution, sigma)
+    return heatmap
+
+
+def _encoded(vph, scales, resolution: int, sigma: float) -> list[list[Heatmap]]:
+    """The heatmaps of the ``(C, 3)`` homogeneous points ``vph``, one channel
+    per point, one grid per scale: a zeroed ``(C, S, R, R)`` block with the
+    :func:`_gaussian_patch` pasted at each :func:`_nearest_cells` cell,
+    clipped at the grid's edges, and checked once by :func:`_heatmaps`."""
+    rows, cols = _nearest_cells(vph[:, 0], vph[:, 1], vph[:, 2], scales, resolution)
+    block = np.zeros((len(vph), len(scales), resolution, resolution))
+    patch = _gaussian_patch(sigma)
+    reach = len(patch) // 2
+    for grid, i0, j0 in zip(block.reshape(-1, resolution, resolution),
+                            rows.T.ravel().tolist(), cols.T.ravel().tolist()):
+        lo_i, hi_i = max(0, i0 - reach), min(resolution, i0 + reach + 1)
+        lo_j, hi_j = max(0, j0 - reach), min(resolution, j0 + reach + 1)
+        grid[lo_i:hi_i, lo_j:hi_j] = patch[lo_i - i0 + reach : hi_i - i0 + reach,
+                                           lo_j - j0 + reach : hi_j - j0 + reach]
+    return _heatmaps(block, scales)
 
 
 def _check_peak_ratio(peak_ratio: float) -> None:
@@ -367,21 +421,9 @@ def _check_peak_ratio(peak_ratio: float) -> None:
         raise ValueError(f"peak_ratio must be in (0, 1], got {peak_ratio!r}")
 
 
-def _rasterize(i0: int, j0: int, resolution: int, sigma: float) -> np.ndarray:
-    """The grid of :func:`encode_vp` with its peak at cell ``(i0, j0)``."""
-    values = np.zeros((resolution, resolution))
-    patch = _gaussian_patch(sigma)
-    reach = len(patch) // 2
-    lo_i, hi_i = max(0, i0 - reach), min(resolution, i0 + reach + 1)
-    lo_j, hi_j = max(0, j0 - reach), min(resolution, j0 + reach + 1)
-    values[lo_i:hi_i, lo_j:hi_j] = patch[lo_i - i0 + reach : hi_i - i0 + reach,
-                                         lo_j - j0 + reach : hi_j - j0 + reach]
-    return values
-
-
 @functools.lru_cache(maxsize=8)
 def _gaussian_patch(sigma: float) -> np.ndarray:
-    """The read-only peak :func:`_rasterize` slices: the Gaussian at integer
+    """The read-only peak :func:`_encoded` pastes: the Gaussian at integer
     offsets up to three standard deviations, values below 1e-4 zeroed."""
     reach = int(np.ceil(3.0 * sigma))
     d2 = np.arange(-reach, reach + 1) ** 2
@@ -626,8 +668,9 @@ def _spread(vp, ideal, norm, direction, cells, grid, peaks) -> np.ndarray:
 
 
 # Cells per block of a _SampleCells table: it grows a block at a time, so no
-# entry is ever copied and at most one block is partly unused.
-_BLOCK = 256
+# entry is ever copied and at most one block is partly unused. A codec keeps
+# its table, and so its first block (345 KB at four 64 x 64 scales), for life.
+_BLOCK = 64
 
 
 class _SampleCells:
@@ -643,9 +686,10 @@ class _SampleCells:
     uint16 at 64 x 64, so a cell takes 1.8 KB of indices at four scales and
     3.6 KB of float64 directions, 5.4 KB in all. The entries are stored in
     blocks of :data:`_BLOCK` cells. The values depend on the grid alone, but
-    a table lives for one run: whoever runs the decodes creates it and
-    passes it to each of them, so nothing is left resident afterwards. A
-    decode on another grid starts the table afresh.
+    a table lives for one run or one :class:`HeatmapCodec`: whoever runs the
+    decodes creates it and passes it to each of them, so nothing is left
+    resident at module level. A decode on another grid starts the table
+    afresh. Filling is not locked, so one table is for one thread.
     """
 
     def __init__(self):
@@ -763,9 +807,14 @@ def decode_stack(
     from tables of the grid, cached per scale set and resolution; where the
     sub-pixel samples of the chosen cells land is mapped afresh per call.
     """
+    return _decode_boxes(values, scales, boxes, peak_ratio, _SampleCells())
+
+
+def _decode_boxes(values, scales, boxes, peak_ratio, sample_cells: _SampleCells):
+    """:func:`decode_stack` with the caller's sample-cell table."""
     values = np.asarray(values)
     records, points, is_direction, spread, scale = _decode_stack(
-        values, scales, peak_ratio, _SampleCells()
+        values, scales, peak_ratio, sample_cells
     )
     if len(boxes) != len(values):
         raise ValueError(f"need one box per record, got {len(boxes)} for {len(values)}")
@@ -889,13 +938,19 @@ def select_vp(
 
     This is the one-record call of :func:`decode_stack`.
     """
+    return _select_vp(heatmaps, box, peak_ratio, _SampleCells())
+
+
+def _select_vp(heatmaps, box: BBox, peak_ratio, sample_cells: _SampleCells) -> VPDetection:
+    """:func:`select_vp` with the caller's sample-cell table."""
     heatmaps = list(heatmaps)
     if any(h.resolution != heatmaps[0].resolution for h in heatmaps):
         raise ValueError("all heatmaps must share one resolution")
     detection = None
     if heatmaps:
         values = np.stack([h.values for h in heatmaps])[None]
-        (detection,) = decode_stack(values, [h.scale for h in heatmaps], [box], peak_ratio)
+        (detection,) = _decode_boxes(values, [h.scale for h in heatmaps], [box], peak_ratio,
+                                     sample_cells)
     if detection is None:
         raise AllScalesDegenerate("no heatmap scale produced a usable vanishing point")
     return detection
@@ -908,8 +963,16 @@ class HeatmapCodec:
     vanishing point of the direction the vehicle faces, channel 1 the
     orthogonal one. The parameters are checked when the codec is built, and
     a bad one raises ``ValueError``: ``resolution`` must be an integer of at
-    least 2, ``scales`` strictly increasing positive reals, ``sigma`` a
-    positive finite real, and ``peak_ratio`` a real in (0, 1].
+    least 2, ``scales`` strictly increasing reals in [1e-60, 1e60], ``sigma``
+    a positive finite real, and ``peak_ratio`` a real in (0, 1].
+
+    A codec owns one :class:`_SampleCells` table, which its :meth:`decode`
+    and :meth:`decode_pair` calls share: the sub-pixel samples of each
+    distinct chosen cell are mapped once per codec, not once per call. The
+    table lives as long as the codec and grows by 5.4 KB per distinct cell
+    (at four 64 x 64 scales), up to one entry per cell of the grid; drop the
+    codec to free it. The calls fill the table without a lock, so a codec is
+    not for use by concurrent threads: give each thread its own.
     """
 
     def __init__(
@@ -924,29 +987,23 @@ class HeatmapCodec:
         self.sigma = check_positive(sigma, "sigma")
         _check_peak_ratio(peak_ratio)
         self.peak_ratio = float(peak_ratio)
+        self._sample_cells = _SampleCells()
 
     def encode(self, vp) -> list[Heatmap]:
         """One heatmap per scale for a box-coordinate vanishing point: what
         :func:`encode_vp` gives at each scale."""
-        return self._rasterized(
-            *_nearest_cells(*_as_vp_homogeneous(vp), self.scales, self.resolution)
-        )
-
-    def _rasterized(self, rows: np.ndarray, cols: np.ndarray) -> list[Heatmap]:
-        return [
-            Heatmap(_rasterize(i0, j0, self.resolution, self.sigma), s)
-            for i0, j0, s in zip(rows.tolist(), cols.tolist(), self.scales)
-        ]
+        (maps,) = _encoded(_as_vp_homogeneous(vp)[None], self.scales, self.resolution, self.sigma)
+        return maps
 
     def decode(self, heatmaps, box: BBox) -> VPDetection:
-        return select_vp(heatmaps, box, self.peak_ratio)
+        """:func:`select_vp` at the codec's peak ratio, with its sample-cell table."""
+        return _select_vp(heatmaps, box, self.peak_ratio, self._sample_cells)
 
     def encode_pair(self, first_vp, second_vp) -> list[list[Heatmap]]:
         """Channel-major heatmaps for a (first, second) vanishing-point pair:
-        :meth:`encode` of each, with both points mapped in one pass."""
+        :meth:`encode` of each, both in one block."""
         vph = np.stack([_as_vp_homogeneous(first_vp), _as_vp_homogeneous(second_vp)])
-        rows, cols = _nearest_cells(*vph.T, self.scales, self.resolution)
-        return [self._rasterized(rows[:, c], cols[:, c]) for c in range(2)]
+        return _encoded(vph, self.scales, self.resolution, self.sigma)
 
     def decode_pair(self, channel_maps, box: BBox) -> tuple[VPDetection, VPDetection]:
         first, second = channel_maps

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._validation import as_float_array, check_integer
 from .errors import reading
-from .heatmap import Heatmap, check_scales
+from .heatmap import Heatmap, _heatmaps, check_scales
 
 __all__ = ["write_heatmap_file", "read_heatmap_file", "read_heatmap_arrays"]
 
@@ -51,48 +51,50 @@ def _validate_channels(channel_maps) -> tuple[int, tuple[float, ...]]:
 
 
 def write_heatmap_file(path, channel_maps) -> None:
-    """Write channel-major heatmaps (``channel_maps[channel][scale]``)."""
-    path = Path(path)
+    """Write channel-major heatmaps (``channel_maps[channel][scale]``).
+
+    The grids are converted into one float32 array, which a DVP file takes
+    from its buffer after the header's."""
+    if not isinstance(path, Path):
+        path = Path(path)
     resolution, scales = _validate_channels(channel_maps)
+    grids = np.empty((len(channel_maps), len(scales), resolution, resolution), dtype=_GRID)
+    # one cast of every grid, as an assignment of each would cast it
+    np.concatenate([h.values for h in chain.from_iterable(channel_maps)],
+                   out=grids.reshape(-1, resolution), casting="unsafe")
     if path.suffix == ".json":
         payload = {
             "magic": MAGIC.decode(),
             "resolution": resolution,
             "scales": list(scales),
             "channels": len(channel_maps),
-            "data": [
-                [np.asarray(h.values, dtype=np.float32).tolist() for h in channel]
-                for channel in channel_maps
-            ],
+            "data": grids.tolist(),
         }
         path.write_text(json.dumps(payload))
         return
     header = struct.pack(f"<4sII{len(scales)}dI", MAGIC, resolution, len(scales), *scales,
                          len(channel_maps))
-    blob = bytearray(len(header) + 4 * len(channel_maps) * len(scales) * resolution * resolution)
-    blob[: len(header)] = header
-    grids = np.frombuffer(blob, dtype=_GRID, offset=len(header)).reshape(-1, resolution, resolution)
-    for grid, h in zip(grids, chain.from_iterable(channel_maps)):
-        grid[...] = h.values
     # An existing file is overwritten in place and then cut to length, never
     # emptied first: ext4 flushes a file that was truncated to zero and
     # rewritten to disk when it is closed (auto_da_alloc), so rewriting a
     # directory of DVP files would wait on the disk once per file.
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as fh:
         try:
-            view = memoryview(blob)
-            while view:
-                view = view[fh.write(view) :]
-            fh.truncate(len(blob))
+            for buffer in (header, grids):
+                view = memoryview(buffer).cast("B")
+                while view:
+                    view = view[fh.write(view) :]
+            fh.truncate(len(header) + grids.nbytes)
         except BaseException:
             fh.truncate(0)  # a part-written file must not read as a whole one
             raise
 
 
 def read_heatmap_file(path) -> list[list[Heatmap]]:
-    """Read a heatmap observation; returns ``[channel][scale]`` heatmaps."""
+    """Read a heatmap observation; returns ``[channel][scale]`` heatmaps,
+    views of one float64 copy of the file's grids."""
     scales, values = read_heatmap_arrays(path)
-    return [[Heatmap(grid, scale) for grid, scale in zip(channel, scales)] for channel in values]
+    return _heatmaps(values.astype(float), scales)
 
 
 def read_heatmap_arrays(path, out=None) -> tuple[tuple[float, ...], np.ndarray]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._validation import LENGTH_RANGE
 from .errors import DegenerateInput, InvalidScale
 
 __all__ = [
@@ -172,7 +173,7 @@ def scale_point(p, s: float) -> np.ndarray:
     """Scale the Cartesian position by ``s``: (x, y, w) -> (s*x, s*y, w).
 
     Points at infinity are fixed points of this map. ``s`` must pass
-    :func:`check_scale`, which rejects a subnormal ``s``.
+    :func:`check_scale`.
     """
     check_scale(s)
     p = _as_homogeneous(p)
@@ -183,10 +184,13 @@ def scale_point(p, s: float) -> np.ndarray:
 
 
 def check_scale(s) -> None:
-    """Raise :class:`InvalidScale` unless ``s`` is a positive, finite, normal
-    number: a decode divides by it, and a subnormal one has no finite inverse."""
-    if not (np.isfinite(s) and s >= np.finfo(float).tiny):
-        raise InvalidScale(f"scale must be a positive, finite, normal number, got {s!r}")
+    """Raise :class:`InvalidScale` unless ``s`` lies in
+    :data:`~vpcalib._validation.LENGTH_RANGE`: a decode divides by it and
+    squares the points it gives, which within that range stay far from
+    float64 overflow. One float comparison, so NaN fails it too."""
+    if not LENGTH_RANGE[0] <= s <= LENGTH_RANGE[1]:
+        raise InvalidScale(f"scale must be a number in [{LENGTH_RANGE[0]:g}, "
+                           f"{LENGTH_RANGE[1]:g}], got {s!r}")
 
 
 def is_ideal(p, rel_eps: float = 1e-9) -> np.ndarray:

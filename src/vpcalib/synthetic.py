@@ -744,7 +744,10 @@ def augment(
     # jitter can invert a degenerate-thin box; keep the corners ordered
     x0, x1 = min(x0, x1), max(x0, x1)
     y0, y1 = min(y0, y1), max(y0, y1)
-    if x1 - x0 < 1e-9 or y1 - y0 < 1e-9:
-        # 1e-9 px, or the next float where that adds nothing
-        x1, y1 = (max(v + 1e-9, float(np.nextafter(v, np.inf))) for v in (x0, y0))
+    # a side thinner than 1e-9 px is widened to that, or to the next float
+    # where 1e-9 px adds nothing; the other side keeps its extent
+    if x1 - x0 < 1e-9:
+        x1 = max(x0 + 1e-9, float(np.nextafter(x0, np.inf)))
+    if y1 - y0 < 1e-9:
+        y1 = max(y0 + 1e-9, float(np.nextafter(y0, np.inf)))
     return H, BBox(x0, y0, x1, y1), flipped

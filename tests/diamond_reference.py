@@ -11,7 +11,9 @@ The decode and box rules exist once in :mod:`vpcalib.heatmap`, as the
 array code of a stack decode; ``decode_heatmap``, ``accuracy_measure`` and
 the box helpers there are its one-grid and one-box calls. Their former
 scalar bodies are kept here, at the end, so that the tests have a second
-implementation to hold the array code to.
+implementation to hold the array code to. So is the encoder's former
+grid-by-grid rasterizer: one zeroed float64 grid per scale, a Gaussian
+patch sliced into each, and a checked ``Heatmap`` made of each grid.
 """
 
 import math
@@ -19,7 +21,7 @@ import math
 import numpy as np
 
 from vpcalib.errors import DegeneratePeak, EmptyHeatmap, InvalidScale, OutOfDiamond
-from vpcalib.heatmap import CENTER_EPS, IDEAL_EPS
+from vpcalib.heatmap import CENTER_EPS, IDEAL_EPS, Heatmap
 
 
 def columns(p):
@@ -207,3 +209,36 @@ def bbox_normalize(points, box):
 
 def bbox_denormalize(points, box):
     return np.asarray(points, dtype=float) * box_half_size(box) + box_center(box)
+
+
+def gaussian_patch(sigma):
+    reach = int(np.ceil(3.0 * sigma))
+    d2 = np.arange(-reach, reach + 1) ** 2
+    patch = np.exp(-(d2[:, None] + d2[None, :]) / (2.0 * sigma * sigma))
+    patch[patch < 1e-4] = 0.0
+    return patch
+
+
+def rasterize(i0, j0, resolution, sigma):
+    """The grid of ``encode_vp`` with its peak at cell ``(i0, j0)``."""
+    values = np.zeros((resolution, resolution))
+    patch = gaussian_patch(sigma)
+    reach = len(patch) // 2
+    lo_i, hi_i = max(0, i0 - reach), min(resolution, i0 + reach + 1)
+    lo_j, hi_j = max(0, j0 - reach), min(resolution, j0 + reach + 1)
+    values[lo_i:hi_i, lo_j:hi_j] = patch[lo_i - i0 + reach : hi_i - i0 + reach,
+                                         lo_j - j0 + reach : hi_j - j0 + reach]
+    return values
+
+
+def rasterized(rows, cols, scales, resolution, sigma):
+    """``HeatmapCodec``'s heatmaps of the cells ``(rows[k], cols[k])``, one per scale."""
+    return [Heatmap(rasterize(i0, j0, resolution, sigma), s)
+            for i0, j0, s in zip(rows.tolist(), cols.tolist(), scales)]
+
+
+def encode(vph, scales, resolution, sigma):
+    """The heatmaps of ``HeatmapCodec.encode`` of one homogeneous point,
+    scale by scale, its cells from :func:`nearest_cells`."""
+    cells = nearest_cells(np.asarray(vph, dtype=float), scales, resolution)
+    return rasterized(cells[:, 0], cells[:, 1], scales, resolution, sigma)

@@ -1,14 +1,21 @@
-"""The whole-file heatmap reader and the file-by-file chunk stack, kept as references.
+"""The whole-file heatmap reader, the file-by-file chunk stack and the
+bytearray writer, kept as references.
 
 ``read_arrays`` reads a heatmap file with one ``read_bytes`` and checks it
 whole; ``read_stack`` copies each file's grids into the chunk's stack after
 checking them, one file at a time. :mod:`vpcalib` now reads DVP files
 straight into the stack and checks the chunk's values in one pass. The
 tests require it to give the same stack, and the same first error with the
-same message.
+same message. ``write_file`` builds a DVP file in a bytearray, copying
+each heatmap's grid into it one at a time, and a JSON file from each grid's
+float32 copy; :mod:`vpcalib` now converts every grid in one pass and writes
+the header and the grids from their own buffers. The tests require the
+same bytes.
 """
 
+import json
 import struct
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +23,7 @@ import numpy as np
 from vpcalib.errors import InputFormatError, reading
 from vpcalib._validation import check_integer
 from vpcalib.heatmap import check_scales
-from vpcalib.heatmap_io import MAGIC, _parse_json
+from vpcalib.heatmap_io import MAGIC, _parse_json, _validate_channels
 
 
 def _parse_binary(blob: bytes):
@@ -73,3 +80,29 @@ def read_stack(refs, grid, base_dir):
             stack = stack.astype(values.dtype)
         stack[:, k] = values
     return stack
+
+
+def write_file(path, channel_maps):
+    path = Path(path)
+    resolution, scales = _validate_channels(channel_maps)
+    if path.suffix == ".json":
+        payload = {
+            "magic": MAGIC.decode(),
+            "resolution": resolution,
+            "scales": list(scales),
+            "channels": len(channel_maps),
+            "data": [
+                [np.asarray(h.values, dtype=np.float32).tolist() for h in channel]
+                for channel in channel_maps
+            ],
+        }
+        path.write_text(json.dumps(payload))
+        return
+    header = struct.pack(f"<4sII{len(scales)}dI", MAGIC, resolution, len(scales), *scales,
+                         len(channel_maps))
+    blob = bytearray(len(header) + 4 * len(channel_maps) * len(scales) * resolution * resolution)
+    blob[: len(header)] = header
+    grids = np.frombuffer(blob, dtype="<f4", offset=len(header)).reshape(-1, resolution, resolution)
+    for grid, h in zip(grids, chain.from_iterable(channel_maps)):
+        grid[...] = h.values
+    path.write_bytes(bytes(blob))

@@ -54,6 +54,18 @@ class TestAugment:
             [box.x_max, box.y_max], box_points.max(axis=0), atol=1e-12
         )
 
+    @pytest.mark.parametrize("thin", [0, 1])
+    def test_only_the_thin_side_is_widened(self, thin):
+        # eight points on the line x = 50 (or y = 50): the box is 1e-9 px wide
+        # (or tall) and keeps its 80 px along the line
+        points = np.empty((8, 2))
+        points[:, thin] = 50.0
+        points[:, 1 - thin] = np.linspace(20.0, 100.0, 8)
+        params = AugmentationParams(corner_sigma=0.0, bbox_jitter=0.0, flip_prob=0.0, rng_seed=1)
+        _, box, _ = augment(IMAGE_SIZE, points, params)
+        expected = [(50.0, 20.0, 50.0 + 1e-9, 100.0), (20.0, 50.0, 100.0, 50.0 + 1e-9)][thin]
+        assert box.as_tuple() == expected
+
     def test_deterministic_in_seed(self, box_points):
         params = AugmentationParams(rng_seed=42)
         H1, box1, f1 = augment(IMAGE_SIZE, box_points, params)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +352,31 @@ class TestCalibrate:
         assert err["error"] == "InputFormatError" and "obs3.dvp" in err["message"]
         if damage == "another grid":
             assert "obs0.dvp" in err["message"]
+
+    @pytest.mark.parametrize("scales", [(1e-160, 0.1, 0.3, 1.0), (0.03, 0.1, 0.3, 1e61)])
+    def test_heatmap_files_with_scales_outside_the_length_range_fail_quietly(
+            self, tmp_path, capsys, scales):
+        # every file states the same grid, so only the scale range rejects it;
+        # at 1e-160 the decode used to overflow into RuntimeWarnings
+        def spoil(path):
+            blob = bytearray(path.read_bytes())
+            blob[12:44] = np.array(scales, dtype="<f8").tobytes()
+            path.write_bytes(bytes(blob))
+
+        det = self._heatmap_detections(tmp_path)
+        for k in range(6):
+            spoil(tmp_path / f"obs{k}.dvp")
+        out = tmp_path / "cal.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["calibrate", "--detections", str(det), "--out", str(out),
+                         "--image-size", "1920", "1080"])
+        assert code == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "InputFormatError" and "obs0.dvp" in err["message"]
+        assert "numbers in [1e-60, 1e+60]" in err["message"]
 
     @staticmethod
     def _calibrate_heatmap_scene(tmp_path, codec):

@@ -456,11 +456,12 @@ class TestCellTables:
         assert np.isinf(want).any() and np.isfinite(want).any()
         assert ref.same_bits(got, want)
 
-    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan, 1e-320])
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan, 1e-320, 1e-160, 9.9e-61, 1.1e60])
     def test_a_bad_scale_raises_the_one_scale_error(self, scale):
         # the tables, the one-cell calls, the encoder and scale_point share
-        # projective.check_scale; a subnormal scale has no finite inverse
-        message = f"scale must be a positive, finite, normal number, got {scale!r}"
+        # projective.check_scale: a scale outside LENGTH_RANGE, such as one
+        # whose decoded points overflow when squared, is rejected
+        message = f"scale must be a number in [1e-60, 1e+60], got {scale!r}"
         for call in (lambda: _CellTables((scale, 1.0), 8),
                      lambda: vp_of_pixel(3.0, 4.0, scale, 8),
                      lambda: quantization_radius(3, 4, scale, 8),
@@ -469,6 +470,32 @@ class TestCellTables:
             with pytest.raises(InvalidScale) as raised:
                 call()
             assert str(raised.value) == message
+
+    @pytest.mark.parametrize("scales", [(1e-160, 0.1), (9.9e-61, 0.1), (0.1, 1.1e60)])
+    def test_scales_outside_the_length_range_end_in_an_error_without_a_warning(self, scales):
+        # at 1e-160 the decode squared points near 1e162 and overflowed
+        values = np.zeros((1, 2, 16, 16))
+        values[0, :, 3, 5] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"numbers in \[1e-60, 1e\+60\]"):
+                HeatmapCodec(scales=scales)
+            with pytest.raises(InvalidScale, match=r"in \[1e-60, 1e\+60\]"):
+                decode_stack(values, scales, [BBox(0.0, 0.0, 10.0, 10.0)])
+
+    def test_scales_at_the_ends_of_the_length_range_decode_without_a_warning(self):
+        scales = (1e-60, 1.0, 1e60)
+        codec = HeatmapCodec(resolution=16, scales=scales)
+        assert codec.scales == scales
+        box = BBox(0.0, 0.0, 10.0, 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for vp in ([3.0, 4.0], [1e70, 2e70], [1.0, 0.0, 0.0], [5e59, 1e58]):
+                maps = codec.encode(vp)
+                det = codec.decode(maps, box)
+                assert det.chosen_scale in scales and np.isfinite(det.point).all()
+            for s in (scales[0], scales[-1]):
+                assert np.array_equal(scale_point([3.0, 4.0, 1.0], s), [3.0 * s, 4.0 * s, 1.0])
 
     def test_the_point_tables_are_complete_after_construction(self):
         tables = _CellTables(DEFAULT_SCALES, 16)

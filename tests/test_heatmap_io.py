@@ -68,6 +68,49 @@ def test_failed_rewrite_leaves_no_file_that_reads_whole(tmp_path, observation, m
         read_heatmap_file(path)
 
 
+def test_a_new_file_gets_the_permissions_of_any_new_file(tmp_path, observation):
+    # 0o666 less the umask, as open(path, "wb") creates a file
+    write_heatmap_file(tmp_path / "obs.dvp", observation)
+    (tmp_path / "plain").write_bytes(b"")
+    assert (tmp_path / "obs.dvp").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+def test_short_writes_give_the_bytes_of_a_fresh_write(tmp_path, observation, monkeypatch):
+    fresh, short = tmp_path / "fresh.dvp", tmp_path / "short.dvp"
+    write_heatmap_file(fresh, observation)
+    short.write_bytes(b"\xff" * (2 * fresh.stat().st_size))
+
+    class Short(io.FileIO):
+        # at most 1000 bytes a call, as a write to a pipe or a full disk may take
+        def write(self, data):
+            return super().write(memoryview(data)[:1000])
+
+    monkeypatch.setattr(heatmap_io, "open", lambda fd, mode, buffering: Short(fd, mode),
+                        raising=False)
+    write_heatmap_file(short, observation)
+    monkeypatch.undo()
+    assert short.read_bytes() == fresh.read_bytes()
+
+
+def test_a_failure_after_the_header_leaves_no_file_that_reads_whole(tmp_path, observation,
+                                                                    monkeypatch):
+    path = tmp_path / "obs.dvp"
+    write_heatmap_file(path, observation)
+
+    class FullAfterHeader(io.FileIO):
+        def write(self, data):
+            if self.tell() > 0:
+                raise OSError("no space left on device")
+            return super().write(data)
+
+    monkeypatch.setattr(heatmap_io, "open", lambda fd, mode, buffering: FullAfterHeader(fd, mode),
+                        raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write_heatmap_file(path, observation)
+    monkeypatch.undo()
+    assert path.stat().st_size == 0
+
+
 def test_json_round_trip(tmp_path, observation):
     path = tmp_path / "obs.json"
     write_heatmap_file(path, observation)

@@ -45,21 +45,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 600.0  # seconds per mutant; a mutant that loops forever counts as killed
 
-# the merged decode, box and filter rules, and the tests that cover them
+# the merged decode, box, filter, grid and scale rules, the DVP writer, and
+# the tests that cover them
 TARGETS = [
     {
         "module": "src/vpcalib/heatmap.py",
         "functions": ["_near_maximum", "_spread", "_ious", "bbox_arrays", "box_to_frame",
-                      "frame_to_box"],
+                      "frame_to_box", "_checked_grids", "_heatmaps", "check_scales"],
         "tests": ["tests/test_heatmap.py", "tests/test_scalar_wrapper_properties.py",
                   "tests/test_detection_properties.py", "tests/test_diamond_columns.py",
-                  "tests/test_decode_precision_properties.py"],
+                  "tests/test_decode_precision_properties.py", "tests/test_encode_properties.py",
+                  "tests/test_heatmap_io.py"],
     },
     {
         "module": "src/vpcalib/pipeline.py",
         "functions": ["_sampled_top", "_static_kept"],
         "tests": ["tests/test_detections.py", "tests/test_detection_properties.py",
                   "tests/test_pipeline.py"],
+    },
+    {
+        "module": "src/vpcalib/projective.py",
+        "functions": ["check_scale"],
+        "tests": ["tests/test_heatmap.py", "tests/test_projective.py"],
+    },
+    {
+        "module": "src/vpcalib/heatmap_io.py",
+        "functions": ["write_heatmap_file"],
+        "tests": ["tests/test_heatmap_io.py", "tests/test_encode_properties.py"],
     },
 ]
 
