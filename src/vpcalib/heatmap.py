@@ -498,11 +498,11 @@ def accuracy_measure(heatmap: Heatmap, peak: tuple[int, int], candidates: np.nda
     rows = np.append(cand[:, 0], float(peak[0]))
     cols = np.append(cand[:, 1], float(peak[1]))
     points = _point_table(vp_of_pixel(rows, cols, heatmap.scale, heatmap.resolution))
-    ideal, norm = points[1][-1], points[2][-1]
+    ideal, norm = points[2][-1], points[3][-1]
     if not ideal and norm < CENTER_EPS:
         raise DegeneratePeak("peak decodes to the bounding-box centre")
     n = len(cand)
-    (spread,) = _spread(*points, np.arange(n), np.zeros(n, dtype=int), np.array([n]))
+    (spread,) = _spread(*points[1:], np.arange(n), np.zeros(n, dtype=int), np.array([n]))
     return float(spread)
 
 
@@ -572,8 +572,8 @@ class _CellTables:
     A grid is a scale set and a resolution; the entries depend on the cell
     alone and are indexed ``[scale index, row, col]``. The point tables,
     the :func:`_point_table` of each cell's :func:`vp_of_pixel` (``vp``,
-    ``ideal``, ``norm``, ``direction``), are built whole when the grid is
-    first used.
+    ``xy``, ``ideal``, ``norm``, ``direction``), are built whole when the
+    grid is first used.
 
     ``radius``, :func:`quantization_radius` at its defaults, takes 36
     boundary points per cell, so :meth:`radii` fills it only for the cells
@@ -587,7 +587,7 @@ class _CellTables:
         self.resolution = resolution
         shape = (len(scales), resolution, resolution)
         vp = np.stack(_vp_by_scale(scales, *np.indices(shape), resolution), axis=-1)
-        self.vp, self.ideal, self.norm, self.direction = _point_table(vp)
+        self.vp, self.xy, self.ideal, self.norm, self.direction = _point_table(vp)
         self.radius = np.zeros(shape)
         self._has_radius = np.zeros(shape, dtype=bool)
 
@@ -632,23 +632,27 @@ def _run_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _point_table(vp) -> tuple[np.ndarray, ...]:
-    """What a spread takes of the homogeneous points ``vp`` (``(..., 3)``):
-    the points, where they lie at infinity (``projective.is_ideal``), the
-    length of each finite one's dehomogenized point (NaN at infinity) and
-    each one's unit direction from the box centre."""
+    """The homogeneous points ``vp`` (``(..., 3)``) and what a spread takes
+    of them: each one's dehomogenized ``(x, y)``, where they lie at infinity
+    (``projective.is_ideal``), the length of each finite one's ``(x, y)``
+    (both NaN at infinity) and each one's unit direction from the box
+    centre."""
     ideal = pj.is_ideal(vp, IDEAL_EPS)
+    xy = np.full(ideal.shape + (2,), np.nan)
+    xy[~ideal] = pj.dehomogenize(vp[~ideal])
     norm = np.full(ideal.shape, np.nan)
-    norm[~ideal] = pj.row_norms(pj.dehomogenize(vp[~ideal]))
-    return vp, ideal, norm, _directions(vp[..., 0], vp[..., 1], vp[..., 2])
+    norm[~ideal] = pj.row_norms(xy[~ideal])
+    return vp, xy, ideal, norm, _directions(vp[..., 0], vp[..., 1], vp[..., 2])
 
 
-def _spread(vp, ideal, norm, direction, cells, grid, peaks) -> np.ndarray:
+def _spread(xy, ideal, norm, direction, cells, grid, peaks) -> np.ndarray:
     """:func:`accuracy_measure` of each of ``len(peaks)`` grids, from the rows
-    of a flat :func:`_point_table`: ``cells`` are the rows of the grids'
-    near-maximum cells, ``grid`` the grid of each, in order, and ``peaks``
-    the row of each grid's peak. Distances are between unit directions where
-    the peak lies at infinity, else between points, cells at infinity
-    skipped. A grid left with no cell gets inf, so it ranks last."""
+    of a flat :func:`_point_table` past its points: ``cells`` are the rows
+    of the grids' near-maximum cells, ``grid`` the grid of each, in order,
+    and ``peaks`` the row of each grid's peak. Distances are between unit
+    directions where the peak lies at infinity, else between points, cells
+    at infinity skipped. A grid left with no cell gets inf, so it ranks
+    last."""
     peak = peaks[grid]
     on = ideal[peak]
     use = on | ~ideal[cells]
@@ -656,9 +660,7 @@ def _spread(vp, ideal, norm, direction, cells, grid, peaks) -> np.ndarray:
     dist = np.empty(len(cells))
     dist[on] = np.linalg.norm(direction[cells[on]] - direction[peak[on]], axis=1)
     off = ~on
-    dist[off] = np.linalg.norm(
-        pj.dehomogenize(vp[cells[off]]) - pj.dehomogenize(vp[peak[off]]), axis=1
-    )
+    dist[off] = np.linalg.norm(xy[cells[off]] - xy[peak[off]], axis=1)
     starts = np.flatnonzero(np.diff(grid, prepend=-1))
     spread = np.full(len(peaks), np.inf)
     spread[grid[starts]] = _run_means(dist, starts)
@@ -685,11 +687,15 @@ class _SampleCells:
     indices take the narrowest unsigned dtype that holds ``R * R - 1``:
     uint16 at 64 x 64, so a cell takes 1.8 KB of indices at four scales and
     3.6 KB of float64 directions, 5.4 KB in all. The entries are stored in
-    blocks of :data:`_BLOCK` cells. The values depend on the grid alone, but
-    a table lives for one run or one :class:`HeatmapCodec`: whoever runs the
-    decodes creates it and passes it to each of them, so nothing is left
-    resident at module level. A decode on another grid starts the table
-    afresh. Filling is not locked, so one table is for one thread.
+    blocks of :data:`_BLOCK` cells, in the order they were filled, and a
+    dense int32 index over the grid's ``S * R * R`` cells gives each cell's
+    entry, -1 where it has none: 64 KB at four 64 x 64 scales, half the
+    bytes of one record's two channels of float32 grids. The values depend
+    on the grid alone, but a table lives for one run or one
+    :class:`HeatmapCodec`: whoever runs the decodes creates it and passes it
+    to each of them, so nothing is left resident at module level. A decode
+    on another grid starts the table afresh. Filling is not locked, so one
+    table is for one thread.
     """
 
     def __init__(self):
@@ -700,14 +706,19 @@ class _SampleCells:
         directions of the chosen cells, filling the missing ones in one pass."""
         if self._grid != (scales, resolution):
             self._grid = (scales, resolution)
-            self._slot = {}
+            self._entry = np.full(len(scales) * resolution * resolution, -1, dtype=np.int32)
+            self._size = 0
             self._dtype = np.min_scalar_type(resolution * resolution - 1)
             self._cells, self._dirs = [], []
-        key = ((chosen * resolution + row) * resolution + col).tolist()
-        missing = sorted(set(key).difference(self._slot))
-        if missing:
-            self._fill(missing)
-        block, at = np.divmod(np.array([self._slot[k] for k in key], dtype=int), _BLOCK)
+        key = (chosen * resolution + row) * resolution + col
+        entry = self._entry[key]
+        missing = entry < 0
+        if missing.any():
+            self._fill(np.unique(key[missing]))
+            entry = self._entry[key]
+        if len(self._cells) == 1:
+            return self._cells[0][entry], self._dirs[0][entry]
+        block, at = np.divmod(entry, _BLOCK)
         cells = np.empty((len(key), len(scales), len(_SUBPIXEL)), dtype=self._dtype)
         dirs = np.empty((len(key), len(_SUBPIXEL), 2))
         for b in np.unique(block).tolist():
@@ -716,7 +727,9 @@ class _SampleCells:
             dirs[here] = self._dirs[b][at[here]]
         return cells, dirs
 
-    def _fill(self, key: list[int]) -> None:
+    def _fill(self, key: np.ndarray) -> None:
+        """Store the entries of the cells ``key``, flat indices of cells
+        that have none yet."""
         scales, resolution = self._grid
         chosen, row, col = np.unravel_index(key, (len(scales), resolution, resolution))
         samples = _vp_by_scale(scales, chosen, row[:, None] + _SUBPIXEL[:, 0],
@@ -724,8 +737,9 @@ class _SampleCells:
         row, col = _nearest_cells(*samples, scales, resolution)
         cells = np.moveaxis(row * resolution + col, 0, 1)
         dirs = _directions(*samples)
-        size = len(self._slot)
-        self._slot.update(zip(key, range(size, size + len(key))))
+        size = self._size
+        self._entry[key] = np.arange(size, size + len(key))
+        self._size += len(key)
         done = 0
         while done < len(key):
             block, at = divmod(size + done, _BLOCK)
@@ -767,13 +781,12 @@ def _fuse(tables: _CellTables, sample_cells: _SampleCells, near, records, chosen
     fused = centre.copy()
     some = count > 0
     # sample-major positions: rc[keep].mean(axis=0) adds the kept (row, col)
-    # pairs in order, and so does a sum over the leading axis with (M, 2)
-    # behind it, in one pass per sample; a skipped sample adds a zero
-    rc = np.stack([row, col], axis=-1) + _SUBPIXEL[:, None, :]
-    mean = (rc * keep.T[..., None]).sum(axis=0)[some] / count[some, None]
-    fused[some] = np.stack(
-        _vp_by_scale(scales, chosen[some], mean[:, 0], mean[:, 1], resolution), axis=-1
-    )
+    # pairs in order, and so does a sum over the leading axis with (2, M)
+    # behind it, in one pass per sample; a skipped sample adds a zero. With
+    # (M,) behind it, M = 1 would make the sum a pairwise one.
+    rc = np.stack([row, col]) + _SUBPIXEL[:, :, None]
+    mean = (rc * keep.T[:, None, :]).sum(axis=0)[:, some] / count[some]
+    fused[some] = np.stack(_vp_by_scale(scales, chosen[some], *mean, resolution), axis=-1)
     # a direction at infinity stays one, oriented like the centre's
     flip = ideal & (np.sum(fused[:, :2] * centre[:, :2], axis=1) < 0.0)
     fused[flip, :2] *= -1.0
@@ -883,7 +896,7 @@ def _decode_stack(values, scales, peak_ratio, sample_cells: _SampleCells):
     cn, cs, cr, cc = np.unravel_index(np.flatnonzero(near & usable[:, :, None, None]), near.shape)
     cells = np.ravel_multi_index((cs, cr, cc), tables.ideal.shape)
     peaks = np.ravel_multi_index((scale_index, row, col), tables.ideal.shape).ravel()
-    spread = _spread(tables.vp.reshape(-1, 3), tables.ideal.ravel(), tables.norm.ravel(),
+    spread = _spread(tables.xy.reshape(-1, 2), tables.ideal.ravel(), tables.norm.ravel(),
                      tables.direction.reshape(-1, 2), cells, cn * n_scales + cs, peaks)
     spread = spread.reshape(n, n_scales)
     radius = np.full((n, n_scales), np.inf)

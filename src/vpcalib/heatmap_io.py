@@ -50,18 +50,33 @@ def _validate_channels(channel_maps) -> tuple[int, tuple[float, ...]]:
     return resolution, scales
 
 
+def _header(resolution: int, scales, n_channels: int) -> bytes:
+    """The bytes of a DVP file before its grids."""
+    return struct.pack(f"<4sII{len(scales)}dI", MAGIC, resolution, len(scales), *scales,
+                       n_channels)
+
+
 def write_heatmap_file(path, channel_maps) -> None:
     """Write channel-major heatmaps (``channel_maps[channel][scale]``).
 
     The grids are converted into one float32 array, which a DVP file takes
-    from its buffer after the header's."""
+    from its buffer after the header's. A value that float32 cannot hold
+    (its magnitude rounds above float32's maximum) raises ``ValueError``
+    before the file is opened; one that rounds to a subnormal or to zero is
+    written as such."""
     if not isinstance(path, Path):
         path = Path(path)
     resolution, scales = _validate_channels(channel_maps)
     grids = np.empty((len(channel_maps), len(scales), resolution, resolution), dtype=_GRID)
-    # one cast of every grid, as an assignment of each would cast it
-    np.concatenate([h.values for h in chain.from_iterable(channel_maps)],
-                   out=grids.reshape(-1, resolution), casting="unsafe")
+    # one cast of every grid, as an assignment of each would cast it; it
+    # flags a value that would be stored as inf
+    try:
+        with np.errstate(over="raise"):
+            np.concatenate([h.values for h in chain.from_iterable(channel_maps)],
+                           out=grids.reshape(-1, resolution), casting="unsafe")
+    except FloatingPointError:
+        raise ValueError(f"heatmap values must lie within float32's range, "
+                         f"+-{np.finfo(_GRID).max}") from None
     if path.suffix == ".json":
         payload = {
             "magic": MAGIC.decode(),
@@ -72,8 +87,7 @@ def write_heatmap_file(path, channel_maps) -> None:
         }
         path.write_text(json.dumps(payload))
         return
-    header = struct.pack(f"<4sII{len(scales)}dI", MAGIC, resolution, len(scales), *scales,
-                         len(channel_maps))
+    header = _header(resolution, scales, len(channel_maps))
     # An existing file is overwritten in place and then cut to length, never
     # emptied first: ext4 flushes a file that was truncated to zero and
     # rewritten to disk when it is closed (auto_da_alloc), so rewriting a

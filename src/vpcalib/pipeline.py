@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -53,7 +54,7 @@ from .heatmap import (
     box_to_frame,
     select_vp,  # noqa: F401  (kept importable from here: perfbench/tracing.py wraps it)
 )
-from .heatmap_io import read_heatmap_arrays
+from .heatmap_io import _header, read_heatmap_arrays
 from .heatmap_io import read_heatmap_file  # noqa: F401  (likewise)
 
 __all__ = [
@@ -480,19 +481,41 @@ def _read_stack(refs, grid, base_dir, buffer) -> np.ndarray:
     """Channel-major ``(2, N, S, R, R)`` grids of the heatmap files ``refs``.
 
     ``grid`` is ``(first, scales, resolution)`` of the run's first heatmap
-    file, whose grid every file must share. DVP files are read straight
+    file, whose grid every file must share. A DVP file is read straight
     into ``buffer``, a little-endian float32 ``(2, chunk, S, R, R)`` array
-    that a run reuses for each chunk. A JSON file turns the stack into a
-    float64 copy, which the rest of the chunk is copied into. Each file is
-    checked as it is read, so the first bad file in record order is the one
-    reported.
+    that a run reuses for each chunk, by one ``readv`` of its header and
+    its two channels' grids. The file passes when the read gives exactly
+    those bytes and the header is the one the run's grid gives; any other
+    file, a JSON one included, is read by
+    :func:`~vpcalib.heatmap_io.read_heatmap_arrays`, which reports what is
+    wrong with it. A JSON file turns the stack into a float64 copy, which
+    the rest of the chunk is copied into. The values are checked for
+    finiteness in one pass over the files read by ``readv``, before the
+    next file that ``read_heatmap_arrays`` reads and at the end, so the
+    first bad file in record order is the one reported.
     """
     first, scales, resolution = grid
     stack = buffer[:, : len(refs)]
-    base_dir = Path(base_dir)
+    header = _header(resolution, scales, 2)
+    head, spare = bytearray(len(header)), bytearray(1)
+    whole = len(header) + buffer[:, 0].nbytes
+    checked = 0  # the files before this one are known to be finite
     for k, ref in enumerate(refs):
         slot = stack[:, k] if stack.dtype == buffer.dtype else None
-        file_scales, values = read_heatmap_arrays(base_dir / ref, slot)
+        if slot is not None and not ref.endswith(".json"):
+            try:
+                fd = os.open(os.path.join(base_dir, ref), os.O_RDONLY)
+                try:
+                    size = os.readv(fd, (head, *slot, spare))
+                finally:
+                    os.close(fd)
+            except (OSError, ValueError):  # a NUL in the name is a ValueError
+                size = None
+            if size == whole and head == header:
+                continue
+        _check_finite(stack, refs, base_dir, checked, k)
+        checked = k + 1
+        file_scales, values = read_heatmap_arrays(Path(base_dir) / ref, slot)
         if len(values) != 2:
             raise InputFormatError(f"heatmap file {ref} has {len(values)} channels, expected 2")
         if (file_scales, values.shape[-1]) != (scales, resolution):
@@ -503,7 +526,22 @@ def _read_stack(refs, grid, base_dir, buffer) -> np.ndarray:
             if not np.can_cast(values.dtype, stack.dtype):
                 stack = stack.astype(values.dtype)
             stack[:, k] = values
+    _check_finite(stack, refs, base_dir, checked, len(refs))
     return stack
+
+
+def _check_finite(stack, refs, base_dir, start: int, stop: int) -> None:
+    """Raise the error of the first file among ``refs[start:stop]`` whose
+    grids in ``stack`` are not all finite, as
+    :func:`~vpcalib.heatmap_io.read_heatmap_arrays` reports it."""
+    grids = stack[:, start:stop]
+    if np.isfinite(grids).all():
+        return
+    k = start + int(np.isfinite(grids).all(axis=(0, 2, 3, 4)).argmin())
+    path = Path(base_dir) / refs[k]
+    read_heatmap_arrays(path)
+    with reading("heatmap file", path):  # the file was rewritten since
+        raise ValueError("heatmap file changed while it was read")
 
 
 def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSet:
@@ -516,8 +554,8 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
     table's point column of a channel where given, else its direction
     column. Heatmap records go in chunks of at most ``_CHUNK``, on the grid
     of the first heatmap file in record order: the chunk's files are read
-    into one stack, whose buffer every chunk reuses, each file checked as
-    it is read, and each channel of the stack is decoded in one batch as by
+    into one stack, whose buffer every chunk reuses, and checked, and each
+    channel of the stack is decoded in one batch as by
     :func:`~vpcalib.heatmap.decode_stack`. The first bad file in record
     order, one on another grid included, raises its
     :class:`InputFormatError`. The batches share one table of where the

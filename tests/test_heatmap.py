@@ -19,6 +19,7 @@ from vpcalib.heatmap import (
     Heatmap,
     HeatmapCodec,
     VPDetection,
+    _BLOCK,
     _CellTables,
     _SampleCells,
     _SUBPIXEL,
@@ -214,6 +215,23 @@ class TestEncode:
         assert digest.hexdigest() == (
             "c29fe5ef333ef53523f80e498107780e20a3f3dad73bdb292d917046294a0c6e"
         )
+
+
+def test_directions_at_infinity_decode_like_the_scalar_reference(rng):
+    # broad and narrow peaks of directions, so that the fused direction is
+    # taken on some records and must be oriented like the peak cell's
+    values, boxes = [], []
+    for sigma in (1.0, 2.0):
+        codec = HeatmapCodec(sigma=sigma)
+        for theta in rng.uniform(0.0, 2.0 * np.pi, 40):
+            maps = codec.encode(np.array([np.cos(theta), np.sin(theta), 0.0]))
+            values.append(np.stack([h.values for h in maps]))
+            boxes.append(BBox(0.0, 0.0, 128.0, 128.0))
+    for grids, box, det in zip(values, boxes, decode_stack(np.stack(values), DEFAULT_SCALES,
+                                                           boxes)):
+        maps = [Heatmap(g, s) for g, s in zip(grids, DEFAULT_SCALES)]
+        reference = _reference_select_vp(maps, box)
+        assert reference.direction_only and _same_detection(det, reference)
 
 
 def _encode_cases():
@@ -684,6 +702,10 @@ class TestSampleCells:
             for got, stored in zip(fresh.lookup(DEFAULT_SCALES, 16, s[part], r[part], c[part]),
                                    (whole[0][part], whole[1][part])):
                 assert got.dtype == stored.dtype and np.array_equal(got, stored)
+        # one entry per distinct cell, however often it was looked up
+        again = table.lookup(DEFAULT_SCALES, 16, s, r, c)
+        assert all(np.array_equal(got, stored) for got, stored in zip(again, whole))
+        assert (table._size, fresh._size) == (len(s), len(np.unique(order)))
 
     def test_indices_take_the_narrowest_dtype_that_holds_the_grid(self):
         for resolution, dtype in ((16, np.uint8), (17, np.uint16), (64, np.uint16),
@@ -720,6 +742,33 @@ class TestSampleCells:
             reference = _reference_select_vp([Heatmap(g, s) for g, s in zip(grids, DEFAULT_SCALES)],
                                              box)
             assert _same_detection(det, reference)
+
+    def test_a_long_lived_codec_decodes_like_a_fresh_one(self, rng):
+        codec = HeatmapCodec()
+        box = BBox(100.0, 200.0, 260.0, 300.0)
+
+        def bits(detection):
+            return (detection.point.tobytes(), np.float64(detection.uncertainty).tobytes(),
+                    detection.chosen_scale, detection.direction_only)
+
+        # pairs one at a time, each met by the codec's table and by a fresh one
+        radius = np.exp(rng.uniform(np.log(0.5), np.log(1e3), (320, 2)))
+        angle = rng.uniform(0.0, 2.0 * np.pi, (320, 2))
+        pairs = []
+        for first, second in np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1):
+            maps = codec.encode_pair(first, second)
+            pairs.append(maps)
+            for kept, fresh in zip(codec.decode_pair(maps, box),
+                                   HeatmapCodec().decode_pair(maps, box)):
+                assert bits(kept) == bits(fresh)
+        table = codec._sample_cells
+        assert table._size > 4 * _BLOCK  # distinct cells, past four blocks
+        # and the pairs together, whose lookups gather from every block
+        values = np.stack([[h.values for h in channel] for maps in pairs for channel in maps])
+        warm = _decode_stack(values, DEFAULT_SCALES, codec.peak_ratio, table)
+        cold = _decode_stack(values, DEFAULT_SCALES, codec.peak_ratio, _SampleCells())
+        for w, c in zip(warm, cold):
+            assert w.dtype == c.dtype and w.tobytes() == c.tobytes()
 
     def test_a_run_leaves_no_module_state_behind(self, tmp_path, rng):
         codec = HeatmapCodec()

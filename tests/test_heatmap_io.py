@@ -1,13 +1,14 @@
 import io
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from heatmap_io_reference import read_stack
 from vpcalib.errors import InputFormatError
-from vpcalib import heatmap_io
+from vpcalib import heatmap_io, pipeline
 from vpcalib.heatmap import DEFAULT_RESOLUTION, DEFAULT_SCALES, BBox, Heatmap, HeatmapCodec
 from vpcalib.heatmap_io import (
     MAGIC,
@@ -19,6 +20,7 @@ from vpcalib.pipeline import (
     _CHUNK,
     DetectionRecord,
     PipelineConfig,
+    _check_finite,
     _read_stack,
     detections_to_pairs,
 )
@@ -295,6 +297,15 @@ def _missing(path):
     path.unlink()
 
 
+def _directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def _empty(path):
+    path.write_bytes(b"")
+
+
 def _bad_magic(path):
     _edit(path, 0, b"NOPE")
 
@@ -325,6 +336,12 @@ def _reversed_scales(path):
 
 def _repeated_scale(path):
     _edit(path, 12 + 8, struct.pack("<d", DEFAULT_SCALES[0]))
+
+
+def _scale_off_by_its_last_bit(path):
+    # the second scale's lowest mantissa bit, its first byte little-endian
+    scale = struct.pack("<d", DEFAULT_SCALES[1])
+    _edit(path, 12 + 8, bytes([scale[0] ^ 1]))
 
 
 def _nan(path):
@@ -358,6 +375,8 @@ def _other_resolution(path):
 # (record index, defect) per case; the first listed is the file to report
 BAD_CHUNKS = {
     "missing": [(3, _missing)],
+    "a directory": [(3, _directory)],
+    "empty": [(3, _empty)],
     "bad magic": [(3, _bad_magic)],
     "truncated": [(3, _truncated)],
     "cut in the scales": [(3, _cut_in_the_scales)],
@@ -370,6 +389,7 @@ BAD_CHUNKS = {
     "negative infinity": [(3, _negative_infinity)],
     "three channels": [(3, _three_channels)],
     "other scales": [(3, _other_scales)],
+    "a scale off by its last bit": [(3, _scale_off_by_its_last_bit)],
     "fewer scales": [(3, _fewer_scales)],
     "other resolution": [(3, _other_resolution)],
     "NaN before a missing file": [(2, _nan), (5, _missing)],
@@ -380,6 +400,7 @@ BAD_CHUNKS = {
     "two NaN files": [(2, _negative_infinity), (5, _nan)],
     "first file missing": [(0, _missing), (4, _nan)],
     "last file NaN": [(6, _nan)],
+    "first file NaN": [(0, _nan)],
 }
 
 
@@ -416,6 +437,44 @@ def test_a_bad_file_in_a_later_chunk_is_reported(tmp_path):
     message = _first_error(read_stack, refs, GRID, tmp_path)
     assert refs[2] in message and "finite" in message
     assert _first_error(detections_to_pairs, _records(later), CONFIG, tmp_path) == message
+
+
+def test_good_dvp_files_are_read_without_the_whole_file_reader(tmp_path, monkeypatch):
+    refs = _chunk(tmp_path, 5, (".dvp", ".dvp", ".dvp", ".dvp", ".json"))
+    expected = read_stack(refs, GRID, tmp_path)
+    read = []
+
+    def counted(path, out=None):
+        read.append(path.name)
+        return read_heatmap_arrays(path, out)
+
+    monkeypatch.setattr(pipeline, "read_heatmap_arrays", counted)
+    stack = _read_stack(refs, GRID, tmp_path, _buffer())
+    assert read == ["v4.json"]
+    assert stack.dtype == expected.dtype and stack.tobytes() == expected.tobytes()
+
+
+def test_a_dvp_file_named_dot_json_is_read_as_dvp_and_the_next_file_is_checked(tmp_path):
+    # pathlib gives ".json" no suffix, so the whole-file readers take it as DVP
+    refs = _chunk(tmp_path, 4)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / refs[1]).rename(tmp_path / "sub" / ".json")
+    refs[1] = "sub/.json"
+    expected = read_stack(refs, GRID, tmp_path)
+    assert expected.dtype == np.float32
+    assert _read_stack(refs, GRID, tmp_path, _buffer()).tobytes() == expected.tobytes()
+    _nan(tmp_path / refs[2])
+    message = _first_error(read_stack, refs, GRID, tmp_path)
+    assert refs[2] in message and "finite" in message
+    assert _first_error(_read_stack, refs, GRID, tmp_path, _buffer()) == message
+
+
+def test_a_file_rewritten_finite_after_a_non_finite_read_is_still_reported(tmp_path):
+    refs = _chunk(tmp_path, 3)
+    stack = _read_stack(refs, GRID, tmp_path, _buffer())
+    stack[0, 1, 2, 5, 5] = np.nan  # what a read before the rewrite gave
+    message = _first_error(_check_finite, stack, refs, tmp_path, 0, 3)
+    assert refs[1] in message and "changed while it was read" in message
 
 
 @pytest.mark.parametrize("suffixes", [(), (".json",), (".dvp", ".dvp", ".json", ".dvp"),
@@ -472,3 +531,50 @@ def test_the_written_bytes_are_the_header_then_the_float32_grids(tmp_path, obser
     grids = b"".join(np.ascontiguousarray(h.values, dtype="<f4").tobytes()
                      for channel in observation for h in channel)
     assert path.read_bytes() == header + grids
+
+
+def _maps_with(cells):
+    """Two channels of four zero grids, with ``cells[(row, col)]`` set in the
+    second channel's third grid."""
+    grids = np.zeros((2, len(DEFAULT_SCALES), DEFAULT_RESOLUTION, DEFAULT_RESOLUTION))
+    for (row, col), value in cells.items():
+        grids[1, 2, row, col] = value
+    return [[Heatmap(g, s) for g, s in zip(channel, DEFAULT_SCALES)] for channel in grids]
+
+
+@pytest.mark.parametrize("suffix", [".dvp", ".json"])
+@pytest.mark.parametrize("value", [1e39, -1e39])
+def test_a_value_beyond_float32s_range_is_not_written(tmp_path, observation, suffix, value):
+    path = tmp_path / f"obs{suffix}"
+    write_heatmap_file(path, observation)
+    before = path.read_bytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float32's range"):
+            write_heatmap_file(path, _maps_with({(5, 7): value}))
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("suffix", [".dvp", ".json"])
+def test_float32s_maximum_and_values_that_round_to_subnormals_or_zero_are_written(
+        tmp_path, suffix):
+    top = float(np.finfo(np.float32).max)
+    cells = {(5, 7): top, (5, 8): -top, (6, 7): 1e-40, (6, 8): -1e-50}
+    path = tmp_path / f"obs{suffix}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_heatmap_file(path, _maps_with(cells))
+    _, values = read_heatmap_arrays(path)
+    for (row, col), value in cells.items():
+        assert values[1, 2, row, col] == np.float32(value)
+    assert values[1, 2, 6, 7] != 0.0 and values[1, 2, 6, 8] == 0.0
+
+
+def test_a_name_the_system_cannot_open_is_reported_as_the_whole_file_reader_reports_it(
+        tmp_path):
+    refs = _chunk(tmp_path, 3)
+    refs[1] = "v\x00.dvp"
+    message = _first_error(read_stack, refs, GRID, tmp_path)
+    assert "null" in message
+    assert _first_error(_read_stack, refs, GRID, tmp_path, _buffer()) == message
+    assert _first_error(detections_to_pairs, _records(refs), CONFIG, tmp_path) == message
