@@ -716,8 +716,6 @@ class _SampleCells:
         if missing.any():
             self._fill(np.unique(key[missing]))
             entry = self._entry[key]
-        if len(self._cells) == 1:
-            return self._cells[0][entry], self._dirs[0][entry]
         block, at = np.divmod(entry, _BLOCK)
         cells = np.empty((len(key), len(scales), len(_SUBPIXEL)), dtype=self._dtype)
         dirs = np.empty((len(key), len(_SUBPIXEL), 2))

@@ -10,8 +10,9 @@ Binary layout (little-endian), one observation per file:
     f32     channel-major, scale-major, row-major R*R grids
 
 A JSON alternative with the same structure is accepted and produced for
-paths ending in ``.json``. Writer and readers hold a file's grid to the
-same rule: ``check_integer`` of the resolution and ``check_scales``.
+paths whose name has the suffix ``.json`` (:func:`_is_json`). Writer and
+readers hold a file's grid to the same rule: ``check_integer`` of the
+resolution and ``check_scales``.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def write_heatmap_file(path, channel_maps) -> None:
     except FloatingPointError:
         raise ValueError(f"heatmap values must lie within float32's range, "
                          f"+-{np.finfo(_GRID).max}") from None
-    if path.suffix == ".json":
+    if _is_json(path.name):
         payload = {
             "magic": MAGIC.decode(),
             "resolution": resolution,
@@ -129,7 +130,7 @@ def read_heatmap_arrays(path, out=None) -> tuple[tuple[float, ...], np.ndarray]:
     if not isinstance(path, Path):
         path = Path(path)
     with reading("heatmap file", path):
-        if path.suffix == ".json":
+        if _is_json(path.name):
             scales, values = _parse_json(path.read_bytes())
         else:
             with open(path, "rb", buffering=0) as fh:
@@ -145,6 +146,36 @@ def read_heatmap_arrays(path, out=None) -> tuple[tuple[float, ...], np.ndarray]:
         if not np.isfinite(values).all():
             raise ValueError("heatmap values must be finite")
     return scales, values
+
+
+def _read_dvp_into(path: str, header: bytes, out) -> bool:
+    """Whether the file at ``path`` is a DVP file of exactly ``header`` (see
+    :func:`_header`) and the grids of ``out``, read into ``out`` by one
+    ``os.readv``; ``out`` is a little-endian float32 array whose channels
+    are each contiguous. Its values are not checked for finiteness. False
+    for any other file, a JSON one or one that cannot be opened or read
+    included, which :func:`read_heatmap_arrays` reports on; ``out`` may
+    then hold part of it.
+    """
+    if _is_json(os.path.basename(path)):
+        return False
+    head = bytearray(len(header))
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            # a spare byte, so a file longer than header and grids reads longer
+            size = os.readv(fd, (head, *out, bytearray(1)))
+        finally:
+            os.close(fd)
+    except (OSError, ValueError):  # a NUL in the name is a ValueError
+        return False
+    return size == len(header) + out.nbytes and head == header
+
+
+def _is_json(name: str) -> bool:
+    """Whether the file name ``name`` has the suffix ``.json``, as
+    ``pathlib`` gives suffixes: a name ``.json`` has none."""
+    return len(name) > 5 and name.endswith(".json")
 
 
 def _parse_json(blob: bytes) -> tuple[tuple[float, ...], np.ndarray]:

@@ -54,7 +54,7 @@ from .heatmap import (
     box_to_frame,
     select_vp,  # noqa: F401  (kept importable from here: perfbench/tracing.py wraps it)
 )
-from .heatmap_io import _header, read_heatmap_arrays
+from .heatmap_io import _header, _read_dvp_into, read_heatmap_arrays
 from .heatmap_io import read_heatmap_file  # noqa: F401  (likewise)
 
 __all__ = [
@@ -481,38 +481,25 @@ def _read_stack(refs, grid, base_dir, buffer) -> np.ndarray:
     """Channel-major ``(2, N, S, R, R)`` grids of the heatmap files ``refs``.
 
     ``grid`` is ``(first, scales, resolution)`` of the run's first heatmap
-    file, whose grid every file must share. A DVP file is read straight
-    into ``buffer``, a little-endian float32 ``(2, chunk, S, R, R)`` array
-    that a run reuses for each chunk, by one ``readv`` of its header and
-    its two channels' grids. The file passes when the read gives exactly
-    those bytes and the header is the one the run's grid gives; any other
-    file, a JSON one included, is read by
-    :func:`~vpcalib.heatmap_io.read_heatmap_arrays`, which reports what is
-    wrong with it. A JSON file turns the stack into a float64 copy, which
-    the rest of the chunk is copied into. The values are checked for
-    finiteness in one pass over the files read by ``readv``, before the
-    next file that ``read_heatmap_arrays`` reads and at the end, so the
-    first bad file in record order is the one reported.
+    file, whose grid every file must share. A DVP file of that grid is read
+    straight into ``buffer``, a little-endian float32 ``(2, chunk, S, R, R)``
+    array that a run reuses for each chunk, by one ``readv``
+    (:func:`~vpcalib.heatmap_io._read_dvp_into`); any other file, a JSON
+    one included, is read by :func:`~vpcalib.heatmap_io.read_heatmap_arrays`,
+    which reports what is wrong with it. A JSON file turns the stack into a
+    float64 copy, which the rest of the chunk is copied into. The values
+    are checked for finiteness in one pass over the files read by
+    ``readv``, before the next file that ``read_heatmap_arrays`` reads and
+    at the end, so the first bad file in record order is the one reported.
     """
     first, scales, resolution = grid
     stack = buffer[:, : len(refs)]
     header = _header(resolution, scales, 2)
-    head, spare = bytearray(len(header)), bytearray(1)
-    whole = len(header) + buffer[:, 0].nbytes
     checked = 0  # the files before this one are known to be finite
     for k, ref in enumerate(refs):
         slot = stack[:, k] if stack.dtype == buffer.dtype else None
-        if slot is not None and not ref.endswith(".json"):
-            try:
-                fd = os.open(os.path.join(base_dir, ref), os.O_RDONLY)
-                try:
-                    size = os.readv(fd, (head, *slot, spare))
-                finally:
-                    os.close(fd)
-            except (OSError, ValueError):  # a NUL in the name is a ValueError
-                size = None
-            if size == whole and head == header:
-                continue
+        if slot is not None and _read_dvp_into(os.path.join(base_dir, ref), header, slot):
+            continue
         _check_finite(stack, refs, base_dir, checked, k)
         checked = k + 1
         file_scales, values = read_heatmap_arrays(Path(base_dir) / ref, slot)

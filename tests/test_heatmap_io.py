@@ -2,6 +2,7 @@ import io
 import json
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from vpcalib import heatmap_io, pipeline
 from vpcalib.heatmap import DEFAULT_RESOLUTION, DEFAULT_SCALES, BBox, Heatmap, HeatmapCodec
 from vpcalib.heatmap_io import (
     MAGIC,
+    _read_dvp_into,
     read_heatmap_arrays,
     read_heatmap_file,
     write_heatmap_file,
@@ -452,6 +454,28 @@ def test_good_dvp_files_are_read_without_the_whole_file_reader(tmp_path, monkeyp
     stack = _read_stack(refs, GRID, tmp_path, _buffer())
     assert read == ["v4.json"]
     assert stack.dtype == expected.dtype and stack.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ["obs.json", "..json", ".json", "json", "obs.json.",
+                                  "obs.JSON", "obs.json.dvp", "a.b.json", "obs.dvp"])
+def test_the_json_rule_is_pathlibs_suffix(name):
+    assert heatmap_io._is_json(name) == (Path(name).suffix == ".json")
+
+
+@pytest.mark.parametrize("missed", [0, 1])
+def test_a_good_file_the_one_read_misses_leaves_the_next_file_checked(tmp_path, monkeypatch,
+                                                                      missed):
+    # as when a file is replaced while the one readv reads it
+    refs = _chunk(tmp_path, 4)
+    _nan(tmp_path / refs[2])
+    message = _first_error(read_stack, refs, GRID, tmp_path)
+    assert refs[2] in message and "finite" in message
+
+    def missing_one(path, header, out):
+        return not path.endswith(refs[missed]) and _read_dvp_into(path, header, out)
+
+    monkeypatch.setattr(pipeline, "_read_dvp_into", missing_one)
+    assert _first_error(_read_stack, refs, GRID, tmp_path, _buffer()) == message
 
 
 def test_a_dvp_file_named_dot_json_is_read_as_dvp_and_the_next_file_is_checked(tmp_path):

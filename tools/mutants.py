@@ -76,7 +76,7 @@ TARGETS = [
     },
     {
         "module": "src/vpcalib/heatmap_io.py",
-        "functions": ["write_heatmap_file", "read_heatmap_arrays"],
+        "functions": ["write_heatmap_file", "read_heatmap_arrays", "_read_dvp_into", "_is_json"],
         "tests": ["tests/test_heatmap_io.py", "tests/test_encode_properties.py"],
     },
 ]
