@@ -7,7 +7,10 @@ along world +y; tilt pitches it down about its own x axis, roll turns it
 about the optical axis. All randomness flows through explicitly seeded
 PCG64 generators with per-vehicle substreams: stream ``(seed, index)``
 draws as numpy's ``default_rng(SeedSequence((seed, index)))``, so
-generation agrees bit for bit across platforms.
+generation agrees bit for bit across platforms. The placement streams are
+stepped as uint64 columns by an array copy of numpy's PCG64, which the
+tests hold to numpy's bits; the noise, outlier and tape-measurement
+streams are numpy's own ``Generator``.
 
 A scene is generated by column: each step (seeding, placement with its
 rejection loop, vanishing points, boxes, noise, outliers, tape
@@ -16,11 +19,14 @@ column code; the public per-item functions (``project_point``,
 ``ground_point``, ``project_direction``, ``vehicle_vps``,
 ``vehicle_bbox_3d``) are one-row calls of it. A noisy 10k-vehicle scene
 draws from about 19,000 substreams. On a 2-vCPU x86-64 host their seed
-words take one pass of about 0.5 ms, numpy then builds each PCG64 and
-Generator in about 1.6 us, and the whole scene takes about 0.05 s (0.19 s
-when numpy's SeedSequence hashed each stream). Of that, 300 tape
-measurements take about 3 ms (13 ms when sampled one attempt at a time);
-``vpcalib synth`` then spends some 35 ms formatting the detections.
+words take one pass of about 0.5 ms; the 10,000 placement streams then
+draw their windows and retries in about 4 ms (25 ms with a numpy
+``Generator`` per vehicle), numpy builds each of the 9,000 noise streams'
+PCG64 and ``Generator`` in about 1.6 us, and the whole scene takes about
+0.05 s (0.07 s with a ``Generator`` per vehicle, 0.19 s when numpy's
+SeedSequence hashed each stream). Of that, 300 tape measurements take
+about 3 ms (13 ms when sampled one attempt at a time); ``vpcalib synth``
+then spends some 35 ms formatting the detections.
 """
 
 from __future__ import annotations
@@ -337,6 +343,8 @@ def _substreams(seed: int, indices) -> Iterator[np.random.Generator]:
     Each draws as ``np.random.default_rng(np.random.SeedSequence((seed, k)))``
     does, bit for bit: numpy's PCG64 takes its seed words from
     :func:`_seed_states`, which computes those of every index in one pass.
+    The pixel noise, the outliers and the tape measurements draw from these;
+    the placement windows step their streams by columns (:func:`_pcg_random`).
     """
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
@@ -351,6 +359,69 @@ def _substreams(seed: int, indices) -> Iterator[np.random.Generator]:
 
     for words in _seed_states(seed, indices):
         yield Generator(PCG64(SeedWords(words)))
+
+
+# numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG with this
+# multiplier, and the XSL-RR output permutation. Its state is kept as four
+# uint64 rows, one column per stream: the state's high and low words, then
+# the increment's. Every operand is a uint64 array, whose products wrap
+# without the warning that a product of two np.uint64 scalars gives.
+_PCG_MULT_HI, _PCG_MULT_LO = divmod(0x2360ED051FC65DA44385DF649FCCF645, 2**64)
+_U64 = np.uint64
+
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """The high word of each 128-bit product ``a * b``, from 32-bit halves."""
+    a1, a0 = a >> _U64(32), a & _U64(_MASK32)
+    b1, b0 = _U64(b >> 32), _U64(b & _MASK32)
+    low, mid = a0 * b0, a1 * b0
+    cross = (low >> _U64(32)) + (mid & _U64(_MASK32)) + a0 * b1
+    return a1 * b1 + (mid >> _U64(32)) + (cross >> _U64(32))
+
+
+def _pcg_step(state: np.ndarray) -> None:
+    """``state = state * multiplier + inc`` modulo 2**128, in place, for every column."""
+    hi, lo, inc_hi, inc_lo = state
+    new_lo = lo * _U64(_PCG_MULT_LO) + inc_lo
+    # the low words' sum carries where it wrapped below an addend
+    carry = new_lo < inc_lo
+    # the high word of lo * mult, then the cross products, which wrap
+    state[0] = (_mulhi(lo, _PCG_MULT_LO) + lo * _U64(_PCG_MULT_HI) + hi * _U64(_PCG_MULT_LO)
+                + inc_hi + carry)
+    state[1] = new_lo
+
+
+def _pcg_states(words: np.ndarray) -> np.ndarray:
+    """The ``(4, N)`` PCG64 state that numpy seeds from each row of ``words``.
+
+    ``words`` holds ``generate_state(4, np.uint64)`` rows (:func:`_seed_states`).
+    As numpy's ``pcg64_set_seed`` does: ``initstate`` is words 0:1 and
+    ``initseq`` words 2:3, high word first; ``inc = initseq << 1 | 1``, and
+    the state starts at 0, steps, adds ``initstate`` and steps again.
+    """
+    w = words.T
+    state = np.zeros((4, w.shape[1]), dtype=_U64)
+    state[2] = (w[2] << _U64(1)) | (w[3] >> _U64(63))
+    state[3] = (w[3] << _U64(1)) | _U64(1)
+    _pcg_step(state)
+    lo = state[1] + w[1]
+    state[0] += w[0] + (lo < w[1])
+    state[1] = lo
+    _pcg_step(state)
+    return state
+
+
+def _pcg_random(state: np.ndarray, count: int) -> np.ndarray:
+    """The next ``count`` draws of every stream, as numpy's ``Generator.random``
+    makes them, in an ``(N, count)`` array; ``state`` steps on in place."""
+    out = np.empty((state.shape[1], count))
+    for j in range(count):
+        _pcg_step(state)
+        hi, lo = state[0], state[1]
+        x, r = hi ^ lo, hi >> _U64(58)
+        x = (x >> r) | (x << ((_U64(64) - r) & _U64(63)))
+        out[:, j] = (x >> _U64(11)) * 2.0**-53
+    return out
 
 
 # Pixels a vehicle tries before it falls back to the camera's foot point.
@@ -400,25 +471,25 @@ def _place_vehicles(
     none of ``_PLACEMENT_TRIES`` does), then heading, length, width and
     height, each ``low + (high - low) * g.random()`` as ``g.uniform`` draws
     it. Every vehicle's next six draws form a window that a rejected pixel
-    shifts by two, so only the rejected vehicles draw again.
+    shifts by two, so only the rejected vehicles draw again. All streams
+    step together, as columns of :func:`_pcg_random`; a rejected vehicle's
+    stream continues from its window.
     """
     w, h = camera.image_size
     low, high = np.array([0.1 * w, 0.1 * h]), np.array([0.9 * w, 0.9 * h])
     max_range = 60.0 * camera.height
-    n = spec.n_vehicles
-    window = np.array([g.random(6) for g in _substreams(spec.seed, np.arange(n))])
+    state = _pcg_states(_seed_states(spec.seed, np.arange(spec.n_vehicles)))
+    window = _pcg_random(state, 6)
     position = _ground_points(camera, low + (high - low) * window[:, :2], max_range)
     retry = np.flatnonzero(np.isnan(position[:, 0]))
-    streams = dict(zip(retry.tolist(), _substreams(spec.seed, retry)))
-    for stream in streams.values():
-        stream.random(6)  # the draws already in the window
+    state = state[:, retry]
     for _ in range(_PLACEMENT_TRIES - 1):
         if not len(retry):
             break
-        drawn = np.array([streams[k].random(2) for k in retry.tolist()])
-        window[retry] = np.concatenate([window[retry, 2:], drawn], axis=1)
+        window[retry] = np.concatenate([window[retry, 2:], _pcg_random(state, 2)], axis=1)
         position[retry] = _ground_points(camera, low + (high - low) * window[retry, :2], max_range)
-        retry = retry[np.isnan(position[retry, 0])]
+        rejected = np.isnan(position[retry, 0])
+        retry, state = retry[rejected], state[:, rejected]
     position[retry] = 0.0  # the camera sees no usable road surface
     dims_low, dims_high = np.array([3.8, 1.6, 1.3]), np.array([5.2, 2.0, 1.8])
     return position, 2.0 * np.pi * window[:, 2], dims_low + (dims_high - dims_low) * window[:, 3:]
@@ -545,11 +616,13 @@ def generate_observations(
     """Per-vehicle observations, tape measurements, and the exact calibration.
 
     Every vehicle is built in array passes over the whole scene, from its
-    own substream: placement ``(seed, k)``, pixel noise ``(seed, 2n + k)``
-    (finite pairs only, four normal draws). Outlier observations replace a
-    seeded random subset of the pairs with uniform random points drawn from
-    a box three times the image size. Deterministic given the ``SceneSpec``;
-    ``parallel`` is accepted for compatibility and has no effect.
+    own substreams: placement ``(seed, k)``, whose streams step together as
+    columns (:func:`_place_vehicles`), and pixel noise ``(seed, 2n + k)``
+    (finite pairs only, four normal draws, from numpy's ``Generator``).
+    Outlier observations replace a seeded random subset of the pairs with
+    uniform random points drawn from a box three times the image size.
+    Deterministic given the ``SceneSpec``; ``parallel`` is accepted for
+    compatibility and has no effect.
     """
     camera = make_camera(spec)
     n = spec.n_vehicles

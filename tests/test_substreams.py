@@ -1,12 +1,15 @@
-"""The synthetic scene's substreams: numpy's seeding, computed for many indices at once.
+"""The synthetic scene's substreams: numpy's seeding and PCG64, computed for many indices at once.
 
 ``synthetic._seed_states`` computes ``SeedSequence((seed, k))``'s seed words
 for a whole column of indices, and ``synthetic._substreams`` hands them to
-numpy's PCG64. Both must give numpy's bits for every seed length the specs
-allow and every index a scene uses.
+numpy's PCG64. ``synthetic._pcg_states`` and ``synthetic._pcg_random`` seed
+and step numpy's PCG64 on uint64 columns, one per stream, for the placement
+windows. All must give numpy's bits for every seed length the specs allow
+and every index a scene uses.
 """
 
 import os
+import warnings
 import subprocess
 import sys
 from pathlib import Path
@@ -39,10 +42,50 @@ def test_seed_words_are_numpys(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_generators_draw_as_numpys(seed):
-    # the placement window, then the noise, each from a fresh stream
+    # uniform draws (the outliers, the tape measurements), then the noise, each from a fresh stream
     for draw in (lambda g: g.random(6), lambda g: g.standard_normal(4)):
         for k, stream in zip(INDICES, synthetic._substreams(seed, INDICES)):
             assert draw(stream).tobytes() == draw(_numpy_stream(seed, k)).tobytes()
+
+
+def _column_draws(seed, indices, counts):
+    state = synthetic._pcg_states(synthetic._seed_states(seed, indices))
+    return [synthetic._pcg_random(state, count) for count in counts]
+
+
+# one window, a longer one, and a window followed by three retries of two draws
+DRAW_COUNTS = [[1], [2], [6], [6, 2, 2, 2]]
+
+
+@pytest.mark.parametrize("counts", DRAW_COUNTS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_column_streams_draw_as_numpys(seed, counts):
+    draws = _column_draws(seed, INDICES, counts)
+    for row, k in enumerate(INDICES):
+        stream = _numpy_stream(seed, k)
+        for count, drawn in zip(counts, draws):
+            assert drawn.shape == (len(INDICES), count)
+            assert drawn[row].tobytes() == stream.random(count).tobytes(), (seed, k, counts)
+
+
+def test_a_one_row_column_draws_without_overflow_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in SEEDS:
+            (drawn,) = _column_draws(seed, [2**32 - 1], [6])
+            assert drawn[0].tobytes() == _numpy_stream(seed, 2**32 - 1).random(6).tobytes()
+
+
+def test_column_streams_continue_as_their_subset():
+    # the placement loop keeps only the rejected vehicles' columns
+    state = synthetic._pcg_states(synthetic._seed_states(9, np.arange(5)))
+    synthetic._pcg_random(state, 6)
+    kept = [1, 4]
+    drawn = synthetic._pcg_random(state[:, kept], 2)
+    for row, k in enumerate(kept):
+        stream = _numpy_stream(9, k)
+        stream.random(6)
+        assert drawn[row].tobytes() == stream.random(2).tobytes()
 
 
 def test_generators_are_built_one_at_a_time():
@@ -65,6 +108,24 @@ def test_seed_sequence_calls_do_not_grow_with_the_scene(monkeypatch):
         calls.clear()
         generate_observations(SceneSpec(seed=3, n_vehicles=n, noise_sigma_px=1.0,
                                         outlier_fraction=0.1, n_measurements=3))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_placement_builds_no_generator_per_vehicle(monkeypatch):
+    calls = []
+    generator = np.random.Generator
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return generator(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", counted)
+    counts = []
+    for n in (50, 500):
+        calls.clear()
+        # low tilt: many first pixels see sky, so the retry draws run too
+        generate_observations(SceneSpec(seed=3, n_vehicles=n, tilt_deg=5.0, n_measurements=3))
         counts.append(len(calls))
     assert counts[0] == counts[1]
 

@@ -137,6 +137,18 @@ class TestGenerateScene:
         b, _, _ = generate_scene(SceneSpec(seed=2, n_vehicles=5))
         assert not np.allclose(a[0].first, b[0].first)
 
+    def test_a_camera_without_road_places_every_vehicle_at_its_foot(self):
+        # looking up, no pixel sees road: every vehicle spends all 256 tries, and
+        # its heading and dimensions come from the window its last try left
+        spec = SceneSpec(seed=11, n_vehicles=3, tilt_deg=-30.0, n_measurements=0)
+        observations, _, _ = generate_observations(spec)
+        for k in range(spec.n_vehicles):
+            draws = np.random.default_rng(np.random.SeedSequence((spec.seed, k))).random(6 + 2 * 255)
+            assert observations.position[k].tolist() == [0.0, 0.0]
+            assert observations.heading[k] == 2.0 * np.pi * draws[512]
+            low, high = np.array([3.8, 1.6, 1.3]), np.array([5.2, 2.0, 1.8])
+            assert observations.dims[k].tolist() == (low + (high - low) * draws[513:]).tolist()
+
     def test_outlier_fraction_marks_observations(self):
         spec = SceneSpec(seed=77, n_vehicles=40, outlier_fraction=0.3)
         observations, _, _ = generate_observations(spec)
