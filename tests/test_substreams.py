@@ -9,9 +9,9 @@ and every index a scene uses.
 """
 
 import os
-import warnings
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,18 +74,6 @@ def test_a_one_row_column_draws_without_overflow_warnings():
         for seed in SEEDS:
             (drawn,) = _column_draws(seed, [2**32 - 1], [6])
             assert drawn[0].tobytes() == _numpy_stream(seed, 2**32 - 1).random(6).tobytes()
-
-
-def test_column_streams_continue_as_their_subset():
-    # the placement loop keeps only the rejected vehicles' columns
-    state = synthetic._pcg_states(synthetic._seed_states(9, np.arange(5)))
-    synthetic._pcg_random(state, 6)
-    kept = [1, 4]
-    drawn = synthetic._pcg_random(state[:, kept], 2)
-    for row, k in enumerate(kept):
-        stream = _numpy_stream(9, k)
-        stream.random(6)
-        assert drawn[row].tobytes() == stream.random(2).tobytes()
 
 
 def test_generators_are_built_one_at_a_time():

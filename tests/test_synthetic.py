@@ -143,7 +143,8 @@ class TestGenerateScene:
         spec = SceneSpec(seed=11, n_vehicles=3, tilt_deg=-30.0, n_measurements=0)
         observations, _, _ = generate_observations(spec)
         for k in range(spec.n_vehicles):
-            draws = np.random.default_rng(np.random.SeedSequence((spec.seed, k))).random(6 + 2 * 255)
+            stream = np.random.default_rng(np.random.SeedSequence((spec.seed, k)))
+            draws = stream.random(6 + 2 * 255)
             assert observations.position[k].tolist() == [0.0, 0.0]
             assert observations.heading[k] == 2.0 * np.pi * draws[512]
             low, high = np.array([3.8, 1.6, 1.3]), np.array([5.2, 2.0, 1.8])

@@ -46,7 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 600.0  # seconds per mutant; a mutant that loops forever counts as killed
 
 # the merged decode, box, filter, grid and scale rules, the sample-cell
-# table and the fuse, the DVP writer and readers, and the tests that cover them
+# table and the fuse, the DVP writer and readers, the synthetic scene's
+# seeding, PCG64 columns and placement, and the tests that cover them
 TARGETS = [
     {
         "module": "src/vpcalib/heatmap.py",
@@ -78,6 +79,13 @@ TARGETS = [
         "module": "src/vpcalib/heatmap_io.py",
         "functions": ["write_heatmap_file", "read_heatmap_arrays", "_read_dvp_into", "_is_json"],
         "tests": ["tests/test_heatmap_io.py", "tests/test_encode_properties.py"],
+    },
+    {
+        "module": "src/vpcalib/synthetic.py",
+        "functions": ["_seed_states", "_mulhi", "_pcg_step", "_pcg_states", "_pcg_random",
+                      "_place_vehicles"],
+        "tests": ["tests/test_substreams.py", "tests/test_scene_properties.py",
+                  "tests/test_synthetic.py", "tests/test_cli.py"],
     },
 ]
 
