@@ -65,8 +65,8 @@ __all__ = [
 ]
 
 DEFAULT_MIN_PAIRS = 5
-DEFAULT_FOCAL_EPSILON = 1.0  # px; focal lengths below this are noise
-DEFAULT_SLOPE_EPSILON = 1e-6  # px; guard against vertical pair lines
+FOCAL_EPSILON = 1.0  # px; focal lengths below this are noise
+SLOPE_EPSILON = 1e-6  # px; guard against vertical pair lines
 # VPPair and PairSet reject a coordinate beyond MAX_COORDINATE, as they reject
 # a non-finite one; PairSet.valid_rows drops its row.
 
@@ -279,15 +279,15 @@ class CameraCalibration:
 # per-pair and aggregate estimators
 
 
-def _focal_rule(first, second, principal_point, epsilon) -> tuple[np.ndarray, ...]:
+def _focal_rule(first, second, principal_point) -> tuple[np.ndarray, ...]:
     """The radicand ``-(u - p) . (v - p)`` of each pair, the squared focal
     length it implies, and the masks of the pairs it rejects: imaginary
-    (radicand not positive) and near zero (below ``epsilon`` squared)."""
+    (radicand not positive) and near zero (below ``FOCAL_EPSILON`` squared)."""
     radicand = -row_dots(first - principal_point, second - principal_point)
-    return radicand, radicand <= 0.0, radicand < epsilon * epsilon
+    return radicand, radicand <= 0.0, radicand < FOCAL_EPSILON * FOCAL_EPSILON
 
 
-def focal_from_pair(pair: VPPair, principal_point, epsilon: float = DEFAULT_FOCAL_EPSILON) -> float:
+def focal_from_pair(pair: VPPair, principal_point) -> float:
     """Focal length from one orthogonal pair: ``sqrt(-(u - p) . (v - p))``.
 
     The dot product must be negative for a real focal length; configurations
@@ -297,19 +297,19 @@ def focal_from_pair(pair: VPPair, principal_point, epsilon: float = DEFAULT_FOCA
         raise DegenerateInput("pair with a vanishing point at infinity has no focal constraint")
     p = as_float_array(principal_point, "principal_point", (2,))
     (radicand,), (imaginary,), (near_zero,) = _focal_rule(
-        pair.first[None], pair.second[None], p, epsilon)
+        pair.first[None], pair.second[None], p)
     if imaginary:
         raise ImaginaryFocal(f"(u - p) . (v - p) = {-radicand} >= 0")
     if near_zero:
-        raise NearZeroFocal(f"focal estimate {np.sqrt(radicand)} px below {epsilon} px")
+        raise NearZeroFocal(f"focal estimate {np.sqrt(radicand)} px below {FOCAL_EPSILON} px")
     return float(np.sqrt(radicand))
 
 
-def _usable_focals(pairs: PairSet, principal_point, min_pairs: int, epsilon: float) -> np.ndarray:
+def _usable_focals(pairs: PairSet, principal_point, min_pairs: int) -> np.ndarray:
     """The focal lengths of the pairs :func:`focal_from_pair` accepts, at least ``min_pairs``."""
     finite = pairs.finite
     radicand, imaginary, near_zero = _focal_rule(
-        pairs.first[finite], pairs.second[finite], principal_point, epsilon)
+        pairs.first[finite], pairs.second[finite], principal_point)
     focals = np.sqrt(radicand[~imaginary & ~near_zero])
     if len(focals) < min_pairs:
         raise InsufficientPairs(
@@ -318,12 +318,7 @@ def _usable_focals(pairs: PairSet, principal_point, min_pairs: int, epsilon: flo
     return focals
 
 
-def estimate_focal(
-    pairs,
-    principal_point,
-    min_pairs: int = DEFAULT_MIN_PAIRS,
-    epsilon: float = DEFAULT_FOCAL_EPSILON,
-) -> float:
+def estimate_focal(pairs, principal_point, min_pairs: int = DEFAULT_MIN_PAIRS) -> float:
     """Median of the surviving per-pair focal lengths.
 
     ``pairs`` is a :class:`PairSet` or a list of :class:`VPPair`. An even
@@ -331,16 +326,16 @@ def estimate_focal(
     and robust to fewer than half the pairs being corrupt.
     """
     p = as_float_array(principal_point, "principal_point", (2,))
-    return float(np.median(_usable_focals(PairSet.of(pairs), p, min_pairs, epsilon)))
+    return float(np.median(_usable_focals(PairSet.of(pairs), p, min_pairs)))
 
 
-def _pair_slopes(pairs: PairSet, slope_epsilon: float) -> np.ndarray:
+def _pair_slopes(pairs: PairSet) -> np.ndarray:
     """Slopes of the pair lines that have one: first those through a direction, then the rest.
 
     A line through two directions is the ideal line. One through a direction
     has that direction's slope, unless the direction is (near-)vertical or
     of zero length. One through two points has none when their x
-    coordinates lie within ``slope_epsilon``.
+    coordinates lie within ``SLOPE_EPSILON``.
     """
     one = pairs.first_is_direction ^ pairs.second_is_direction
     d = np.where(pairs.first_is_direction[:, None], pairs.first, pairs.second)[one]
@@ -348,17 +343,13 @@ def _pair_slopes(pairs: PairSet, slope_epsilon: float) -> np.ndarray:
     d = d[~((n == 0) | (np.abs(d[:, 0]) <= 1e-9 * n))]
     first, second = pairs.first[pairs.finite], pairs.second[pairs.finite]
     dx = first[:, 0] - second[:, 0]
-    steep = np.abs(dx) <= slope_epsilon
+    steep = np.abs(dx) <= SLOPE_EPSILON
     return np.concatenate(
         [d[:, 1] / d[:, 0], (first[~steep, 1] - second[~steep, 1]) / dx[~steep]]
     )
 
 
-def estimate_horizon(
-    pairs,
-    min_pairs: int = DEFAULT_MIN_PAIRS,
-    slope_epsilon: float = DEFAULT_SLOPE_EPSILON,
-) -> np.ndarray:
+def estimate_horizon(pairs, min_pairs: int = DEFAULT_MIN_PAIRS) -> np.ndarray:
     """Horizon line (m, -1, q) via medians of pair slopes and point intercepts.
 
     ``pairs`` is a :class:`PairSet` or a list of :class:`VPPair`. Slope:
@@ -373,7 +364,7 @@ def estimate_horizon(
     pairs = PairSet.of(pairs)
     if not len(pairs):
         raise InsufficientPairs("no pairs given")
-    usable = _pair_slopes(pairs, slope_epsilon)
+    usable = _pair_slopes(pairs)
     if len(usable) * 2 < len(pairs):
         raise NearVerticalHorizon(
             f"{len(pairs) - len(usable)} of {len(pairs)} pair lines are near-vertical"
@@ -446,8 +437,6 @@ def calibrate(
     image_size,
     min_pairs: int = DEFAULT_MIN_PAIRS,
     principal_point=None,
-    focal_epsilon: float = DEFAULT_FOCAL_EPSILON,
-    slope_epsilon: float = DEFAULT_SLOPE_EPSILON,
     delta: float = 1.0,
 ) -> CameraCalibration:
     """Full calibration from vanishing-point pairs.
@@ -469,8 +458,8 @@ def calibrate(
         if image_size is not None:
             check_image_size(image_size)
 
-    focals = _usable_focals(pairs, principal_point, min_pairs, focal_epsilon)
-    horizon = estimate_horizon(pairs, min_pairs=min_pairs, slope_epsilon=slope_epsilon)
+    focals = _usable_focals(pairs, principal_point, min_pairs)
+    horizon = estimate_horizon(pairs, min_pairs=min_pairs)
     intrinsics = CameraIntrinsics(float(np.median(focals)), principal_point)
     normal = plane_normal_from_horizon(horizon, intrinsics)
     return CameraCalibration(
@@ -500,8 +489,6 @@ class VanishingPointCalibrator:
         ``principal_point`` is given.
     principal_point : explicit principal point override (default: centre).
     min_pairs : minimum usable pairs for each median.
-    focal_epsilon : smallest plausible per-pair focal length, in pixels.
-    slope_epsilon : minimum horizontal separation of a pair line, in pixels.
     delta : road-plane scale applied by ``transform``.
     """
 
@@ -510,25 +497,14 @@ class VanishingPointCalibrator:
         image_size=None,
         principal_point=None,
         min_pairs: int = DEFAULT_MIN_PAIRS,
-        focal_epsilon: float = DEFAULT_FOCAL_EPSILON,
-        slope_epsilon: float = DEFAULT_SLOPE_EPSILON,
         delta: float = 1.0,
     ):
         self.image_size = image_size
         self.principal_point = principal_point
         self.min_pairs = min_pairs
-        self.focal_epsilon = focal_epsilon
-        self.slope_epsilon = slope_epsilon
         self.delta = delta
 
-    _param_names = (
-        "image_size",
-        "principal_point",
-        "min_pairs",
-        "focal_epsilon",
-        "slope_epsilon",
-        "delta",
-    )
+    _param_names = ("image_size", "principal_point", "min_pairs", "delta")
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names}
@@ -560,8 +536,6 @@ class VanishingPointCalibrator:
             self.image_size,
             min_pairs=self.min_pairs,
             principal_point=self.principal_point,
-            focal_epsilon=self.focal_epsilon,
-            slope_epsilon=self.slope_epsilon,
             delta=self.delta,
         )
         self.focal_ = self.calibration_.intrinsics.f

@@ -13,11 +13,18 @@ A JSON alternative with the same structure is accepted and produced for
 paths whose name has the suffix ``.json`` (:func:`_is_json`). Writer and
 readers hold a file's grid to the same rule: ``check_integer`` of the
 resolution and ``check_scales``.
+
+This module is the only one that opens a heatmap file. Beside the
+whole-file readers it reads a run's files in chunks for
+:func:`~vpcalib.pipeline.detections_to_pairs` (:func:`_read_stacks`): a DVP
+file of the run's grid by one ``readv`` straight into the chunk's stack,
+any other file through :func:`read_heatmap_arrays`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from itertools import chain
@@ -26,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from ._validation import as_float_array, check_integer
-from .errors import reading
+from .errors import InputFormatError, reading
 from .heatmap import Heatmap, _heatmaps, check_scales
 
 __all__ = ["write_heatmap_file", "read_heatmap_file", "read_heatmap_arrays"]
@@ -34,6 +41,9 @@ __all__ = ["write_heatmap_file", "read_heatmap_file", "read_heatmap_arrays"]
 MAGIC = b"DVP1"
 # how a DVP file stores its grid values
 _GRID = np.dtype("<f4")
+# the most bytes of grids a chunk of a run holds: 8 MB holds 64 records of
+# two channels of 4 x 64 x 64 float32 grids
+_STACK_BYTES = 8 << 20
 
 
 def _validate_channels(channel_maps) -> tuple[int, tuple[float, ...]]:
@@ -112,20 +122,15 @@ def read_heatmap_file(path) -> list[list[Heatmap]]:
     return _heatmaps(values.astype(float), scales)
 
 
-def read_heatmap_arrays(path, out=None) -> tuple[tuple[float, ...], np.ndarray]:
+def read_heatmap_arrays(path) -> tuple[tuple[float, ...], np.ndarray]:
     """Read a heatmap observation as ``(scales, values)``.
 
     ``values`` has shape ``(channels, len(scales), R, R)`` and the precision
-    of the file: float32 from DVP files, float64 from JSON. Every defect of
-    the file (unreadable, malformed, truncated, a resolution below 2,
-    scales that do not ascend or are not positive, values that are not
-    finite) raises :class:`InputFormatError`, in that order.
-
-    ``out`` is an optional little-endian float32 array whose channels are
-    each contiguous. A DVP file whose grids have its shape is read straight
-    into it and ``values`` is ``out``, checked as any other read; a read
-    that raises may leave part of the file in ``out``. Any other file is
-    read as without ``out``.
+    of the file: float32 from DVP files, read by one ``readinto``, float64
+    from JSON. Every defect of the file (unreadable, malformed, truncated,
+    a resolution below 2, scales that do not ascend or are not positive,
+    values that are not finite) raises :class:`InputFormatError`, in that
+    order.
     """
     if not isinstance(path, Path):
         path = Path(path)
@@ -137,15 +142,88 @@ def read_heatmap_arrays(path, out=None) -> tuple[tuple[float, ...], np.ndarray]:
                 resolution, scales, n_channels = _read_header(fh)
                 check_integer(resolution, "resolution", 2)
                 check_scales(scales)
-                shape = (n_channels, len(scales), resolution, resolution)
-                into = out is not None and out.shape == shape and out.dtype == _GRID
-                values = out if into else np.empty(shape, dtype=_GRID)
-                for grids in values:
-                    if fh.readinto(grids) != grids.nbytes:
-                        raise ValueError("heatmap file changed while it was read")
+                values = np.empty((n_channels, len(scales), resolution, resolution), dtype=_GRID)
+                if fh.readinto(values) != values.nbytes:
+                    raise ValueError("heatmap file changed while it was read")
         if not np.isfinite(values).all():
             raise ValueError("heatmap values must be finite")
     return scales, values
+
+
+def _read_stacks(refs, base_dir, most: int):
+    """Yield ``(start, scales, stack)`` for each chunk of the heatmap files
+    ``refs``, in order, and raise the error of the first bad file in record
+    order.
+
+    A run's heatmap files share the grid of its first file, which is read
+    whole to learn it; ``scales`` are that grid's. A chunk is at most
+    ``most`` files, fewer where their two channels pass ``_STACK_BYTES``,
+    and ``stack`` holds the channel-major ``(2, N, S, R, R)`` grids of
+    ``refs[start : start + N]`` as :func:`_read_stack` reads them. The
+    chunks share one zeroed float32 buffer, so a stack is valid until the
+    next one is drawn.
+    """
+    first = refs[0]
+    scales, values = read_heatmap_arrays(Path(base_dir) / first)
+    grid = (first, scales, values.shape[-1])
+    record_bytes = 2 * _GRID.itemsize * math.prod(values.shape[1:])
+    chunk = min(len(refs), most, max(1, _STACK_BYTES // record_bytes))
+    buffer = np.zeros((2, chunk) + values.shape[1:], dtype=_GRID)
+    for start in range(0, len(refs), chunk):
+        yield start, scales, _read_stack(refs[start : start + chunk], grid, base_dir, buffer)
+
+
+def _read_stack(refs, grid, base_dir, buffer) -> np.ndarray:
+    """Channel-major ``(2, N, S, R, R)`` grids of the heatmap files ``refs``.
+
+    ``grid`` is ``(first, scales, resolution)`` of the run's first heatmap
+    file, whose grid every file must share. A DVP file of that grid is read
+    straight into ``buffer``, a float32 ``(2, chunk, S, R, R)`` array that
+    a run reuses for each chunk, by one ``readv`` (:func:`_read_dvp_into`);
+    any other file, a JSON one included, is read by
+    :func:`read_heatmap_arrays`, which reports what is wrong with it, and
+    copied into the stack. A JSON file turns the stack into a float64 copy,
+    which the rest of the chunk is copied into. The values are checked for
+    finiteness in one pass over the files read by ``readv``, before the
+    next file that ``read_heatmap_arrays`` reads and at the end, so the
+    first bad file in record order is the one reported.
+    """
+    first, scales, resolution = grid
+    stack = buffer[:, : len(refs)]
+    header = _header(resolution, scales, 2)
+    checked = 0  # the files before this one are known to be finite
+    for k, ref in enumerate(refs):
+        if stack.dtype == _GRID and _read_dvp_into(os.path.join(base_dir, ref), header,
+                                                   stack[:, k]):
+            continue
+        _check_finite(stack, refs, base_dir, checked, k)
+        checked = k + 1
+        file_scales, values = read_heatmap_arrays(Path(base_dir) / ref)
+        if len(values) != 2:
+            raise InputFormatError(f"heatmap file {ref} has {len(values)} channels, expected 2")
+        if (file_scales, values.shape[-1]) != (scales, resolution):
+            raise InputFormatError(f"heatmap file {ref} has scales {file_scales} at resolution "
+                                   f"{values.shape[-1]}, the run's first heatmap file {first} "
+                                   f"has scales {scales} at resolution {resolution}")
+        if not np.can_cast(values.dtype, stack.dtype):
+            stack = stack.astype(values.dtype)
+        stack[:, k] = values
+    _check_finite(stack, refs, base_dir, checked, len(refs))
+    return stack
+
+
+def _check_finite(stack, refs, base_dir, start: int, stop: int) -> None:
+    """Raise the error of the first file among ``refs[start:stop]`` whose
+    grids in ``stack`` are not all finite, as :func:`read_heatmap_arrays`
+    reports it."""
+    grids = stack[:, start:stop]
+    if np.isfinite(grids).all():
+        return
+    k = start + int(np.isfinite(grids).all(axis=(0, 2, 3, 4)).argmin())
+    path = Path(base_dir) / refs[k]
+    read_heatmap_arrays(path)
+    with reading("heatmap file", path):  # the file was rewritten since
+        raise ValueError("heatmap file changed while it was read")
 
 
 def _read_dvp_into(path: str, header: bytes, out) -> bool:

@@ -14,7 +14,8 @@ codec. Direction-only payloads use ``"vp_first_direction"`` /
 numbers; a string or a boolean in their place is an ``InputFormatError``.
 Both routes give box coordinates, which
 :func:`~vpcalib.heatmap.box_to_frame` takes to frame pixels. A run's
-heatmap files share one grid, the one its first file's header states.
+heatmap files share one grid, the one its first file's header states;
+:mod:`~vpcalib.heatmap_io` reads them in chunks.
 
 The records travel as one :class:`DetectionTable` of columns: frame index,
 boxes, confidence, the four vanishing-point columns with their presence
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -54,7 +54,7 @@ from .heatmap import (
     box_to_frame,
     select_vp,  # noqa: F401  (kept importable from here: perfbench/tracing.py wraps it)
 )
-from .heatmap_io import _header, _read_dvp_into, read_heatmap_arrays
+from .heatmap_io import _read_stacks
 from .heatmap_io import read_heatmap_file  # noqa: F401  (likewise)
 
 __all__ = [
@@ -469,66 +469,10 @@ def filter_detections(records, config: PipelineConfig):
     return table.take(rows) if records is table else [records[k] for k in rows]
 
 
-# Records read and decoded together: enough to spread the fixed cost of a
-# batched decode, few enough that the stack stays small however long the
-# input is: _CHUNK records, fewer where their grids pass _STACK_BYTES (8 MB
-# holds 64 records of two channels of 4 x 64 x 64 float32 grids).
+# Records decoded together: enough to spread the fixed cost of a batched
+# decode, few enough that the stack stays small however long the input is.
+# heatmap_io reads fewer where their grids would pass its chunk byte limit.
 _CHUNK = 64
-_STACK_BYTES = 8 << 20
-
-
-def _read_stack(refs, grid, base_dir, buffer) -> np.ndarray:
-    """Channel-major ``(2, N, S, R, R)`` grids of the heatmap files ``refs``.
-
-    ``grid`` is ``(first, scales, resolution)`` of the run's first heatmap
-    file, whose grid every file must share. A DVP file of that grid is read
-    straight into ``buffer``, a little-endian float32 ``(2, chunk, S, R, R)``
-    array that a run reuses for each chunk, by one ``readv``
-    (:func:`~vpcalib.heatmap_io._read_dvp_into`); any other file, a JSON
-    one included, is read by :func:`~vpcalib.heatmap_io.read_heatmap_arrays`,
-    which reports what is wrong with it. A JSON file turns the stack into a
-    float64 copy, which the rest of the chunk is copied into. The values
-    are checked for finiteness in one pass over the files read by
-    ``readv``, before the next file that ``read_heatmap_arrays`` reads and
-    at the end, so the first bad file in record order is the one reported.
-    """
-    first, scales, resolution = grid
-    stack = buffer[:, : len(refs)]
-    header = _header(resolution, scales, 2)
-    checked = 0  # the files before this one are known to be finite
-    for k, ref in enumerate(refs):
-        slot = stack[:, k] if stack.dtype == buffer.dtype else None
-        if slot is not None and _read_dvp_into(os.path.join(base_dir, ref), header, slot):
-            continue
-        _check_finite(stack, refs, base_dir, checked, k)
-        checked = k + 1
-        file_scales, values = read_heatmap_arrays(Path(base_dir) / ref, slot)
-        if len(values) != 2:
-            raise InputFormatError(f"heatmap file {ref} has {len(values)} channels, expected 2")
-        if (file_scales, values.shape[-1]) != (scales, resolution):
-            raise InputFormatError(f"heatmap file {ref} has scales {file_scales} at resolution "
-                                   f"{values.shape[-1]}, the run's first heatmap file {first} "
-                                   f"has scales {scales} at resolution {resolution}")
-        if values is not slot:
-            if not np.can_cast(values.dtype, stack.dtype):
-                stack = stack.astype(values.dtype)
-            stack[:, k] = values
-    _check_finite(stack, refs, base_dir, checked, len(refs))
-    return stack
-
-
-def _check_finite(stack, refs, base_dir, start: int, stop: int) -> None:
-    """Raise the error of the first file among ``refs[start:stop]`` whose
-    grids in ``stack`` are not all finite, as
-    :func:`~vpcalib.heatmap_io.read_heatmap_arrays` reports it."""
-    grids = stack[:, start:stop]
-    if np.isfinite(grids).all():
-        return
-    k = start + int(np.isfinite(grids).all(axis=(0, 2, 3, 4)).argmin())
-    path = Path(base_dir) / refs[k]
-    read_heatmap_arrays(path)
-    with reading("heatmap file", path):  # the file was rewritten since
-        raise ValueError("heatmap file changed while it was read")
 
 
 def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSet:
@@ -539,15 +483,14 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
     box-coordinate columns, and one :func:`~vpcalib.heatmap.box_to_frame`
     call per channel takes them to frame pixels. Inline records take the
     table's point column of a channel where given, else its direction
-    column. Heatmap records go in chunks of at most ``_CHUNK``, on the grid
-    of the first heatmap file in record order: the chunk's files are read
-    into one stack, whose buffer every chunk reuses, and checked, and each
-    channel of the stack is decoded in one batch as by
-    :func:`~vpcalib.heatmap.decode_stack`. The first bad file in record
-    order, one on another grid included, raises its
-    :class:`InputFormatError`. The batches share one table of where the
-    sub-pixel samples of the chosen peak cells land and which way they
-    point, and the table and the buffer live for this call only.
+    column. Heatmap records go in chunks of at most ``_CHUNK``, which
+    :mod:`~vpcalib.heatmap_io` reads and checks on the grid of the first
+    heatmap file in record order; the first bad file in record order, one
+    on another grid included, raises its :class:`InputFormatError`. Each
+    channel of a chunk's stack is decoded in one batch as by
+    :func:`~vpcalib.heatmap.decode_stack`. The batches share one table of
+    where the sub-pixel samples of the chosen peak cells land and which way
+    they point, and the table lives for this call only.
     Records whose channel has only degenerate scales, whose inline values
     are a zero-length direction, overflow or exceed
     :data:`~vpcalib.calibration.MAX_COORDINATE` in frame pixels, or whose
@@ -563,16 +506,9 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
     is_direction = ~table.vp_given[:2] & ~mapped
     mapped = np.flatnonzero(mapped)
     if len(mapped):
-        first = table.heatmap_ref[mapped[0]]
-        scales, values = read_heatmap_arrays(Path(base_dir) / first)
-        grid = (first, scales, values.shape[-1])
-        record_bytes = 8 * math.prod(values.shape[1:])  # two float32 channels
-        chunk = min(len(mapped), _CHUNK, max(1, _STACK_BYTES // record_bytes))
-        buffer = np.zeros((2, chunk) + values.shape[1:], dtype="<f4")
         sample_cells = _SampleCells()
-        for start in range(0, len(mapped), chunk):
-            rows = mapped[start : start + chunk]
-            stack = _read_stack(table.heatmap_ref[rows], grid, base_dir, buffer)
+        for start, scales, stack in _read_stacks(table.heatmap_ref[mapped], base_dir, _CHUNK):
+            rows = mapped[start : start + stack.shape[1]]
             for c, maps in enumerate(stack):
                 decoded, points, directions = _decode_stack(maps, scales, config.peak_ratio,
                                                             sample_cells)[:3]

@@ -20,13 +20,10 @@ column code; the public per-item functions (``project_point``,
 ``vehicle_bbox_3d``) are one-row calls of it. A noisy 10k-vehicle scene
 draws from about 19,000 substreams. On a 2-vCPU x86-64 host their seed
 words take one pass of about 0.5 ms; the 10,000 placement streams then
-draw their windows and retries in about 4 ms (25 ms with a numpy
-``Generator`` per vehicle), numpy builds each of the 9,000 noise streams'
-PCG64 and ``Generator`` in about 1.6 us, and the whole scene takes about
-0.05 s (0.07 s with a ``Generator`` per vehicle, 0.19 s when numpy's
-SeedSequence hashed each stream). Of that, 300 tape measurements take
-about 3 ms (13 ms when sampled one attempt at a time); ``vpcalib synth``
-then spends some 35 ms formatting the detections.
+draw their windows and retries in about 4 ms, numpy builds each of the
+9,000 noise streams' PCG64 and ``Generator`` in about 1.6 us, and the
+whole scene takes about 0.05 s. Of that, 300 tape measurements take about
+3 ms; ``vpcalib synth`` then spends some 35 ms formatting the detections.
 """
 
 from __future__ import annotations
@@ -75,6 +72,8 @@ __all__ = [
 _BASE_ROTATION = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 
 _DIRECTION_EPS = 1e-9
+# corner perturbations augment draws before it gives up on a warp
+_AUGMENT_RETRIES = 16
 
 
 def _rot_x(angle: float) -> np.ndarray:
@@ -769,7 +768,6 @@ def augment(
     image_size,
     bbox_3d_points,
     params: AugmentationParams,
-    max_retries: int = 16,
 ) -> tuple[np.ndarray, BBox, bool]:
     """Random perspective warp + box jitter + horizontal flip, as geometry.
 
@@ -787,7 +785,7 @@ def augment(
     if params.corner_sigma == 0.0:
         H = np.eye(3)
     else:
-        for attempt in range(max_retries):
+        for _ in range(_AUGMENT_RETRIES):
             warped = corners + rng.normal(0.0, params.corner_sigma, (4, 2))
             try:
                 H = homography_from_corners(corners, warped)
@@ -796,7 +794,7 @@ def augment(
                 continue
         else:
             raise DegenerateHomography(
-                f"no valid corner perturbation found in {max_retries} tries"
+                f"no valid corner perturbation found in {_AUGMENT_RETRIES} tries"
             )
 
     flipped = bool(rng.random() < params.flip_prob) if params.flip_prob > 0 else False

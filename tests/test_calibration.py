@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vpcalib.calibration import (
+    FOCAL_EPSILON,
     MAX_COEFFICIENT,
     MAX_COORDINATE,
     CameraCalibration,
@@ -96,6 +97,14 @@ class TestFocalFromPair:
         with pytest.raises(NearZeroFocal):
             focal_from_pair(pair([0.5, 0], [-0.5, 0]), [0.0, 0.0])
 
+    def test_perpendicular_points_are_invalid(self):
+        # (u - p) . (v - p) == 0 exactly: no real focal length, not a tiny one
+        with pytest.raises(ImaginaryFocal):
+            focal_from_pair(pair([100, 0], [0, 100]), [0.0, 0.0])
+
+    def test_a_focal_of_exactly_the_smallest_plausible_one_is_kept(self):
+        assert focal_from_pair(pair([1, 0], [-1, 0]), [0.0, 0.0]) == FOCAL_EPSILON
+
     def test_orthogonality_identity(self, rng):
         # for every accepted pair, f^2 + (u - p) . (v - p) = 0 exactly
         p = np.array([960.0, 540.0])
@@ -180,6 +189,13 @@ class TestEstimateHorizon:
         pairs = [pair([0, k], [10, 1 + k]) for k in range(3)]
         with pytest.raises(InsufficientPairs):
             estimate_horizon(pairs, min_pairs=5)
+
+    def test_a_direction_at_the_vertical_tolerance_has_no_slope(self):
+        # |d_x| is exactly 1e-9 * |d|, as |d| rounds to 1.0: the direction is
+        # taken as vertical, so only the other pair's slope 0.1 counts
+        pairs = [pair([0, 0], [10, 1]),
+                 pair([1e-9, 1.0], [50.0, 7.0], first_is_direction=True)]
+        assert estimate_horizon(pairs, min_pairs=1)[0] == pytest.approx(0.1)
 
     def test_direction_only_contributes_slope(self):
         # four finite pairs with slope 0.3, one direction-only pair whose

@@ -9,23 +9,18 @@ import pytest
 
 from heatmap_io_reference import read_stack
 from vpcalib.errors import InputFormatError
-from vpcalib import heatmap_io, pipeline
+from vpcalib import heatmap_io
 from vpcalib.heatmap import DEFAULT_RESOLUTION, DEFAULT_SCALES, BBox, Heatmap, HeatmapCodec
 from vpcalib.heatmap_io import (
     MAGIC,
+    _check_finite,
     _read_dvp_into,
+    _read_stack,
     read_heatmap_arrays,
     read_heatmap_file,
     write_heatmap_file,
 )
-from vpcalib.pipeline import (
-    _CHUNK,
-    DetectionRecord,
-    PipelineConfig,
-    _check_finite,
-    _read_stack,
-    detections_to_pairs,
-)
+from vpcalib.pipeline import _CHUNK, DetectionRecord, PipelineConfig, detections_to_pairs
 
 
 @pytest.fixture
@@ -445,14 +440,22 @@ def test_good_dvp_files_are_read_without_the_whole_file_reader(tmp_path, monkeyp
     refs = _chunk(tmp_path, 5, (".dvp", ".dvp", ".dvp", ".dvp", ".json"))
     expected = read_stack(refs, GRID, tmp_path)
     read = []
+    readv = []
+    os_readv = heatmap_io.os.readv
 
-    def counted(path, out=None):
+    def counted(path):
         read.append(path.name)
-        return read_heatmap_arrays(path, out)
+        return read_heatmap_arrays(path)
 
-    monkeypatch.setattr(pipeline, "read_heatmap_arrays", counted)
+    def counted_readv(fd, buffers):
+        readv.append(fd)
+        return os_readv(fd, buffers)
+
+    monkeypatch.setattr(heatmap_io, "read_heatmap_arrays", counted)
+    monkeypatch.setattr(heatmap_io.os, "readv", counted_readv)
     stack = _read_stack(refs, GRID, tmp_path, _buffer())
     assert read == ["v4.json"]
+    assert len(readv) == 4  # one per DVP file
     assert stack.dtype == expected.dtype and stack.tobytes() == expected.tobytes()
 
 
@@ -474,7 +477,7 @@ def test_a_good_file_the_one_read_misses_leaves_the_next_file_checked(tmp_path, 
     def missing_one(path, header, out):
         return not path.endswith(refs[missed]) and _read_dvp_into(path, header, out)
 
-    monkeypatch.setattr(pipeline, "_read_dvp_into", missing_one)
+    monkeypatch.setattr(heatmap_io, "_read_dvp_into", missing_one)
     assert _first_error(_read_stack, refs, GRID, tmp_path, _buffer()) == message
 
 
@@ -493,12 +496,51 @@ def test_a_dvp_file_named_dot_json_is_read_as_dvp_and_the_next_file_is_checked(t
     assert _first_error(_read_stack, refs, GRID, tmp_path, _buffer()) == message
 
 
+@pytest.mark.parametrize("slashed", [0, 1])
+def test_a_ref_with_a_trailing_slash_is_read_as_pathlib_reads_it(tmp_path, slashed):
+    # the one readv cannot open "v1.dvp/" (the system finds no directory
+    # there), while the whole-file reader's pathlib drops the slash
+    refs = _chunk(tmp_path, 4)
+    plain = _read_stack(refs, GRID, tmp_path, _buffer())
+    with_slash = list(refs)
+    with_slash[slashed] += "/"
+    assert _read_stack(with_slash, GRID, tmp_path, _buffer(fill=0.5)).tobytes() == plain.tobytes()
+    expected = detections_to_pairs(_records(refs), CONFIG, tmp_path)
+    pairs = detections_to_pairs(_records(with_slash), CONFIG, tmp_path)
+    for name in ("first", "second", "first_is_direction", "second_is_direction"):
+        assert getattr(pairs, name).tobytes() == getattr(expected, name).tobytes()
+
+
 def test_a_file_rewritten_finite_after_a_non_finite_read_is_still_reported(tmp_path):
     refs = _chunk(tmp_path, 3)
     stack = _read_stack(refs, GRID, tmp_path, _buffer())
     stack[0, 1, 2, 5, 5] = np.nan  # what a read before the rewrite gave
     message = _first_error(_check_finite, stack, refs, tmp_path, 0, 3)
     assert refs[1] in message and "changed while it was read" in message
+
+
+RECORD_BYTES = 2 * 4 * len(DEFAULT_SCALES) * DEFAULT_RESOLUTION ** 2  # two float32 channels
+
+
+@pytest.mark.parametrize("most, stack_bytes, sizes", [
+    (_CHUNK, heatmap_io._STACK_BYTES, [7]),
+    (3, heatmap_io._STACK_BYTES, [3, 3, 1]),
+    (_CHUNK, 2 * RECORD_BYTES + 5, [2, 2, 2, 1]),
+    (_CHUNK, RECORD_BYTES - 1, [1] * 7),  # a record above the limit still makes a chunk
+])
+def test_a_run_is_read_in_chunks_of_most_records_within_the_byte_limit(tmp_path, monkeypatch,
+                                                                       most, stack_bytes, sizes):
+    refs = _chunk(tmp_path, 7, (".dvp", ".dvp", ".dvp", ".dvp", ".dvp", ".json"))
+    monkeypatch.setattr(heatmap_io, "_STACK_BYTES", stack_bytes)
+    chunks = []
+    # each stack is compared before the next chunk reuses the buffer
+    for start, scales, stack in heatmap_io._read_stacks(np.array(refs, dtype=object), tmp_path,
+                                                        most):
+        expected = read_stack(refs[start : start + stack.shape[1]], GRID, tmp_path)
+        assert scales == DEFAULT_SCALES
+        assert stack.dtype == expected.dtype and stack.tobytes() == expected.tobytes()
+        chunks.append((start, stack.shape[1]))
+    assert chunks == list(zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes))
 
 
 @pytest.mark.parametrize("suffixes", [(), (".json",), (".dvp", ".dvp", ".json", ".dvp"),
@@ -530,21 +572,6 @@ def test_a_non_finite_json_file_after_a_non_finite_dvp_file_is_not_the_one_repor
     message = _first_error(read_stack, refs, GRID, tmp_path)
     assert refs[1] in message and "finite" in message
     assert _first_error(_read_stack, refs, GRID, tmp_path, _buffer()) == message
-
-
-def test_arrays_read_into_a_fitting_buffer_are_checked(tmp_path, observation):
-    path = tmp_path / "obs.dvp"
-    write_heatmap_file(path, observation)
-    _nan(path)
-    message = _first_error(read_heatmap_arrays, path)
-    assert "finite" in message
-    out = np.zeros((2, 4, 64, 64), dtype="<f4")
-    assert _first_error(read_heatmap_arrays, path, out) == message
-    assert np.isnan(out[1, 3, 63, 63])  # the file was read into the buffer
-    # a buffer of another shape or precision is not used, and the read checks
-    for other in (np.zeros((2, 3, 64, 64), dtype="<f4"), np.zeros((2, 4, 64, 64))):
-        assert _first_error(read_heatmap_arrays, path, other) == message
-        assert not other.any()
 
 
 def test_the_written_bytes_are_the_header_then_the_float32_grids(tmp_path, observation):

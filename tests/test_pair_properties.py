@@ -132,7 +132,7 @@ def rows(draw):
         a = np.subtract(u, PRINCIPAL_POINT)
         scale = -f * f / max(float(a @ a), 1.0)
         v = tuple(PRINCIPAL_POINT + scale * a + draw(st.floats(-50.0, 50.0)))
-    if kind == "vertical":  # a pair line within slope_epsilon of vertical
+    if kind == "vertical":  # a pair line within SLOPE_EPSILON of vertical
         v = (u[0] + draw(st.sampled_from([0.0, 1e-7, -1e-6, 2e-6])), v[1])
     if kind == "coincident":  # equal, within np.allclose, or just outside it
         v = tuple(np.multiply(u, 1.0 + draw(st.sampled_from([0.0, 1e-6, 1e-5, 1e-4]))))

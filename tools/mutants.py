@@ -46,8 +46,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 600.0  # seconds per mutant; a mutant that loops forever counts as killed
 
 # the merged decode, box, filter, grid and scale rules, the sample-cell
-# table and the fuse, the DVP writer and readers, the synthetic scene's
-# seeding, PCG64 columns and placement, and the tests that cover them
+# table and the fuse, the DVP writer and readers (a run's chunks included),
+# the focal and horizon rules, the synthetic scene's seeding, PCG64 columns
+# and placement, and the tests that cover them
 TARGETS = [
     {
         "module": "src/vpcalib/heatmap.py",
@@ -66,19 +67,22 @@ TARGETS = [
                   "tests/test_pipeline.py"],
     },
     {
-        "module": "src/vpcalib/pipeline.py",
-        "functions": ["_read_stack"],
-        "tests": ["tests/test_heatmap_io.py", "tests/test_pipeline.py"],
-    },
-    {
         "module": "src/vpcalib/projective.py",
         "functions": ["check_scale"],
         "tests": ["tests/test_heatmap.py", "tests/test_projective.py"],
     },
     {
         "module": "src/vpcalib/heatmap_io.py",
-        "functions": ["write_heatmap_file", "read_heatmap_arrays", "_read_dvp_into", "_is_json"],
-        "tests": ["tests/test_heatmap_io.py", "tests/test_encode_properties.py"],
+        "functions": ["write_heatmap_file", "read_heatmap_arrays", "_read_stacks", "_read_stack",
+                      "_check_finite", "_read_dvp_into", "_is_json"],
+        "tests": ["tests/test_heatmap_io.py", "tests/test_encode_properties.py",
+                  "tests/test_pipeline.py"],
+    },
+    {
+        "module": "src/vpcalib/calibration.py",
+        "functions": ["_focal_rule", "_usable_focals", "_pair_slopes", "estimate_horizon"],
+        "tests": ["tests/test_calibration.py", "tests/test_pair_properties.py",
+                  "tests/test_estimator.py"],
     },
     {
         "module": "src/vpcalib/synthetic.py",
