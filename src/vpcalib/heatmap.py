@@ -9,17 +9,15 @@ spread of near-maximum cells, and places the point where that scale's peak
 cell overlaps the near-maximum cells of all the other scales.
 :func:`decode_stack` does this for a stack of many records' grids with
 array operations, taking what it needs to know about a grid cell from
-per-grid tables that persist for the process: the cells' points are tabled
-whole the first time a grid is used, their quantization radius the first
-time a decode needs it. Where the sub-pixel samples of a chosen peak cell
-land at every scale, and which way they point, goes into a table that
-lives for one run or one codec instead (:class:`_SampleCells`, 5.4 KB per
-distinct cell at four 64 x 64 scales): its owner passes it to every decode
-it runs and drops it with the run or the codec. Points go between the
-plane, the diamond and the grid as separate ``x``, ``y`` and ``w`` arrays
-(the column form of :mod:`~vpcalib.projective`), every scale at once along
-a leading axis. The near-maximum cells of a grid are found in the stack's
-own precision, float32 as DVP files store it.
+per-grid tables that persist for the process (:class:`_CellTables`): the
+cells' points are tabled whole the first time a grid is used; their
+quantization radius, and where the sub-pixel samples of a chosen peak cell
+land at every scale and which way they point (5.4 KB per distinct cell at
+four 64 x 64 scales), the first time a decode needs them. Points go
+between the plane, the diamond and the grid as separate ``x``, ``y`` and
+``w`` arrays (the column form of :mod:`~vpcalib.projective`), every scale
+at once along a leading axis. The near-maximum cells of a grid are found
+in the stack's own precision, float32 as DVP files store it.
 The decode works in box coordinates; :func:`box_to_frame` and its inverse
 :func:`frame_to_box` are the one array form of the box <-> frame convention.
 
@@ -41,6 +39,7 @@ Grid convention: ``values[row, col]`` with the rotated coordinates
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -566,6 +565,11 @@ def _vp_by_scale(scales, index, rows, cols, resolution: int) -> tuple[np.ndarray
     return x * inverse, y * inverse, w
 
 
+# Cells per block of a grid's sample-cell table: it grows a block at a time,
+# so no entry is ever copied and at most one block is partly unused.
+_BLOCK = 64
+
+
 class _CellTables:
     """What a decode needs to know about the cells of one grid.
 
@@ -577,7 +581,22 @@ class _CellTables:
 
     ``radius``, :func:`quantization_radius` at its defaults, takes 36
     boundary points per cell, so :meth:`radii` fills it only for the cells
-    a decode asks for.
+    a decode asks for; two threads that fill one cell write the same value.
+
+    The sample-cell table says where the sub-pixel samples of a chosen peak
+    cell land at every scale, and which way they point; :meth:`lookup`
+    fills it only for the chosen cells a decode meets. For each of a cell's
+    :data:`_SUBPIXEL` samples it holds, at every scale, the flat index
+    ``row * R + col`` of the cell where :func:`_nearest_cells` puts the
+    sample, and the sample's unit direction from the box centre
+    (:func:`_directions` of its point). The indices take the narrowest
+    unsigned dtype that holds ``R * R - 1``: uint16 at 64 x 64, so a cell
+    takes 1.8 KB of indices at four scales and 3.6 KB of float64
+    directions, 5.4 KB in all. The entries are stored in blocks of
+    :data:`_BLOCK` cells, in the order they were filled, and a dense int32
+    index over the grid's ``S * R * R`` cells gives each cell's entry, -1
+    where it has none: 64 KB at four 64 x 64 scales. A lock keeps
+    concurrent lookups from filling it at once.
     """
 
     def __init__(self, scales: tuple[float, ...], resolution: int):
@@ -590,6 +609,11 @@ class _CellTables:
         self.vp, self.xy, self.ideal, self.norm, self.direction = _point_table(vp)
         self.radius = np.zeros(shape)
         self._has_radius = np.zeros(shape, dtype=bool)
+        self._lock = threading.Lock()
+        self._entry = np.full(len(scales) * resolution * resolution, -1, dtype=np.int32)
+        self._size = 0
+        self._dtype = np.min_scalar_type(resolution * resolution - 1)
+        self._cells, self._dirs = [], []
 
     def radii(self, s, r, c) -> np.ndarray:
         """``radius`` at cells ``(s, r, c)``, computed where missing."""
@@ -601,6 +625,49 @@ class _CellTables:
                                                      _EDGE_SAMPLES)
             self._has_radius[cells] = True
         return self.radius[s, r, c]
+
+    def lookup(self, chosen, row, col) -> tuple[np.ndarray, np.ndarray]:
+        """``(M, S, samples)`` flat cell indices and ``(M, samples, 2)`` sample
+        directions of the chosen cells, filling the missing ones in one pass."""
+        key = (chosen * self.resolution + row) * self.resolution + col
+        with self._lock:
+            entry = self._entry[key]
+            missing = entry < 0
+            if missing.any():
+                self._fill(np.unique(key[missing]))
+                entry = self._entry[key]
+            block, at = np.divmod(entry, _BLOCK)
+            cells = np.empty((len(key), len(self.scales), len(_SUBPIXEL)), dtype=self._dtype)
+            dirs = np.empty((len(key), len(_SUBPIXEL), 2))
+            for b in np.unique(block).tolist():
+                here = block == b
+                cells[here] = self._cells[b][at[here]]
+                dirs[here] = self._dirs[b][at[here]]
+        return cells, dirs
+
+    def _fill(self, key: np.ndarray) -> None:
+        """Store the entries of the cells ``key``, flat indices of cells
+        that have none yet."""
+        scales, resolution = self.scales, self.resolution
+        chosen, row, col = np.unravel_index(key, (len(scales), resolution, resolution))
+        samples = _vp_by_scale(scales, chosen, row[:, None] + _SUBPIXEL[:, 0],
+                               col[:, None] + _SUBPIXEL[:, 1], resolution)
+        row, col = _nearest_cells(*samples, scales, resolution)
+        cells = np.moveaxis(row * resolution + col, 0, 1)
+        dirs = _directions(*samples)
+        size = self._size
+        self._entry[key] = np.arange(size, size + len(key))
+        self._size += len(key)
+        done = 0
+        while done < len(key):
+            block, at = divmod(size + done, _BLOCK)
+            if block == len(self._cells):
+                self._cells.append(np.empty((_BLOCK,) + cells.shape[1:], dtype=self._dtype))
+                self._dirs.append(np.empty((_BLOCK,) + dirs.shape[1:]))
+            n = min(_BLOCK - at, len(key) - done)
+            self._cells[block][at : at + n] = cells[done : done + n]
+            self._dirs[block][at : at + n] = dirs[done : done + n]
+            done += n
 
 
 @functools.lru_cache(maxsize=8)
@@ -669,89 +736,7 @@ def _spread(xy, ideal, norm, direction, cells, grid, peaks) -> np.ndarray:
     return spread
 
 
-# Cells per block of a _SampleCells table: it grows a block at a time, so no
-# entry is ever copied and at most one block is partly unused. A codec keeps
-# its table, and so its first block (345 KB at four 64 x 64 scales), for life.
-_BLOCK = 64
-
-
-class _SampleCells:
-    """Where the sub-pixel samples of chosen peak cells land at every scale,
-    and which way they point.
-
-    One entry per distinct chosen cell ``(scale index, row, col)`` that a
-    decode has met. For each of the cell's :data:`_SUBPIXEL` samples it
-    holds, at every scale, the flat index ``row * R + col`` of the cell
-    where :func:`_nearest_cells` puts the sample, and the sample's unit
-    direction from the box centre (:func:`_directions` of its point). The
-    indices take the narrowest unsigned dtype that holds ``R * R - 1``:
-    uint16 at 64 x 64, so a cell takes 1.8 KB of indices at four scales and
-    3.6 KB of float64 directions, 5.4 KB in all. The entries are stored in
-    blocks of :data:`_BLOCK` cells, in the order they were filled, and a
-    dense int32 index over the grid's ``S * R * R`` cells gives each cell's
-    entry, -1 where it has none: 64 KB at four 64 x 64 scales, half the
-    bytes of one record's two channels of float32 grids. The values depend
-    on the grid alone, but a table lives for one run or one
-    :class:`HeatmapCodec`: whoever runs the decodes creates it and passes it
-    to each of them, so nothing is left resident at module level. A decode
-    on another grid starts the table afresh. Filling is not locked, so one
-    table is for one thread.
-    """
-
-    def __init__(self):
-        self._grid = None
-
-    def lookup(self, scales, resolution, chosen, row, col) -> tuple[np.ndarray, np.ndarray]:
-        """``(M, S, samples)`` flat cell indices and ``(M, samples, 2)`` sample
-        directions of the chosen cells, filling the missing ones in one pass."""
-        if self._grid != (scales, resolution):
-            self._grid = (scales, resolution)
-            self._entry = np.full(len(scales) * resolution * resolution, -1, dtype=np.int32)
-            self._size = 0
-            self._dtype = np.min_scalar_type(resolution * resolution - 1)
-            self._cells, self._dirs = [], []
-        key = (chosen * resolution + row) * resolution + col
-        entry = self._entry[key]
-        missing = entry < 0
-        if missing.any():
-            self._fill(np.unique(key[missing]))
-            entry = self._entry[key]
-        block, at = np.divmod(entry, _BLOCK)
-        cells = np.empty((len(key), len(scales), len(_SUBPIXEL)), dtype=self._dtype)
-        dirs = np.empty((len(key), len(_SUBPIXEL), 2))
-        for b in np.unique(block).tolist():
-            here = block == b
-            cells[here] = self._cells[b][at[here]]
-            dirs[here] = self._dirs[b][at[here]]
-        return cells, dirs
-
-    def _fill(self, key: np.ndarray) -> None:
-        """Store the entries of the cells ``key``, flat indices of cells
-        that have none yet."""
-        scales, resolution = self._grid
-        chosen, row, col = np.unravel_index(key, (len(scales), resolution, resolution))
-        samples = _vp_by_scale(scales, chosen, row[:, None] + _SUBPIXEL[:, 0],
-                               col[:, None] + _SUBPIXEL[:, 1], resolution)
-        row, col = _nearest_cells(*samples, scales, resolution)
-        cells = np.moveaxis(row * resolution + col, 0, 1)
-        dirs = _directions(*samples)
-        size = self._size
-        self._entry[key] = np.arange(size, size + len(key))
-        self._size += len(key)
-        done = 0
-        while done < len(key):
-            block, at = divmod(size + done, _BLOCK)
-            if block == len(self._cells):
-                self._cells.append(np.empty((_BLOCK,) + cells.shape[1:], dtype=self._dtype))
-                self._dirs.append(np.empty((_BLOCK,) + dirs.shape[1:]))
-            n = min(_BLOCK - at, len(key) - done)
-            self._cells[block][at : at + n] = cells[done : done + n]
-            self._dirs[block][at : at + n] = dirs[done : done + n]
-            done += n
-
-
-def _fuse(tables: _CellTables, sample_cells: _SampleCells, near, records, chosen, row, col,
-          centre, ideal, others):
+def _fuse(tables: _CellTables, near, records, chosen, row, col, centre, ideal, others):
     """Homogeneous box-coordinate VPs where the other scales' cells meet the chosen ones.
 
     One row per decoded record: ``records`` indexes ``near``, ``chosen`` is
@@ -760,16 +745,16 @@ def _fuse(tables: _CellTables, sample_cells: _SampleCells, near, records, chosen
     cell is sampled on a sub-pixel grid; a sample is kept when, at every
     other scale, it falls into a near-maximum cell (by the rounding of
     :func:`encode_vp`). Where each sample falls and which way it points
-    come from ``sample_cells``, so a run maps the samples of each distinct
-    chosen cell once; only the points at the mean positions are computed
-    here. The result is the point at the mean position of the kept samples,
+    come from the grid's sample-cell table (:meth:`_CellTables.lookup`), so
+    the samples of each distinct chosen cell are mapped once per process;
+    only the points at the mean positions are computed here. The result is the point at the mean position of the kept samples,
     or ``centre`` when no sample is kept or when that point is farther from
     some kept sample than ``centre`` is. The mean never reaches the grid
     diagonal, where points lie at infinity, unless the chosen cell is on it.
     """
     scales, resolution = tables.scales, tables.resolution
     n_scales = len(scales)
-    cells, sample_dirs = sample_cells.lookup(scales, resolution, chosen, row, col)
+    cells, sample_dirs = tables.lookup(chosen, row, col)
     # each sample's cell as a flat index into the C-ordered near, for one take
     grids = (records[:, None] * n_scales + np.arange(n_scales)) * (resolution * resolution)
     keep = np.take(near, grids[:, :, None] + cells)
@@ -814,19 +799,13 @@ def decode_stack(
     channel of N records, one grid per scale of ``scales``; ``boxes`` holds
     the N records' boxes. Entry ``n`` of the result equals what
     ``select_vp`` returns for ``values[n]``, field by field, or is ``None``
-    where it raises :class:`AllScalesDegenerate`. Per-cell quantities come
-    from tables of the grid, cached per scale set and resolution; where the
-    sub-pixel samples of the chosen cells land is mapped afresh per call.
+    where it raises :class:`AllScalesDegenerate`. Per-cell quantities, where
+    the sub-pixel samples of the chosen cells land among them, come from
+    tables of the grid that are kept per scale set and resolution for the
+    process (:class:`_CellTables`).
     """
-    return _decode_boxes(values, scales, boxes, peak_ratio, _SampleCells())
-
-
-def _decode_boxes(values, scales, boxes, peak_ratio, sample_cells: _SampleCells):
-    """:func:`decode_stack` with the caller's sample-cell table."""
     values = np.asarray(values)
-    records, points, is_direction, spread, scale = _decode_stack(
-        values, scales, peak_ratio, sample_cells
-    )
+    records, points, is_direction, spread, scale = _decode_stack(values, scales, peak_ratio)
     if len(boxes) != len(values):
         raise ValueError(f"need one box per record, got {len(boxes)} for {len(values)}")
     points = box_to_frame(points, is_direction, [boxes[k] for k in records])
@@ -862,8 +841,8 @@ def _near_maximum(values: np.ndarray, peak_ratio) -> tuple[np.ndarray, ...]:
     return (top, *np.divmod(peak, values.shape[-1]), near)
 
 
-def _decode_stack(values, scales, peak_ratio, sample_cells: _SampleCells):
-    """:func:`decode_stack` in box coordinates, with the caller's sample-cell table.
+def _decode_stack(values, scales, peak_ratio):
+    """:func:`decode_stack` in box coordinates.
 
     Columns with a row per decoded record: its index in ``values``, its
     box-coordinate point or direction, the direction mask, the spread and
@@ -911,7 +890,7 @@ def _decode_stack(values, scales, peak_ratio, sample_cells: _SampleCells):
     fuse = others.any(axis=1)
     if fuse.any():
         vph[fuse] = _fuse(
-            tables, sample_cells, near, records[fuse], chosen[fuse], pr[fuse], pc[fuse],
+            tables, near, records[fuse], chosen[fuse], pr[fuse], pc[fuse],
             vph[fuse], is_ideal[fuse], others[fuse],
         )
 
@@ -947,21 +926,16 @@ def select_vp(
     cell than the centre is. A direction at infinity stays a direction,
     oriented like the centre's. All heatmaps must share one resolution.
 
-    This is the one-record call of :func:`decode_stack`.
+    This is the one-record call of :func:`decode_stack`: where the samples
+    of a cell land is mapped once per grid and process, not once per call.
     """
-    return _select_vp(heatmaps, box, peak_ratio, _SampleCells())
-
-
-def _select_vp(heatmaps, box: BBox, peak_ratio, sample_cells: _SampleCells) -> VPDetection:
-    """:func:`select_vp` with the caller's sample-cell table."""
     heatmaps = list(heatmaps)
     if any(h.resolution != heatmaps[0].resolution for h in heatmaps):
         raise ValueError("all heatmaps must share one resolution")
     detection = None
     if heatmaps:
         values = np.stack([h.values for h in heatmaps])[None]
-        (detection,) = _decode_boxes(values, [h.scale for h in heatmaps], [box], peak_ratio,
-                                     sample_cells)
+        (detection,) = decode_stack(values, [h.scale for h in heatmaps], [box], peak_ratio)
     if detection is None:
         raise AllScalesDegenerate("no heatmap scale produced a usable vanishing point")
     return detection
@@ -977,13 +951,9 @@ class HeatmapCodec:
     least 2, ``scales`` strictly increasing reals in [1e-60, 1e60], ``sigma``
     a positive finite real, and ``peak_ratio`` a real in (0, 1].
 
-    A codec owns one :class:`_SampleCells` table, which its :meth:`decode`
-    and :meth:`decode_pair` calls share: the sub-pixel samples of each
-    distinct chosen cell are mapped once per codec, not once per call. The
-    table lives as long as the codec and grows by 5.4 KB per distinct cell
-    (at four 64 x 64 scales), up to one entry per cell of the grid; drop the
-    codec to free it. The calls fill the table without a lock, so a codec is
-    not for use by concurrent threads: give each thread its own.
+    A codec keeps no decode state: its decodes read and fill the tables of
+    its grid (:class:`_CellTables`) that every decode in the process
+    shares, so threads may share a codec.
     """
 
     def __init__(
@@ -998,7 +968,6 @@ class HeatmapCodec:
         self.sigma = check_positive(sigma, "sigma")
         _check_peak_ratio(peak_ratio)
         self.peak_ratio = float(peak_ratio)
-        self._sample_cells = _SampleCells()
 
     def encode(self, vp) -> list[Heatmap]:
         """One heatmap per scale for a box-coordinate vanishing point: what
@@ -1007,8 +976,8 @@ class HeatmapCodec:
         return maps
 
     def decode(self, heatmaps, box: BBox) -> VPDetection:
-        """:func:`select_vp` at the codec's peak ratio, with its sample-cell table."""
-        return _select_vp(heatmaps, box, self.peak_ratio, self._sample_cells)
+        """:func:`select_vp` at the codec's peak ratio."""
+        return select_vp(heatmaps, box, self.peak_ratio)
 
     def encode_pair(self, first_vp, second_vp) -> list[list[Heatmap]]:
         """Channel-major heatmaps for a (first, second) vanishing-point pair:

@@ -193,12 +193,12 @@ def _read_stack(refs, grid, base_dir, buffer) -> np.ndarray:
     header = _header(resolution, scales, 2)
     checked = 0  # the files before this one are known to be finite
     for k, ref in enumerate(refs):
-        if stack.dtype == _GRID and _read_dvp_into(os.path.join(base_dir, ref), header,
-                                                   stack[:, k]):
+        path = Path(base_dir) / ref
+        if stack.dtype == _GRID and _read_dvp_into(os.fspath(path), header, stack[:, k]):
             continue
         _check_finite(stack, refs, base_dir, checked, k)
         checked = k + 1
-        file_scales, values = read_heatmap_arrays(Path(base_dir) / ref)
+        file_scales, values = read_heatmap_arrays(path)
         if len(values) != 2:
             raise InputFormatError(f"heatmap file {ref} has {len(values)} channels, expected 2")
         if (file_scales, values.shape[-1]) != (scales, resolution):

@@ -50,7 +50,6 @@ from .heatmap import (
     BBox,
     _decode_stack,
     _ious,
-    _SampleCells,
     box_to_frame,
     select_vp,  # noqa: F401  (kept importable from here: perfbench/tracing.py wraps it)
 )
@@ -488,9 +487,8 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
     heatmap file in record order; the first bad file in record order, one
     on another grid included, raises its :class:`InputFormatError`. Each
     channel of a chunk's stack is decoded in one batch as by
-    :func:`~vpcalib.heatmap.decode_stack`. The batches share one table of
-    where the sub-pixel samples of the chosen peak cells land and which way
-    they point, and the table lives for this call only.
+    :func:`~vpcalib.heatmap.decode_stack`, from the grid's cell tables,
+    which the process keeps.
     Records whose channel has only degenerate scales, whose inline values
     are a zero-length direction, overflow or exceed
     :data:`~vpcalib.calibration.MAX_COORDINATE` in frame pixels, or whose
@@ -506,12 +504,10 @@ def detections_to_pairs(records, config: PipelineConfig, base_dir=".") -> PairSe
     is_direction = ~table.vp_given[:2] & ~mapped
     mapped = np.flatnonzero(mapped)
     if len(mapped):
-        sample_cells = _SampleCells()
         for start, scales, stack in _read_stacks(table.heatmap_ref[mapped], base_dir, _CHUNK):
             rows = mapped[start : start + stack.shape[1]]
             for c, maps in enumerate(stack):
-                decoded, points, directions = _decode_stack(maps, scales, config.peak_ratio,
-                                                            sample_cells)[:3]
+                decoded, points, directions = _decode_stack(maps, scales, config.peak_ratio)[:3]
                 ends[c, rows[decoded]] = points
                 is_direction[c, rows[decoded]] = directions
     for c in range(2):

@@ -19,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from vpcalib.heatmap import DEFAULT_SCALES, _decode_stack, _round_up, _SampleCells  # noqa: E402
+from vpcalib.heatmap import DEFAULT_SCALES, _decode_stack, _round_up  # noqa: E402
 
 BOUNDED = settings(max_examples=200, derandomize=True, deadline=None, database=None)
 DTYPES = st.sampled_from([np.float32, np.float64])
@@ -88,7 +88,7 @@ def stacks(draw):
 @BOUNDED
 @given(values=stacks())
 def test_a_float32_stack_decodes_to_the_bits_of_its_float64_copy(values):
-    single = _decode_stack(values, DEFAULT_SCALES, 0.8, _SampleCells())
-    double = _decode_stack(values.astype(np.float64), DEFAULT_SCALES, 0.8, _SampleCells())
+    single = _decode_stack(values, DEFAULT_SCALES, 0.8)
+    double = _decode_stack(values.astype(np.float64), DEFAULT_SCALES, 0.8)
     for a, b in zip(single, double):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

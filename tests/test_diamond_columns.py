@@ -20,7 +20,6 @@ from vpcalib.heatmap import (
     DEFAULT_SCALES,
     _CellTables,
     _nearest_cells,
-    _SampleCells,
     _vp_by_scale,
     _SUBPIXEL,
 )
@@ -41,7 +40,7 @@ class TestDefaultGrid:
             assert same_bits(np.stack(_vp_by_scale(scales, chosen, rows, cols, resolution), -1),
                              samples)
             # a fresh table per block, so it maps every cell of the block
-            cells, dirs = _SampleCells().lookup(scales, resolution, chosen, row, col)
+            cells, dirs = _CellTables(scales, resolution).lookup(chosen, row, col)
             expected = ref.nearest_cells(samples, scales, resolution)
             flat = expected[..., 0] * resolution + expected[..., 1]
             assert np.array_equal(cells, np.moveaxis(flat, 0, 1))

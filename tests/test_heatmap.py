@@ -1,11 +1,14 @@
 import gc
 import hashlib
+import sys
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from vpcalib import heatmap
 from vpcalib.errors import (
     AllScalesDegenerate,
     DegeneratePeak,
@@ -21,7 +24,6 @@ from vpcalib.heatmap import (
     VPDetection,
     _BLOCK,
     _CellTables,
-    _SampleCells,
     _SUBPIXEL,
     _cell_tables,
     _decode_stack,
@@ -677,9 +679,9 @@ class TestDecodeStack:
 
 class TestSampleCells:
     def test_every_entry_equals_nearest_cells_of_the_samples(self):
-        table = _SampleCells()
+        table = _CellTables(DEFAULT_SCALES, 16)
         s, r, c = np.indices((len(DEFAULT_SCALES), 16, 16)).reshape(3, -1)
-        cells, directions = table.lookup(DEFAULT_SCALES, 16, s, r, c)
+        cells, directions = table.lookup(s, r, c)
         assert cells.dtype == np.uint8
         assert cells.shape == (len(s), len(DEFAULT_SCALES), len(_SUBPIXEL))
         assert directions.shape == (len(s), len(_SUBPIXEL), 2)
@@ -692,18 +694,18 @@ class TestSampleCells:
             assert got_dirs.tobytes() == ref.directions(samples).tobytes()
 
     def test_lookups_in_any_order_return_the_stored_entries(self, rng):
-        table = _SampleCells()
+        table = _CellTables(DEFAULT_SCALES, 16)
         s, r, c = np.indices((len(DEFAULT_SCALES), 16, 16)).reshape(3, -1)
-        whole = table.lookup(DEFAULT_SCALES, 16, s, r, c)
+        whole = table.lookup(s, r, c)
         # repeated and shuffled cells, partly from a table that fills as it goes
         order = rng.integers(0, len(s), 300)
-        fresh = _SampleCells()
+        fresh = _CellTables(DEFAULT_SCALES, 16)
         for part in np.array_split(order, 7):
-            for got, stored in zip(fresh.lookup(DEFAULT_SCALES, 16, s[part], r[part], c[part]),
+            for got, stored in zip(fresh.lookup(s[part], r[part], c[part]),
                                    (whole[0][part], whole[1][part])):
                 assert got.dtype == stored.dtype and np.array_equal(got, stored)
         # one entry per distinct cell, however often it was looked up
-        again = table.lookup(DEFAULT_SCALES, 16, s, r, c)
+        again = table.lookup(s, r, c)
         assert all(np.array_equal(got, stored) for got, stored in zip(again, whole))
         assert (table._size, fresh._size) == (len(s), len(np.unique(order)))
 
@@ -711,7 +713,7 @@ class TestSampleCells:
         for resolution, dtype in ((16, np.uint8), (17, np.uint16), (64, np.uint16),
                                   (256, np.uint16), (257, np.uint32)):
             one = np.array([0])
-            cells, directions = _SampleCells().lookup((1.0,), resolution, one, one, one)
+            cells, directions = _CellTables((1.0,), resolution).lookup(one, one, one)
             assert cells.dtype == dtype and directions.dtype == np.float64
 
     def test_a_warm_table_decodes_like_a_cold_one(self, rng):
@@ -725,11 +727,13 @@ class TestSampleCells:
             values = np.concatenate([values, np.stack([h.values for h in maps])[None]])
             boxes.append(BBox(0.0, 0.0, 128.0, 128.0))
         warm_up = np.concatenate([warm_up, values[::3]])
-        table = _SampleCells()
-        _decode_stack(warm_up, DEFAULT_SCALES, 0.8, table)
-        warm = _decode_stack(values, DEFAULT_SCALES, 0.8, table)
-        cold = _decode_stack(values, DEFAULT_SCALES, 0.8, _SampleCells())
-        backwards = _decode_stack(values[::-1], DEFAULT_SCALES, 0.8, _SampleCells())
+        _cell_tables.cache_clear()
+        _decode_stack(warm_up, DEFAULT_SCALES, 0.8)
+        warm = _decode_stack(values, DEFAULT_SCALES, 0.8)
+        _cell_tables.cache_clear()
+        cold = _decode_stack(values, DEFAULT_SCALES, 0.8)
+        _cell_tables.cache_clear()
+        backwards = _decode_stack(values[::-1], DEFAULT_SCALES, 0.8)
         # the columns: record index, box-coordinate point, direction mask,
         # spread, chosen scale; the backward run has its rows in reverse
         assert np.array_equal(warm[0], cold[0])
@@ -743,65 +747,112 @@ class TestSampleCells:
                                              box)
             assert _same_detection(det, reference)
 
-    def test_a_long_lived_codec_decodes_like_a_fresh_one(self, rng):
+    def test_a_long_lived_table_decodes_like_a_fresh_one(self, rng, monkeypatch):
         codec = HeatmapCodec()
         box = BBox(100.0, 200.0, 260.0, 300.0)
+        kept = _CellTables(DEFAULT_SCALES, 64)
+
+        def decode_pair(maps, tables):
+            monkeypatch.setattr(heatmap, "_cell_tables", lambda scales, resolution: tables)
+            return codec.decode_pair(maps, box)
 
         def bits(detection):
             return (detection.point.tobytes(), np.float64(detection.uncertainty).tobytes(),
                     detection.chosen_scale, detection.direction_only)
 
-        # pairs one at a time, each met by the codec's table and by a fresh one
+        # pairs one at a time, each met by the kept table and by a fresh one
         radius = np.exp(rng.uniform(np.log(0.5), np.log(1e3), (320, 2)))
         angle = rng.uniform(0.0, 2.0 * np.pi, (320, 2))
         pairs = []
         for first, second in np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1):
             maps = codec.encode_pair(first, second)
             pairs.append(maps)
-            for kept, fresh in zip(codec.decode_pair(maps, box),
-                                   HeatmapCodec().decode_pair(maps, box)):
-                assert bits(kept) == bits(fresh)
-        table = codec._sample_cells
-        assert table._size > 4 * _BLOCK  # distinct cells, past four blocks
+            for warm, cold in zip(decode_pair(maps, kept),
+                                  decode_pair(maps, _CellTables(DEFAULT_SCALES, 64))):
+                assert bits(warm) == bits(cold)
+        assert kept._size > 4 * _BLOCK  # distinct cells, past four blocks
         # and the pairs together, whose lookups gather from every block
         values = np.stack([[h.values for h in channel] for maps in pairs for channel in maps])
-        warm = _decode_stack(values, DEFAULT_SCALES, codec.peak_ratio, table)
-        cold = _decode_stack(values, DEFAULT_SCALES, codec.peak_ratio, _SampleCells())
+        monkeypatch.setattr(heatmap, "_cell_tables", lambda scales, resolution: kept)
+        warm = _decode_stack(values, DEFAULT_SCALES, codec.peak_ratio)
+        monkeypatch.setattr(heatmap, "_cell_tables", _CellTables)
+        cold = _decode_stack(values, DEFAULT_SCALES, codec.peak_ratio)
         for w, c in zip(warm, cold):
             assert w.dtype == c.dtype and w.tobytes() == c.tobytes()
 
-    def test_a_run_leaves_no_module_state_behind(self, tmp_path, rng):
+    def test_a_second_run_over_decoded_cells_leaves_little_behind(self, tmp_path, rng):
         codec = HeatmapCodec()
         box = BBox(100.0, 200.0, 260.0, 300.0)
-
-        def records(n):
-            out = []
-            for k in range(n):
-                name = f"v{len(list(tmp_path.iterdir()))}.dvp"
-                first, second = rng.uniform(-50.0, 50.0, (2, 2))
-                write_heatmap_file(tmp_path / name, codec.encode_pair(first, second))
-                out.append(DetectionRecord(frame_index=k, box=box, confidence=1.0,
-                                           heatmap_ref=name))
-            return out
-
-        config = PipelineConfig(min_pairs=1)
-        detections_to_pairs(records(20), config, tmp_path)  # builds the grid's cell tables
-        fresh = records(150)
+        records = []
+        for k in range(150):
+            first, second = rng.uniform(-50.0, 50.0, (2, 2))
+            write_heatmap_file(tmp_path / f"v{k}.dvp", codec.encode_pair(first, second))
+            records.append(DetectionRecord(frame_index=k, box=box, confidence=1.0,
+                                           heatmap_ref=f"v{k}.dvp"))
         maps = [codec.encode(vp) for vp in rng.uniform(-50.0, 50.0, (50, 2))]
+        config = PipelineConfig(min_pairs=1)
+        _cell_tables.cache_clear()
+        # the first pass fills the grid's tables with every cell met below
+        detections_to_pairs(records, config, tmp_path)
+        for m in maps:
+            select_vp(m, box)
+        tables = _cell_tables(DEFAULT_SCALES, 64)
+        size = tables._size
+        assert size > _BLOCK
         gc.collect()
         tracemalloc.start()
         try:
-            pairs = detections_to_pairs(fresh, config, tmp_path)
+            pairs = detections_to_pairs(records, config, tmp_path)
             for m in maps:
                 select_vp(m, box)
+                HeatmapCodec().decode(m, box)
             del pairs
             gc.collect()
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a table kept past the run would hold about 5.4 KB for each of the
-        # few hundred distinct cells met here
+        # a table that grew would take 5.4 KB for each cell it met again
+        assert tables._size == size
         assert kept < 64 * 1024
+
+    def test_two_threads_on_a_cold_grid_decode_as_one_thread_does(self, rng):
+        stacks = []
+        for _ in range(2):
+            chunk, _ = _mixed_chunk(rng)
+            radius = np.exp(rng.uniform(np.log(0.5), np.log(1e3), 150))
+            angle = rng.uniform(0.0, 2.0 * np.pi, 150)
+            encoded = [[h.values for h in HeatmapCodec().encode([r * np.cos(a), r * np.sin(a)])]
+                       for r, a in zip(radius, angle)]
+            stacks.append(np.concatenate([chunk, np.array(encoded)]))
+
+        def decode(stack):
+            # record by record, so the table fills a few cells at a time
+            return [[c.tobytes() for c in _decode_stack(stack[k : k + 1], DEFAULT_SCALES, 0.8)]
+                    for k in range(len(stack))]
+
+        serial = []
+        for stack in stacks:
+            _cell_tables.cache_clear()
+            serial.append(decode(stack))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for _ in range(5):
+                _cell_tables.cache_clear()
+                _cell_tables(DEFAULT_SCALES, 64)  # one grid, which both threads fill
+                results = [None] * len(stacks)
+
+                def run(k):
+                    results[k] = decode(stacks[k])
+
+                threads = [threading.Thread(target=run, args=(k,)) for k in range(len(stacks))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                assert results == serial
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_a_grid_with_more_cells_than_uint16_decodes_like_the_reference(self):
         codec = HeatmapCodec(resolution=257)

@@ -497,14 +497,30 @@ def test_a_dvp_file_named_dot_json_is_read_as_dvp_and_the_next_file_is_checked(t
 
 
 @pytest.mark.parametrize("slashed", [0, 1])
-def test_a_ref_with_a_trailing_slash_is_read_as_pathlib_reads_it(tmp_path, slashed):
-    # the one readv cannot open "v1.dvp/" (the system finds no directory
-    # there), while the whole-file reader's pathlib drops the slash
+def test_a_ref_with_a_trailing_slash_is_read_as_pathlib_reads_it(tmp_path, monkeypatch,
+                                                                 slashed):
+    # both reads take the path as pathlib resolves it, which drops the slash
+    # of "v1.dvp/", so that file too is read by its one readv
     refs = _chunk(tmp_path, 4)
     plain = _read_stack(refs, GRID, tmp_path, _buffer())
     with_slash = list(refs)
     with_slash[slashed] += "/"
-    assert _read_stack(with_slash, GRID, tmp_path, _buffer(fill=0.5)).tobytes() == plain.tobytes()
+    readv = []
+    os_readv = heatmap_io.os.readv
+
+    def counted_readv(fd, buffers):
+        readv.append(fd)
+        return os_readv(fd, buffers)
+
+    def whole_file(path):
+        raise AssertionError(f"{path} was read whole")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(heatmap_io.os, "readv", counted_readv)
+        patch.setattr(heatmap_io, "read_heatmap_arrays", whole_file)
+        stack = _read_stack(with_slash, GRID, tmp_path, _buffer(fill=0.5))
+    assert len(readv) == 4  # one per file, the slashed one included
+    assert stack.tobytes() == plain.tobytes()
     expected = detections_to_pairs(_records(refs), CONFIG, tmp_path)
     pairs = detections_to_pairs(_records(with_slash), CONFIG, tmp_path)
     for name in ("first", "second", "first_is_direction", "second_is_direction"):

@@ -45,10 +45,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 600.0  # seconds per mutant; a mutant that loops forever counts as killed
 
-# the merged decode, box, filter, grid and scale rules, the sample-cell
-# table and the fuse, the DVP writer and readers (a run's chunks included),
-# the focal and horizon rules, the synthetic scene's seeding, PCG64 columns
-# and placement, and the tests that cover them
+# the merged decode, box, filter, grid and scale rules, the grid's
+# sample-cell table (``_CellTables.lookup`` and ``_fill``) and the fuse, the
+# DVP writer and readers (a run's chunks included), the focal and horizon
+# rules, the scale-free evaluation, the synthetic scene's seeding, PCG64
+# columns and placement, and the tests that cover them
 TARGETS = [
     {
         "module": "src/vpcalib/heatmap.py",
@@ -83,6 +84,11 @@ TARGETS = [
         "functions": ["_focal_rule", "_usable_focals", "_pair_slopes", "estimate_horizon"],
         "tests": ["tests/test_calibration.py", "tests/test_pair_properties.py",
                   "tests/test_estimator.py"],
+    },
+    {
+        "module": "src/vpcalib/evaluation.py",
+        "functions": ["_distances", "ratio_error", "evaluate"],
+        "tests": ["tests/test_evaluation.py"],
     },
     {
         "module": "src/vpcalib/synthetic.py",
