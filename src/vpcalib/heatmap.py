@@ -22,8 +22,8 @@ The decode works in box coordinates; :func:`box_to_frame` and its inverse
 :func:`frame_to_box` are the one array form of the box <-> frame convention.
 
 An encode rasterizes every channel and scale it makes into one zeroed
-``(C, S, R, R)`` float64 block, checks the block once and hands out its
-grids as :class:`Heatmap` views (:func:`_encoded`, :func:`_heatmaps`).
+``(C, S, R, R)`` float64 block, finite by construction, as ``sigma`` is a
+length, and hands out its grids as :class:`Heatmap` views (:func:`_encoded`).
 
 Each decode, box and encode rule is written once, as that array code; the
 scalar functions (:func:`decode_heatmap`, :func:`accuracy_measure`,
@@ -45,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import projective as pj
-from ._validation import LENGTH_RANGE, as_float_array, check_integer, check_positive, is_real
+from ._validation import (LENGTH_RANGE, as_float_array, check_integer, check_positive,
+                          check_real, is_real)
 from .errors import (
     AllScalesDegenerate,
     DegeneratePeak,
@@ -143,40 +144,32 @@ class BBox:
 class Heatmap:
     """One square response grid over the rotated diamond at a single scale.
 
-    ``values`` comes out as a float64 array; this is the one-grid call of
-    the check that :func:`_heatmaps` makes of a whole block of grids."""
+    ``values`` comes out as a float64 array, if it holds real, finite
+    numbers in a square grid of at least 2 x 2 cells; ``scale`` must be
+    positive and finite."""
 
     values: np.ndarray
     scale: float
 
     def __post_init__(self):
-        self.values = _checked_grids(self.values, (self.scale,), 2)
+        values = as_float_array(self.values, "heatmap values")
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ValueError(f"heatmap must be square, got shape {values.shape}")
+        check_integer(len(values), "resolution", 2)
+        check_positive(self.scale, "heatmap scale")
+        self.values = values
 
     @property
     def resolution(self) -> int:
         return self.values.shape[0]
 
 
-def _checked_grids(values, scales, ndim: int) -> np.ndarray:
-    """``values`` as a float64 array, if it holds real, finite numbers in
-    square grids over its last two axes, ``ndim`` axes in all, and every
-    scale of ``scales`` is positive and finite."""
-    values = as_float_array(values, "heatmap values")
-    if values.ndim != ndim or values.shape[-1] != values.shape[-2]:
-        raise ValueError(f"heatmap must be square, got shape {values.shape}")
-    for s in scales:
-        check_positive(s, "heatmap scale")
-    return values
-
-
 def _heatmaps(values, scales) -> list[list[Heatmap]]:
-    """The heatmaps of a ``(C, S, R, R)`` block of grids, channel-major:
-    ``[c][s]`` holds grid ``values[c, s]`` at ``scales[s]``. The block is
-    checked once, as :class:`Heatmap` checks one grid, and each heatmap's
-    ``values`` is a view of it; the views do not overlap."""
-    block = _checked_grids(values, scales, 4)
+    """The heatmaps of a checked ``(C, S, R, R)`` float64 block, channel-major:
+    ``[c][s]`` holds grid ``values[c, s]`` at ``scales[s]``, a view of the
+    block; the views do not overlap."""
     out = []
-    for channel in block:
+    for channel in values:
         maps = []
         for grid, scale in zip(channel, scales):
             h = object.__new__(Heatmap)
@@ -302,6 +295,7 @@ def diamond_to_pixel(xy, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     grid cell represents actual projective plane: ``u = X + Y``,
     ``v = Y - X``, then [-1, 1] is spread across the pixel centres.
     """
+    resolution = check_integer(resolution, "resolution", 2)
     xy = np.asarray(xy, dtype=float)
     return np.stack(_pixel_of(xy[..., 0], xy[..., 1], resolution), axis=-1)
 
@@ -325,6 +319,7 @@ def _pixel_of(X, Y, resolution: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pixel_to_diamond(rowcol, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     """Fractional (row, col) -> diamond Cartesian (X, Y). Exact inverse on its range."""
+    resolution = check_integer(resolution, "resolution", 2)
     rc = np.asarray(rowcol, dtype=float)
     return np.stack(_diamond_of(rc[..., 0], rc[..., 1], resolution), axis=-1)
 
@@ -360,8 +355,6 @@ def _nearest_cells(x, y, w, scales, resolution: int) -> tuple[np.ndarray, np.nda
     mapped at every scale at once, the scales along a new leading axis:
     ``row`` and ``col`` have shape ``(len(scales),) + x.shape``.
     """
-    for s in scales:
-        pj.check_scale(s)
     size = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(w))
     if not size.all():
         raise ValueError("(0, 0, 0) is not a projective point")
@@ -389,11 +382,14 @@ def encode_vp(
     triple (points at infinity allowed). The peak has value exactly 1 at the
     grid cell nearest the mapped position; the Gaussian is truncated at three
     standard deviations and values below 1e-4 are zeroed, which keeps targets
-    sparse without moving the argmax. This is the one-grid call of
-    :func:`_encoded`.
+    sparse without moving the argmax. ``sigma`` is a length (``ValueError``
+    otherwise). This is the one-grid call of :func:`_encoded`.
     """
-    check_positive(sigma, "sigma")
-    ((heatmap,),) = _encoded(_as_vp_homogeneous(vp)[None], (scale,), resolution, sigma)
+    check_real(sigma, "sigma", *LENGTH_RANGE)
+    vph = _as_vp_homogeneous(vp)
+    pj.check_scale(scale)
+    resolution = check_integer(resolution, "resolution", 2)
+    ((heatmap,),) = _encoded(vph[None], (scale,), resolution, sigma)
     return heatmap
 
 
@@ -401,10 +397,11 @@ def _encoded(vph, scales, resolution: int, sigma: float) -> list[list[Heatmap]]:
     """The heatmaps of the ``(C, 3)`` homogeneous points ``vph``, one channel
     per point, one grid per scale: a zeroed ``(C, S, R, R)`` block with the
     :func:`_gaussian_patch` pasted at each :func:`_nearest_cells` cell,
-    clipped at the grid's edges, and checked once by :func:`_heatmaps`."""
+    clipped at the grid's edges. The caller checks the scales, the
+    resolution and ``sigma``."""
     rows, cols = _nearest_cells(vph[:, 0], vph[:, 1], vph[:, 2], scales, resolution)
     block = np.zeros((len(vph), len(scales), resolution, resolution))
-    patch = _gaussian_patch(sigma)
+    patch = _gaussian_patch(sigma, resolution)
     reach = len(patch) // 2
     for grid, i0, j0 in zip(block.reshape(-1, resolution, resolution),
                             rows.T.ravel().tolist(), cols.T.ravel().tolist()):
@@ -421,10 +418,11 @@ def _check_peak_ratio(peak_ratio: float) -> None:
 
 
 @functools.lru_cache(maxsize=8)
-def _gaussian_patch(sigma: float) -> np.ndarray:
+def _gaussian_patch(sigma: float, resolution: int) -> np.ndarray:
     """The read-only peak :func:`_encoded` pastes: the Gaussian at integer
-    offsets up to three standard deviations, values below 1e-4 zeroed."""
-    reach = int(np.ceil(3.0 * sigma))
+    offsets up to three standard deviations, values below 1e-4 zeroed, and
+    up to ``resolution - 1``, past which none lands on the grid."""
+    reach = min(int(np.ceil(3.0 * sigma)), resolution - 1)
     d2 = np.arange(-reach, reach + 1) ** 2
     patch = np.exp(-(d2[:, None] + d2[None, :]) / (2.0 * sigma * sigma))
     patch[patch < 1e-4] = 0.0
@@ -458,6 +456,7 @@ def vp_of_pixel(row, col, scale: float, resolution: int = DEFAULT_RESOLUTION) ->
     those decode to directions rather than finite points.
     """
     pj.check_scale(scale)
+    resolution = check_integer(resolution, "resolution", 2)
     return np.stack(_vp_by_scale((scale,), 0, row, col, resolution), axis=-1)
 
 
@@ -522,6 +521,7 @@ def quantization_radius(
     selection.
     """
     pj.check_scale(scale)
+    resolution = check_integer(resolution, "resolution", 2)
     cell = np.zeros(1, dtype=int), np.array([row]), np.array([col])
     return float(_quantization_radii((scale,), *cell, resolution, edge_samples)[0])
 
@@ -855,6 +855,7 @@ def _decode_stack(values, scales, peak_ratio):
     if values.ndim != 4 or values.shape[2] != values.shape[3]:
         raise ValueError(f"expected an (N, S, R, R) stack, got shape {values.shape}")
     n, n_scales, resolution = values.shape[:3]
+    check_integer(resolution, "resolution", 2)
     if len(scales) != n_scales:
         raise ValueError("need one scale per grid")
     if n_scales == 0:
@@ -948,8 +949,9 @@ class HeatmapCodec:
     vanishing point of the direction the vehicle faces, channel 1 the
     orthogonal one. The parameters are checked when the codec is built, and
     a bad one raises ``ValueError``: ``resolution`` must be an integer of at
-    least 2, ``scales`` strictly increasing reals in [1e-60, 1e60], ``sigma``
-    a positive finite real, and ``peak_ratio`` a real in (0, 1].
+    least 2, ``scales`` strictly increasing reals and ``sigma`` a real, all
+    in :data:`LENGTH_RANGE`, [1e-60, 1e60], and ``peak_ratio`` a real in
+    (0, 1].
 
     A codec keeps no decode state: its decodes read and fill the tables of
     its grid (:class:`_CellTables`) that every decode in the process
@@ -965,7 +967,7 @@ class HeatmapCodec:
     ):
         self.resolution = check_integer(resolution, "resolution", 2)
         self.scales = check_scales(scales)
-        self.sigma = check_positive(sigma, "sigma")
+        self.sigma = float(check_real(sigma, "sigma", *LENGTH_RANGE))
         _check_peak_ratio(peak_ratio)
         self.peak_ratio = float(peak_ratio)
 

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._validation import as_float_array, check_integer
+from ._validation import as_real_array, check_integer
 from .errors import InputFormatError, reading
 from .heatmap import Heatmap, _heatmaps, check_scales
 
@@ -117,7 +117,8 @@ def write_heatmap_file(path, channel_maps) -> None:
 
 def read_heatmap_file(path) -> list[list[Heatmap]]:
     """Read a heatmap observation; returns ``[channel][scale]`` heatmaps,
-    views of one float64 copy of the file's grids."""
+    views of one float64 copy of the grids that :func:`read_heatmap_arrays`
+    checked."""
     scales, values = read_heatmap_arrays(path)
     return _heatmaps(values.astype(float), scales)
 
@@ -130,7 +131,7 @@ def read_heatmap_arrays(path) -> tuple[tuple[float, ...], np.ndarray]:
     from JSON. Every defect of the file (unreadable, malformed, truncated,
     a resolution below 2, scales that do not ascend or are not positive,
     values that are not finite) raises :class:`InputFormatError`, in that
-    order.
+    order; one finiteness pass, with one message, serves both formats.
     """
     if not isinstance(path, Path):
         path = Path(path)
@@ -180,24 +181,19 @@ def _read_stack(refs, grid, base_dir, buffer) -> np.ndarray:
     file, whose grid every file must share. A DVP file of that grid is read
     straight into ``buffer``, a float32 ``(2, chunk, S, R, R)`` array that
     a run reuses for each chunk, by one ``readv`` (:func:`_read_dvp_into`);
-    any other file, a JSON one included, is read by
+    any other file, a JSON one or a non-finite one included, is read by
     :func:`read_heatmap_arrays`, which reports what is wrong with it, and
     copied into the stack. A JSON file turns the stack into a float64 copy,
-    which the rest of the chunk is copied into. The values are checked for
-    finiteness in one pass over the files read by ``readv``, before the
-    next file that ``read_heatmap_arrays`` reads and at the end, so the
-    first bad file in record order is the one reported.
+    which the rest of the chunk is copied into. Each file is checked as it
+    is read, in record order, so the first bad one is the one reported.
     """
     first, scales, resolution = grid
     stack = buffer[:, : len(refs)]
     header = _header(resolution, scales, 2)
-    checked = 0  # the files before this one are known to be finite
     for k, ref in enumerate(refs):
         path = Path(base_dir) / ref
         if stack.dtype == _GRID and _read_dvp_into(os.fspath(path), header, stack[:, k]):
             continue
-        _check_finite(stack, refs, base_dir, checked, k)
-        checked = k + 1
         file_scales, values = read_heatmap_arrays(path)
         if len(values) != 2:
             raise InputFormatError(f"heatmap file {ref} has {len(values)} channels, expected 2")
@@ -208,32 +204,16 @@ def _read_stack(refs, grid, base_dir, buffer) -> np.ndarray:
         if not np.can_cast(values.dtype, stack.dtype):
             stack = stack.astype(values.dtype)
         stack[:, k] = values
-    _check_finite(stack, refs, base_dir, checked, len(refs))
     return stack
-
-
-def _check_finite(stack, refs, base_dir, start: int, stop: int) -> None:
-    """Raise the error of the first file among ``refs[start:stop]`` whose
-    grids in ``stack`` are not all finite, as :func:`read_heatmap_arrays`
-    reports it."""
-    grids = stack[:, start:stop]
-    if np.isfinite(grids).all():
-        return
-    k = start + int(np.isfinite(grids).all(axis=(0, 2, 3, 4)).argmin())
-    path = Path(base_dir) / refs[k]
-    read_heatmap_arrays(path)
-    with reading("heatmap file", path):  # the file was rewritten since
-        raise ValueError("heatmap file changed while it was read")
 
 
 def _read_dvp_into(path: str, header: bytes, out) -> bool:
     """Whether the file at ``path`` is a DVP file of exactly ``header`` (see
-    :func:`_header`) and the grids of ``out``, read into ``out`` by one
-    ``os.readv``; ``out`` is a little-endian float32 array whose channels
-    are each contiguous. Its values are not checked for finiteness. False
-    for any other file, a JSON one or one that cannot be opened or read
-    included, which :func:`read_heatmap_arrays` reports on; ``out`` may
-    then hold part of it.
+    :func:`_header`) and the finite grids of ``out``, read into ``out`` by
+    one ``os.readv``; ``out`` is a little-endian float32 array whose
+    channels are each contiguous. False for any other file, a JSON one, a
+    non-finite one or one that cannot be opened or read included, which
+    :func:`read_heatmap_arrays` reports on; ``out`` may then hold part of it.
     """
     if _is_json(os.path.basename(path)):
         return False
@@ -247,7 +227,7 @@ def _read_dvp_into(path: str, header: bytes, out) -> bool:
             os.close(fd)
     except (OSError, ValueError):  # a NUL in the name is a ValueError
         return False
-    return size == len(header) + out.nbytes and head == header
+    return size == len(header) + out.nbytes and head == header and np.isfinite(out).all()
 
 
 def _is_json(name: str) -> bool:
@@ -265,7 +245,7 @@ def _parse_json(blob: bytes) -> tuple[tuple[float, ...], np.ndarray]:
     scales = check_scales(payload["scales"])
     data = payload["data"]
     shape = (len(data), len(scales), resolution, resolution)
-    values = as_float_array(data, "data") if data else np.zeros(shape)
+    values = as_real_array(data, "data") if data else np.zeros(shape)
     if values.shape != shape:
         raise ValueError(f"heatmap data shape {values.shape} != {shape}")
     if check_integer(payload.get("channels", len(data)), "channels", 0) != len(data):

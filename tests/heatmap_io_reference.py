@@ -3,10 +3,10 @@ bytearray writer, kept as references.
 
 ``read_arrays`` reads a heatmap file with one ``read_bytes`` and checks it
 whole; ``read_stack`` copies each file's grids into the chunk's stack after
-checking them, one file at a time. :mod:`vpcalib` now reads DVP files
-straight into the stack and checks the chunk's values in one pass. The
-tests require it to give the same stack, and the same first error with the
-same message. ``write_file`` builds a DVP file in a bytearray, copying
+checking them, one file at a time. :mod:`vpcalib` now reads each DVP
+file straight into the stack and checks its values there. The tests
+require it to give the same stack, and the same first error with the same
+message. ``write_file`` builds a DVP file in a bytearray, copying
 each heatmap's grid into it one at a time, and a JSON file from each grid's
 float32 copy; :mod:`vpcalib` now converts every grid in one pass and writes
 the header and the grids from their own buffers. The tests require the

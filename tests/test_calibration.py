@@ -20,6 +20,7 @@ from vpcalib.calibration import (
     project_to_plane,
 )
 from vpcalib.errors import (
+    DegenerateNormal,
     ImaginaryFocal,
     InsufficientPairs,
     NearVerticalHorizon,
@@ -233,6 +234,12 @@ class TestPlaneNormal:
         n = plane_normal_from_horizon([0.0, 0.0, 1.0], CameraIntrinsics(1.0, [0.0, 0.0]))
         np.testing.assert_allclose(n, [0.0, 0.0, 1.0])
 
+    def test_a_normal_of_exactly_the_smallest_length_is_kept(self):
+        intrinsics = CameraIntrinsics(1.0, [0.0, 0.0])
+        assert plane_normal_from_horizon([0.0, 0.0, 1e-12], intrinsics).tolist() == [0, 0, 1e-12]
+        with pytest.raises(DegenerateNormal):
+            plane_normal_from_horizon([0.0, 0.0, np.nextafter(1e-12, 0.0)], intrinsics)
+
     def test_matches_synthetic_truth(self):
         spec = SceneSpec(seed=3, n_vehicles=10, tilt_deg=32.0, roll_deg=-4.0)
         _, _, truth = generate_scene(spec)
@@ -279,6 +286,25 @@ class TestProjectToPlane:
         )
         with pytest.raises(PointOnHorizon):
             project_to_plane([0.0, -100.0], cal)
+
+    def test_a_ray_at_exactly_the_horizon_tolerance_meets_the_plane(self):
+        # the ray (0, 1e-9, 1) has length 1.0 in float64, and its depth
+        # along the unit normal is -1e-9: exactly -1e-9 of |ray| * |n|
+        cal = CameraCalibration(intrinsics=CameraIntrinsics(1.0, [0.0, 0.0]),
+                                horizon=[0.0, -1.0, 0.0], plane_normal=[0.0, -1.0, 0.0])
+        np.testing.assert_allclose(project_to_plane([0.0, 1e-9], cal), [0.0, 1.0, 1e9])
+        with pytest.raises(PointOnHorizon):
+            project_to_plane([0.0, np.nextafter(1e-9, 0.0)], cal)
+
+    @pytest.mark.parametrize("length", [1e-3, 1.0, 1e3])
+    def test_the_horizon_tolerance_is_relative_to_the_ray_and_the_normal(self, length):
+        # rays of length 1000, at a depth of twice and of half the tolerance
+        cal = CameraCalibration(intrinsics=CameraIntrinsics(1000.0, [0.0, 0.0]),
+                                horizon=[0.0, -1.0, 0.0], plane_normal=[0.0, -length, 0.0])
+        q = project_to_plane([0.0, 2e-6], cal)
+        assert q @ cal.plane_normal == pytest.approx(-cal.delta, rel=1e-12)
+        with pytest.raises(PointOnHorizon):
+            project_to_plane([0.0, 0.5e-6], cal)
 
     def test_distance_ratios_match_truth(self):
         spec = SceneSpec(seed=5, n_vehicles=10, n_measurements=8)

@@ -2,9 +2,9 @@
 of the grid-by-grid bodies they replaced.
 
 ``HeatmapCodec.encode``, ``encode_pair`` and ``encode_vp`` rasterize every
-channel and scale of one call into a single float64 block, check it once
-and return views of it; ``write_heatmap_file`` converts every grid into one
-float32 array and writes the header and the grids from their own buffers.
+channel and scale of one call into a single float64 block and return views
+of it; ``write_heatmap_file`` converts every grid into one float32 array
+and writes the header and the grids from their own buffers.
 The references, ``rasterize``, ``encode`` and ``nearest_cells`` in
 ``tests/diamond_reference.py`` and ``write_file`` in
 ``tests/heatmap_io_reference.py``, make one grid at a time and build a file
@@ -12,12 +12,19 @@ in a bytearray. The points lie far off, at infinity, and in cells on the
 grid's border, where the peak is clipped; the grids are as small as 2 x 2,
 smaller than a sigma = 2 peak.
 
+Nothing checks the block the encoders make, so it must be finite by
+construction: at every sigma in ``LENGTH_RANGE`` each grid is finite and
+has its maximum, exactly 1, at the peak cell. The encoders' peak reaches no
+farther than the grid's width, where the reference's reaches three sigmas;
+up to sigma = 50 the grids are still the reference's, bit for bit.
+
 Needs Hypothesis (the ``test`` extra) and is skipped without it. The
 examples are derandomized and bounded, so the suite stays deterministic and
 quick.
 """
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +38,13 @@ from hypothesis import strategies as st  # noqa: E402
 import diamond_reference as ref  # noqa: E402
 from diamond_reference import same_bits  # noqa: E402
 from heatmap_io_reference import write_file  # noqa: E402
-from vpcalib.heatmap import DEFAULT_SCALES, HeatmapCodec, encode_vp, vp_of_pixel  # noqa: E402
+from vpcalib.heatmap import (  # noqa: E402
+    DEFAULT_SCALES,
+    HeatmapCodec,
+    _nearest_cells,
+    encode_vp,
+    vp_of_pixel,
+)
 from vpcalib.heatmap_io import read_heatmap_file, write_heatmap_file  # noqa: E402
 
 BOUNDED = settings(max_examples=120, derandomize=True, deadline=None, database=None)
@@ -85,6 +98,37 @@ def test_the_encoders_give_the_references_grids(grid, data):
     assert all(same_heatmaps(got, w) for got, w in zip(pair, want))
     assert same_heatmaps(codec.encode(second), want[1])
     assert same_heatmaps([encode_vp(first, s, resolution, sigma) for s in scales], want[0])
+
+
+# lengths over all of LENGTH_RANGE, [1e-60, 1e60], and the sigmas in use
+SIGMAS = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 50.0]), st.floats(1e-60, 1e60),
+                   st.floats(-60.0, 60.0).map(lambda e: min(max(10.0 ** e, 1e-60), 1e60)))
+
+
+@BOUNDED
+@given(scales=st.sampled_from(SCALE_SETS), resolution=st.sampled_from([2, 3, 16, 64]),
+       sigma=SIGMAS, data=st.data())
+# both ends of the range, with a border cell and a point at infinity
+@example(scales=DEFAULT_SCALES, resolution=2, sigma=1e-60, data=None)
+@example(scales=DEFAULT_SCALES, resolution=64, sigma=1e60, data=None)
+def test_every_encoded_grid_is_finite_with_its_one_at_the_peak_cell(scales, resolution, sigma,
+                                                                     data):
+    if data is None:
+        first, second = vp_of_pixel(0.0, 0.0, 0.03, resolution), np.array([1.0, 0.0, 0.0])
+    else:
+        first, second = (data.draw(points(scales, resolution)) for _ in range(2))
+    codec = HeatmapCodec(resolution=resolution, scales=scales, sigma=sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        maps = codec.encode_pair(first, second)
+        maps.append([encode_vp(first, s, resolution, sigma) for s in scales])
+    for vph, channel in zip((first, second, first), maps):
+        rows, cols = _nearest_cells(*np.asarray(vph, dtype=float)[:, None], scales, resolution)
+        for h, row, col in zip(channel, rows[:, 0].tolist(), cols[:, 0].tolist()):
+            assert np.isfinite(h.values).all()
+            assert h.values.max() == 1.0 and h.values[row, col] == 1.0
+        if sigma <= 50.0:
+            assert same_heatmaps(channel, ref.encode(vph, scales, resolution, sigma))
 
 
 @st.composite

@@ -188,6 +188,15 @@ class TestEncode:
         assert h.values.sum() == pytest.approx(oracle, rel=1e-12)
         assert abs(h.values.sum() - 2 * np.pi) < 0.01
 
+    @pytest.mark.parametrize("sigma, resolution, side", [
+        (1.0, 64, 7), (1.0, 2, 3), (0.3, 2, 3), (1e3, 64, 127), (1e60, 64, 127), (1e60, 3, 5),
+    ])
+    def test_the_peak_reaches_no_farther_than_the_grid(self, sigma, resolution, side):
+        # 6 sigma + 1 cells a side would take 288 MB at sigma = 1e3, and outgrow memory at 1e5
+        patch = heatmap._gaussian_patch(sigma, resolution)
+        assert patch.shape == (side, side) and patch[side // 2, side // 2] == 1.0
+        assert not patch.flags.writeable
+
     def test_infinite_vp_encodable(self):
         h = encode_vp(np.array([1.0, 0.0, 0.0]), 0.03)
         assert h.values.max() == 1.0
@@ -883,12 +892,52 @@ class TestQuantizationRadius:
 
 
 class TestCodecValidation:
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan])
+    # sigma is a length: below about 1e-154 the peak's arithmetic overflows,
+    # and farther down its centre is NaN
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan, 1e-61, 1e-200, 1e61, 1e300,
+                                       True, "1.0"])
     def test_sigma_must_be_positive_and_finite(self, sigma):
-        with pytest.raises(ValueError, match="sigma"):
-            HeatmapCodec(sigma=sigma)
-        with pytest.raises(ValueError, match="sigma"):
-            encode_vp([4.0, 9.0], 1.0, sigma=sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sigma"):
+                HeatmapCodec(sigma=sigma)
+            with pytest.raises(ValueError, match="sigma"):
+                encode_vp([4.0, 9.0], 1.0, sigma=sigma)
+
+    @pytest.mark.parametrize("resolution", [1, 0, -3, 2.5, True, np.int64(1)])
+    def test_every_grid_call_takes_a_resolution_of_at_least_two(self, box, resolution):
+        message = "resolution must be an integer >= 2"
+        calls = [
+            lambda: vp_of_pixel(0, 0, 1.0, resolution),
+            lambda: quantization_radius(0, 0, 1.0, resolution),
+            lambda: encode_vp([4.0, 9.0], 1.0, resolution),
+            lambda: diamond_to_pixel([0.0, 0.0], resolution),
+            lambda: pixel_to_diamond([0.0, 0.0], resolution),
+            lambda: HeatmapCodec(resolution=resolution),
+        ]
+        if type(resolution) is not float:
+            n = max(int(resolution), 0)
+            small = Heatmap(np.zeros((2, 2)), 1.0)
+            small.values = np.zeros((n, n))  # replaced after it was checked
+            calls += [
+                lambda: Heatmap(np.zeros((n, n)), 1.0),
+                lambda: select_vp([small], box),
+                lambda: decode_stack(np.zeros((1, 1, n, n)), [1.0], [box]),
+            ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=message):
+                    call()
+
+    def test_a_two_by_two_grid_is_the_smallest(self, box):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = encode_vp([4.0, 9.0], 1.0, 2)
+            assert h.resolution == 2 and h.values.max() == 1.0
+            assert np.isfinite(vp_of_pixel(0, 1, 1.0, 2)).all()
+            assert quantization_radius(0, 1, 1.0, 2) > 0.0  # inf at a degenerate cell
+            assert select_vp([h], box).chosen_scale == 1.0
 
     @pytest.mark.parametrize("peak_ratio", [0.0, -0.5, 1.5, 2.0, np.nan])
     def test_peak_ratio_must_lie_in_the_unit_interval(self, peak_ratio):

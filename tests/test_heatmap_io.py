@@ -13,7 +13,6 @@ from vpcalib import heatmap_io
 from vpcalib.heatmap import DEFAULT_RESOLUTION, DEFAULT_SCALES, BBox, Heatmap, HeatmapCodec
 from vpcalib.heatmap_io import (
     MAGIC,
-    _check_finite,
     _read_dvp_into,
     _read_stack,
     read_heatmap_arrays,
@@ -241,7 +240,12 @@ def test_scales_that_do_not_ascend_are_rejected_as_the_writer_rejects_them(
 
 @pytest.mark.parametrize("resolution", [0, 1])
 def test_a_grid_below_two_cells_is_neither_read_nor_written(tmp_path, resolution):
-    maps = [[Heatmap(np.zeros((resolution, resolution)), 1.0)]] * 2
+    with pytest.raises(ValueError, match="resolution must be an integer >= 2"):
+        Heatmap(np.zeros((resolution, resolution)), 1.0)
+    # a heatmap whose values were replaced after it was made
+    h = Heatmap(np.zeros((2, 2)), 1.0)
+    h.values = np.zeros((resolution, resolution))
+    maps = [[h]] * 2
     with pytest.raises(ValueError, match="resolution must be an integer >= 2"):
         write_heatmap_file(tmp_path / "obs.dvp", maps)
     header = MAGIC + struct.pack("<IIdI", resolution, 1, 1.0, 2)
@@ -527,12 +531,46 @@ def test_a_ref_with_a_trailing_slash_is_read_as_pathlib_reads_it(tmp_path, monke
         assert getattr(pairs, name).tobytes() == getattr(expected, name).tobytes()
 
 
-def test_a_file_rewritten_finite_after_a_non_finite_read_is_still_reported(tmp_path):
+def test_a_file_rewritten_finite_after_a_non_finite_read_is_taken_as_the_second_read_gives_it(
+        tmp_path, monkeypatch):
+    # the file is replaced between its readv and its whole-file read, as a
+    # file that the readv misses for any other reason is taken
     refs = _chunk(tmp_path, 3)
-    stack = _read_stack(refs, GRID, tmp_path, _buffer())
-    stack[0, 1, 2, 5, 5] = np.nan  # what a read before the rewrite gave
-    message = _first_error(_check_finite, stack, refs, tmp_path, 0, 3)
-    assert refs[1] in message and "changed while it was read" in message
+    expected = read_stack(refs, GRID, tmp_path)
+    path = tmp_path / refs[1]
+    good = path.read_bytes()
+    _nan(path)
+    read = []
+
+    def replaced(p):
+        read.append(p.name)
+        path.write_bytes(good)
+        return read_heatmap_arrays(p)
+
+    monkeypatch.setattr(heatmap_io, "read_heatmap_arrays", replaced)
+    stack = _read_stack(refs, GRID, tmp_path, _buffer(fill=0.5))
+    assert read == [refs[1]]
+    assert stack.dtype == np.float32 and stack.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_json_file_gets_the_dvp_files_message(tmp_path, value):
+    refs = _chunk(tmp_path, 3, (".dvp", ".json"))
+    payload = json.loads((tmp_path / refs[1]).read_text())
+    payload["data"][0][1][3][3] = value
+    (tmp_path / refs[1]).write_text(json.dumps(payload))
+    _nan(tmp_path / refs[2])
+    expected = {}
+    for ref in refs[1:]:
+        for read in (read_heatmap_arrays, read_heatmap_file):
+            message = _first_error(read, tmp_path / ref)
+            assert message == f"cannot read heatmap file {tmp_path / ref}: " \
+                              "heatmap values must be finite"
+        expected[ref] = message
+    assert _first_error(_read_stack, refs, GRID, tmp_path, _buffer()) == expected[refs[1]]
+    assert _first_error(read_stack, refs, GRID, tmp_path) == expected[refs[1]]
+    assert _first_error(detections_to_pairs, _records(refs), CONFIG, tmp_path) \
+        == expected[refs[1]]
 
 
 RECORD_BYTES = 2 * 4 * len(DEFAULT_SCALES) * DEFAULT_RESOLUTION ** 2  # two float32 channels

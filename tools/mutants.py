@@ -6,8 +6,11 @@ test files listed for the function's module. A mutant that every listed
 test passes has survived: either the tests miss a change in behaviour, or
 the change has none (an equivalent mutant). The results go to a JSON file.
 
-The mutations are a fixed, ordered set, applied to every site of a target
-function in source order:
+A target is a module-level function named as it is (``_spread``) or a
+method named with its class (``_CellTables.__init__``); a bare name that
+more than one definition in the module carries is refused. The mutations
+are a fixed, ordered set, applied to every site of a target function in
+source order:
 
 - comparison swaps: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``;
 - ``&`` and ``|`` (the masks of the array code), ``and`` and ``or``;
@@ -45,17 +48,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 600.0  # seconds per mutant; a mutant that loops forever counts as killed
 
-# the merged decode, box, filter, grid and scale rules, the grid's
-# sample-cell table (``_CellTables.lookup`` and ``_fill``) and the fuse, the
-# DVP writer and readers (a run's chunks included), the focal and horizon
+# the merged decode, box, filter, grid and scale rules, the heatmap and
+# encoder-peak checks, the grid's tables (``_CellTables.__init__``, and the
+# sample-cell table's ``lookup`` and ``_fill``) and the fuse, the DVP writer
+# and readers (a run's chunks included), the focal, horizon and road-plane
 # rules, the scale-free evaluation, the synthetic scene's seeding, PCG64
 # columns and placement, and the tests that cover them
 TARGETS = [
     {
         "module": "src/vpcalib/heatmap.py",
         "functions": ["_near_maximum", "_spread", "_ious", "bbox_arrays", "box_to_frame",
-                      "frame_to_box", "_checked_grids", "_heatmaps", "check_scales", "lookup",
-                      "_fill", "_fuse"],
+                      "frame_to_box", "Heatmap.__post_init__", "_heatmaps", "_gaussian_patch",
+                      "check_scales", "_CellTables.__init__", "lookup", "_fill", "_fuse"],
         "tests": ["tests/test_heatmap.py", "tests/test_scalar_wrapper_properties.py",
                   "tests/test_detection_properties.py", "tests/test_diamond_columns.py",
                   "tests/test_decode_precision_properties.py", "tests/test_encode_properties.py",
@@ -75,13 +79,14 @@ TARGETS = [
     {
         "module": "src/vpcalib/heatmap_io.py",
         "functions": ["write_heatmap_file", "read_heatmap_arrays", "_read_stacks", "_read_stack",
-                      "_check_finite", "_read_dvp_into", "_is_json"],
+                      "_read_dvp_into", "_is_json"],
         "tests": ["tests/test_heatmap_io.py", "tests/test_encode_properties.py",
                   "tests/test_pipeline.py"],
     },
     {
         "module": "src/vpcalib/calibration.py",
-        "functions": ["_focal_rule", "_usable_focals", "_pair_slopes", "estimate_horizon"],
+        "functions": ["_focal_rule", "_usable_focals", "_pair_slopes", "estimate_horizon",
+                      "plane_normal_from_horizon", "_plane_points", "project_to_plane"],
         "tests": ["tests/test_calibration.py", "tests/test_pair_properties.py",
                   "tests/test_estimator.py"],
     },
@@ -99,6 +104,7 @@ TARGETS = [
     },
 ]
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _COMPARE = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
             ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 _BINARY = {ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.Add: ast.Sub, ast.Sub: ast.Add,
@@ -111,9 +117,13 @@ _SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
 
 def _sites(function: ast.FunctionDef) -> list[tuple]:
     """``(node, slot, before, after)`` of every mutation site of ``function``,
-    in source order: ``slot`` names what the mutation replaces in ``node``."""
+    in source order: ``slot`` names what the mutation replaces in ``node``.
+    Its decorators are left out: :func:`_rewritten` keeps their lines."""
+    decorators = {id(node) for d in function.decorator_list for node in ast.walk(d)}
     sites = []
     for node in ast.walk(function):
+        if id(node) in decorators:
+            continue
         if isinstance(node, ast.Compare):
             for k, op in enumerate(node.ops):
                 if type(op) in _COMPARE:
@@ -144,8 +154,16 @@ def _mutate(node, slot) -> None:
 
 
 def _functions(tree: ast.Module) -> dict:
-    return {node.name: node for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    """Each function of ``tree`` by its name, and each method also by
+    ``Class.method``; a name that two definitions share maps to None."""
+    functions = {}
+    for node in ast.walk(tree):
+        defs = [(node.name, node)] if isinstance(node, _DEFS) else []
+        if isinstance(node, ast.ClassDef):
+            defs = [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, _DEFS)]
+        for name, function in defs:
+            functions[name] = None if name in functions else function
+    return functions
 
 
 def _rewritten(source: str, name: str, mutate=None) -> str:
@@ -167,8 +185,8 @@ def mutants(root: Path, target: dict) -> list[dict]:
     module = Path(target["module"]).stem
     out = []
     for name in target["functions"]:
-        if name not in _functions(ast.parse(source)):
-            raise SystemExit(f"{target['module']} has no function {name}")
+        if _functions(ast.parse(source)).get(name) is None:
+            raise SystemExit(f"{target['module']} has no function {name}, or more than one")
         for index, (node, slot, before, after) in enumerate(
                 _sites(_functions(ast.parse(source))[name])):
             out.append({
